@@ -41,8 +41,8 @@ struct Report {
     dataset: String,
     n_profiles: usize,
     iters: usize,
-    host: sper_bench::HostInfo,
-    stamp: sper_bench::RunStamp,
+    host: sper_obs::HostInfo,
+    stamp: sper_obs::RunStamp,
     measurements: Vec<Measurement>,
 }
 

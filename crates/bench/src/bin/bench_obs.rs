@@ -34,8 +34,8 @@ struct Report {
     n_profiles: usize,
     batches: usize,
     iters: usize,
-    host: sper_bench::HostInfo,
-    stamp: sper_bench::RunStamp,
+    host: sper_obs::HostInfo,
+    stamp: sper_obs::RunStamp,
     /// What the instrumented configuration armed.
     instrumented_with: &'static str,
     /// Median wall-clock of the dark run, ms.

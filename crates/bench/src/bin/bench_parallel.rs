@@ -1,7 +1,6 @@
-//! Parallel-engine perf harness: times the sharded execution paths against
-//! their sequential counterparts at 1/2/4/8 worker threads and emits
-//! `BENCH_parallel.json` — the scaling-trajectory baseline future PRs
-//! compare against.
+//! Parallel-engine perf harness: times each substrate's one implementation
+//! at 1/2/4/8 worker threads and emits `BENCH_parallel.json` — the
+//! scaling-trajectory baseline future PRs compare against.
 //!
 //! ```text
 //! cargo run -q --release -p sper-bench --bin bench_parallel            # full run
@@ -10,17 +9,19 @@
 //! ```
 //!
 //! Each measurement is the median of `iters` wall-clock runs (quick: 3,
-//! full: 7) on the movies twin. The curves cover the three parallelized
-//! layers of the engine:
+//! full: 7) on the movies twin. The curves cover the four parallelized
+//! layers of the engine, each against its own one-worker run:
 //!
-//! * **weight computation** — `parallel_blocking_graph` (LeCoBI-sharded
-//!   meta-blocking edge weighting) vs `BlockingGraph::build`;
+//! * **weight computation** — `BlockingGraph::build` (LeCoBI-sharded
+//!   meta-blocking edge weighting);
+//! * **token blocking** — `TokenBlocking::par_build` (per-range bucket
+//!   indexes, concatenated in range order);
 //! * **neighbor-list construction** — `NeighborList::par_build` (sharded
-//!   tokenize/sort + tournament merge) vs `NeighborList::build`;
+//!   tokenize/sort + tournament merge);
 //! * **top-k scheduling** — `Pps::from_blocks_par` (parallel Algorithm-5
-//!   initialization) vs the sequential constructor.
+//!   initialization).
 //!
-//! Every parallel path is bit-identical to its sequential twin, so the
+//! Every worker count yields the one-worker result bit for bit, so the
 //! JSON also records a cheap identity check per curve, plus the dispatched
 //! SIMD kernel (`kernel_path`) and the per-worker utilization of each
 //! work-stealing fan-out. Speedups only materialize on multi-core hosts:
@@ -31,8 +32,7 @@
 use serde::Serialize;
 use sper_bench::peak_bytes;
 use sper_blocking::{
-    parallel_blocking_graph, BlockingGraph, NeighborList, Parallelism, TokenBlocking,
-    WeightingScheme,
+    BlockCollection, BlockingGraph, NeighborList, Parallelism, TokenBlocking, WeightingScheme,
 };
 use sper_core::pps::Pps;
 use sper_datagen::{DatasetKind, DatasetSpec};
@@ -62,7 +62,7 @@ struct Curve {
     name: String,
     baseline: String,
     baseline_ms: f64,
-    /// Results verified identical to the sequential path at every point.
+    /// Results verified identical to the one-worker result at every point.
     identical: bool,
     points: Vec<Point>,
 }
@@ -75,8 +75,8 @@ struct Report {
     /// Worker threads the measuring machine can actually run — scaling is
     /// bounded by this, not by the requested thread count.
     host_parallelism: usize,
-    host: sper_bench::HostInfo,
-    stamp: sper_bench::RunStamp,
+    host: sper_obs::HostInfo,
+    stamp: sper_obs::RunStamp,
     /// The SIMD kernel the runtime dispatcher chose for this run
     /// (`avx2`/`sse2`/`scalar`; forced to `scalar` under `SPER_NO_SIMD=1`).
     kernel_path: &'static str,
@@ -178,32 +178,57 @@ fn main() {
 
     let mut curves = Vec::new();
 
+    let par = |threads: usize| Parallelism::new(threads).expect("threads > 0");
+
     // --- Meta-blocking edge weighting (the acceptance-bar curve) ---
     let mut blocks = TokenBlocking::default().build(profiles);
     blocks.sort_by_cardinality();
-    let sequential_graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+    let graph = |threads| BlockingGraph::build(&blocks, WeightingScheme::Arcs, par(threads));
+    let sequential_graph = graph(1);
     let baseline_ms = median_ms(iters, || {
-        std::hint::black_box(BlockingGraph::build(&blocks, WeightingScheme::Arcs));
+        std::hint::black_box(graph(1));
     });
     let identical = THREAD_STEPS.iter().all(|&t| {
-        let g = parallel_blocking_graph(&blocks, WeightingScheme::Arcs, t).expect("threads > 0");
+        let g = graph(t);
         g.edges().zip(sequential_graph.edges()).all(|(a, b)| a == b)
             && g.num_edges() == sequential_graph.num_edges()
     });
     curves.push(curve(
         "edge_weighting",
-        "sequential BlockingGraph::build",
+        "one-worker BlockingGraph::build",
         baseline_ms,
         identical,
-        |threads| {
-            peak_bytes(|| parallel_blocking_graph(&blocks, WeightingScheme::Arcs, threads).unwrap())
-                .1
-        },
+        |threads| peak_bytes(|| graph(threads)).1,
         |threads| {
             median_ms(iters, || {
-                std::hint::black_box(
-                    parallel_blocking_graph(&blocks, WeightingScheme::Arcs, threads).unwrap(),
-                );
+                std::hint::black_box(graph(threads));
+            })
+        },
+    ));
+
+    // --- Token blocking ---
+    let token_blocks = |threads| TokenBlocking::default().par_build(profiles, par(threads));
+    let keys_and_members = |b: &BlockCollection| -> Vec<(String, Vec<_>)> {
+        b.iter()
+            .map(|blk| (blk.key_str().to_string(), blk.profiles().to_vec()))
+            .collect()
+    };
+    let sequential_blocks = keys_and_members(&token_blocks(1));
+    let baseline_ms = median_ms(iters, || {
+        std::hint::black_box(token_blocks(1));
+    });
+    let identical = THREAD_STEPS
+        .iter()
+        .all(|&t| keys_and_members(&token_blocks(t)) == sequential_blocks);
+    curves.push(curve(
+        "token_blocking",
+        "one-worker TokenBlocking::par_build",
+        baseline_ms,
+        identical,
+        |threads| peak_bytes(|| token_blocks(threads)).1,
+        |threads| {
+            median_ms(iters, || {
+                std::hint::black_box(token_blocks(threads));
             })
         },
     ));
@@ -218,7 +243,7 @@ fn main() {
     });
     curves.push(curve(
         "neighbor_list_build",
-        "sequential NeighborList::build",
+        "one-worker NeighborList::build",
         baseline_ms,
         identical,
         |threads| peak_bytes(|| NeighborList::par_build(profiles, 42, threads).unwrap()).1,
@@ -245,13 +270,13 @@ fn main() {
             pps_blocks.clone(),
             WeightingScheme::Arcs,
             Pps::DEFAULT_KMAX,
-            Parallelism::new(t).unwrap(),
+            par(t),
         );
         pps.sorted_profile_list() == sequential_order.as_slice()
     });
     curves.push(curve(
         "pps_scheduling_init",
-        "sequential Pps::from_blocks",
+        "one-worker Pps::from_blocks",
         baseline_ms,
         identical,
         |threads| {
@@ -260,7 +285,7 @@ fn main() {
                     pps_blocks.clone(),
                     WeightingScheme::Arcs,
                     Pps::DEFAULT_KMAX,
-                    Parallelism::new(threads).unwrap(),
+                    par(threads),
                 )
             })
             .1
@@ -271,7 +296,7 @@ fn main() {
                     pps_blocks.clone(),
                     WeightingScheme::Arcs,
                     Pps::DEFAULT_KMAX,
-                    Parallelism::new(threads).unwrap(),
+                    par(threads),
                 ));
             })
         },

@@ -38,8 +38,8 @@ struct Report {
     dataset: String,
     n_profiles: usize,
     iters: usize,
-    host: sper_bench::HostInfo,
-    stamp: sper_bench::RunStamp,
+    host: sper_obs::HostInfo,
+    stamp: sper_obs::RunStamp,
     /// Tokenize + block + schedule + index + neighbor-list, from raw
     /// profiles.
     cold_rebuild_ms: f64,

@@ -18,9 +18,8 @@
 //!   pre-kernel builder (hashed `seen` set, `O(|B_i| + |B_j|)` merge per
 //!   pair), with its peak allocation;
 //! * **points** — the kernel edge list at 1/2/4/8 threads
-//!   ([`sper_blocking::spacc::weighted_edge_list`] through
-//!   `parallel_blocking_graph`'s entry shape), each with speedup and peak
-//!   allocation;
+//!   ([`sper_blocking::spacc::weighted_edge_list`], the engine inside
+//!   `BlockingGraph::build`), each with speedup and peak allocation;
 //! * **identical** — edge-sequence equality (pairs and weight bits) of the
 //!   kernel output against the legacy builder at every thread count;
 //!
@@ -89,8 +88,8 @@ struct Report {
     n_profiles: usize,
     iters: usize,
     host_parallelism: usize,
-    host: sper_bench::HostInfo,
-    stamp: sper_bench::RunStamp,
+    host: sper_obs::HostInfo,
+    stamp: sper_obs::RunStamp,
     /// The SIMD kernel the runtime dispatcher chose for this run
     /// (`avx2`/`sse2`/`scalar`; forced to `scalar` under `SPER_NO_SIMD=1`).
     kernel_path: &'static str,

@@ -15,7 +15,6 @@
 //! twins default to a fraction of their laptop-scale-1.0 size so every
 //! binary finishes in minutes).
 
-use serde::Serialize;
 use sper_core::{build_method, MethodConfig, ProgressiveMethod};
 use sper_datagen::{DatasetKind, DatasetSpec, GeneratedDataset};
 use sper_eval::runner::{run_progressive, RunOptions, RunResult};
@@ -35,54 +34,18 @@ pub fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOC.peak_bytes().saturating_sub(before))
 }
 
-/// Serializable mirror of [`sper_obs::HostInfo`] (the orphan rule keeps
-/// the serde derive out of the dependency-free obs crate), stamped into
-/// every committed `BENCH_*.json` so baselines are self-describing.
-#[derive(Serialize, Debug, Clone)]
-pub struct HostInfo {
-    /// `processor` entries in `/proc/cpuinfo` (0 if unreadable).
-    pub cores: usize,
-    /// `std::thread::available_parallelism()` — what the scheduler grants.
-    pub host_parallelism: usize,
-    /// Memory page size in bytes (0 off-Linux).
-    pub page_size: usize,
-    /// Operating system the binary was compiled for.
-    pub os: &'static str,
-    /// SIMD extensions detected at runtime (empty off x86_64).
-    pub cpu_features: Vec<&'static str>,
+/// Probes the measuring machine for the `host` section of a BENCH report,
+/// stamped into every committed `BENCH_*.json` so baselines are
+/// self-describing.
+pub fn host_info() -> sper_obs::HostInfo {
+    sper_obs::HostInfo::probe()
 }
 
-/// Probes the measuring machine for the `host` section of a BENCH report.
-pub fn host_info() -> HostInfo {
-    let h = sper_obs::HostInfo::probe();
-    HostInfo {
-        cores: h.cores,
-        host_parallelism: h.host_parallelism,
-        page_size: h.page_size,
-        os: h.os,
-        cpu_features: h.cpu_features,
-    }
-}
-
-/// Serializable mirror of [`sper_obs::RunStamp`]: when the numbers were
-/// taken and at which revision, so a committed `BENCH_*.json` can be
-/// matched to the commit that produced it without trusting git history.
-#[derive(Serialize, Debug, Clone)]
-pub struct RunStamp {
-    /// ISO-8601 UTC wall-clock time the report was produced.
-    pub timestamp: String,
-    /// Abbreviated git revision of the working tree (`"unknown"` when
-    /// not built inside a repository).
-    pub git_rev: String,
-}
-
-/// Captures the timestamp + git revision stamped into every BENCH report.
-pub fn run_stamp() -> RunStamp {
-    let s = sper_obs::RunStamp::capture();
-    RunStamp {
-        timestamp: s.timestamp,
-        git_rev: s.git_rev,
-    }
+/// Captures the timestamp + git revision stamped into every BENCH report,
+/// so a committed `BENCH_*.json` can be matched to the commit that
+/// produced it without trusting git history.
+pub fn run_stamp() -> sper_obs::RunStamp {
+    sper_obs::RunStamp::capture()
 }
 
 /// Installs the human-readable stderr sink the bench binaries report

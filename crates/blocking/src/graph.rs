@@ -42,26 +42,41 @@ pub struct BlockingGraph {
 }
 
 impl BlockingGraph {
-    /// Materializes the graph of `blocks` under `scheme`.
+    /// Materializes the graph of `blocks` under `scheme` on up to `par`
+    /// workers.
     ///
     /// Every distinct valid comparison entailed by the blocks becomes one
     /// edge; repeated co-occurrences are merged (that is what makes the
     /// blocks *redundancy-positive*: the weight grows with the number of
     /// shared blocks, it does not duplicate edges).
-    pub fn build(blocks: &BlockCollection, scheme: WeightingScheme) -> Self {
-        let mut span = sper_obs::span!("blocking.graph_build", blocks = blocks.len());
+    ///
+    /// The sweeps shard over contiguous profile ranges, each edge tagged
+    /// with its least common block (the LeCoBI witness, §5.2.1); the
+    /// stable counting sort by that tag restores the block-major
+    /// first-occurrence order, so the graph — including its internal edge
+    /// order — is identical at every worker count. The request passes the
+    /// spawn break-even guard ([`Parallelism::break_even`]) on the
+    /// comparison volume ‖B‖ the sweeps distribute, not on the profile
+    /// count: a small dense collection can still carry millions of
+    /// co-occurrences.
+    pub fn build(blocks: &BlockCollection, scheme: WeightingScheme, par: Parallelism) -> Self {
+        let par = par.break_even(blocks.total_comparisons().min(usize::MAX as u64) as usize);
+        let mut span = sper_obs::span!(
+            "blocking.graph_build",
+            blocks = blocks.len(),
+            threads = par.get(),
+        );
         let index = ProfileIndex::build(blocks);
         // Sparse-accumulator sweeps instead of per-pair merges: no hashed
         // `seen` set, no `O(|B_i| + |B_j|)` intersection per pair — and the
         // counting sort inside restores the seed builder's edge order.
-        let edges =
-            crate::spacc::weighted_edge_list(blocks, &index, scheme, Parallelism::SEQUENTIAL);
+        let edges = crate::spacc::weighted_edge_list(blocks, &index, scheme, par);
         span.record("edges", edges.len());
         Self::from_edges(blocks.n_profiles(), edges)
     }
 
-    /// Assembles a graph from pre-weighted edges (used by the parallel
-    /// builder in [`crate::parallel`]). Edges must be distinct pairs.
+    /// Assembles a graph from pre-weighted edges. Edges must be distinct
+    /// pairs.
     pub fn from_edges(n_profiles: usize, edges: Vec<(Pair, f64)>) -> Self {
         // Two counting passes build the CSR adjacency without per-node Vecs.
         let mut counts = vec![0u32; n_profiles];
@@ -173,7 +188,7 @@ mod tests {
     fn fig3_graph() -> BlockingGraph {
         let mut blocks = TokenBlocking::default().build(&fig3_profiles());
         blocks.sort_by_cardinality();
-        BlockingGraph::build(&blocks, WeightingScheme::Arcs)
+        BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL)
     }
 
     #[test]

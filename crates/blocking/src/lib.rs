@@ -22,8 +22,9 @@
 //!   neighborhood sweeps over a dense reusable scratch with a touched-list
 //!   reset, producing every meta-blocking edge weight without a
 //!   materialized edge list or per-pair merge intersections.
-//! * [`parallel`] — multi-threaded Token Blocking and edge weighting (the
-//!   §8 future-work direction), result-identical to the sequential paths.
+//! * [`parallel`] — the thread-count parameter ([`Parallelism`]) every
+//!   substrate build takes, and the fan-out primitives behind it (the §8
+//!   future-work direction); results are identical at every count.
 
 pub mod block;
 pub mod filtering;
@@ -44,12 +45,11 @@ pub mod weights;
 pub use block::{Block, BlockCollection, BlockCsrParts, BlockId, BlockRef};
 pub use filtering::BlockFilter;
 pub use graph::BlockingGraph;
-pub use metablocking::{par_prune, par_prune_blocks, prune, prune_blocks, PruningScheme};
+pub use metablocking::{prune, prune_blocks, PruningScheme};
 pub use neighbor_list::{NeighborList, PositionIndex};
 pub use parallel::{
-    parallel_blocking_graph, parallel_token_blocking, take_last_fanout_stats, FanoutStats,
-    Parallelism, WorkerStats, ZeroThreads, MIN_PARALLEL_BATCH, STEAL_MIN_CHUNK,
-    STEAL_OVERSUBSCRIPTION,
+    take_last_fanout_stats, FanoutStats, Parallelism, WorkerStats, ZeroThreads, MIN_PARALLEL_BATCH,
+    STEAL_MIN_CHUNK, STEAL_OVERSUBSCRIPTION,
 };
 pub use profile_index::{IncrementalProfileIndex, IntersectStats, ProfileIndex};
 pub use purging::BlockPurger;
@@ -87,9 +87,16 @@ impl Default for TokenBlockingWorkflow {
 }
 
 impl TokenBlockingWorkflow {
-    /// Runs the three-step workflow on `profiles`.
+    /// Runs the three-step workflow on `profiles` on the calling thread.
     pub fn run(&self, profiles: &ProfileCollection) -> BlockCollection {
-        let blocks = TokenBlocking::default().build(profiles);
+        self.par_run(profiles, Parallelism::SEQUENTIAL)
+    }
+
+    /// [`Self::run`] with Token Blocking on up to `par` workers
+    /// ([`TokenBlocking::par_build`]); the blocks are identical at every
+    /// worker count.
+    pub fn par_run(&self, profiles: &ProfileCollection, par: Parallelism) -> BlockCollection {
+        let blocks = TokenBlocking::default().par_build(profiles, par);
         let blocks = BlockPurger::new(self.purge_ratio).purge(blocks);
         BlockFilter::new(self.filter_ratio).filter(blocks)
     }

@@ -20,14 +20,14 @@
 //!   `k = Σ|b|/|P|` by convention.
 //!
 //! The node-centric schemes have a **zero-materialization** route:
-//! [`prune_blocks`] / [`par_prune_blocks`] run per-node sparse-accumulator
-//! sweeps ([`crate::spacc`]) directly on the block collection — identical
-//! output to pruning a materialized [`BlockingGraph`], at `O(|P|)` peak
-//! memory instead of `O(|E|)`.
+//! [`prune_blocks`] runs per-node sparse-accumulator sweeps
+//! ([`crate::spacc`]) directly on the block collection — identical output
+//! to pruning a materialized [`BlockingGraph`], at `O(|P|)` peak memory
+//! instead of `O(|E|)`.
 
 use crate::block::BlockCollection;
 use crate::graph::BlockingGraph;
-use crate::parallel::{Parallelism, ZeroThreads};
+use crate::parallel::Parallelism;
 use crate::profile_index::ProfileIndex;
 use crate::spacc::WeightAccumulator;
 use crate::weights::WeightingScheme;
@@ -113,10 +113,8 @@ fn select_node_edges(
 }
 
 /// One node's retained edges under a node-centric scheme (WNP/CNP),
-/// inserted into `keep` — the definition both the sequential [`prune`]
-/// and the sharded [`par_prune`] run. `neighborhood` is a reusable
-/// per-caller buffer (cleared here) so the per-node loop allocates
-/// nothing.
+/// inserted into `keep`. `neighborhood` is a reusable per-caller buffer
+/// (cleared here) so the per-node loop of [`prune`] allocates nothing.
 fn keep_for_node(
     graph: &BlockingGraph,
     scheme: PruningScheme,
@@ -175,8 +173,8 @@ pub fn prune(graph: &BlockingGraph, scheme: PruningScheme) -> Vec<(Pair, f64)> {
 /// float sum bit for bit), and the kept `(pair, weight)` entries land in
 /// `keep` — the weight is recorded alongside because there is no edge
 /// list to look it up from later.
-// Private per-node unit of the two public entry points; the extra
-// parameters are the reusable buffers.
+// Private per-node unit of `prune_blocks`; the extra parameters are the
+// reusable buffers.
 #[allow(clippy::too_many_arguments)]
 fn keep_for_node_streaming(
     blocks: &BlockCollection,
@@ -211,45 +209,27 @@ fn keep_for_node_streaming(
 }
 
 /// Applies `scheme` to the blocking graph of `blocks` under `weighting`
-/// **without materializing it**: the node-centric schemes (WNP, CNP) run
-/// per-node sparse-accumulator sweeps directly on the block collection, so
-/// peak memory is `O(|P| + |kept|)` instead of `O(|E|)`. The edge-centric
-/// schemes (WEP, CEP) need every edge weight at once by definition and
-/// delegate to [`prune`] over a kernel-built graph.
+/// **without materializing it**, on up to `par` workers: the node-centric
+/// schemes (WNP, CNP) run per-node sparse-accumulator sweeps directly on
+/// the block collection, so peak memory is `O(|P| + |kept|)` instead of
+/// `O(|E|)`. The edge-centric schemes (WEP, CEP) need every edge weight at
+/// once by definition and delegate to [`prune`] over a
+/// [`BlockingGraph::build`] on the same workers.
 ///
-/// Output is identical to `prune(&BlockingGraph::build(blocks, weighting),
-/// scheme)` — same comparisons, same weights, same order.
+/// Output is identical to `prune(&BlockingGraph::build(blocks, weighting,
+/// par), scheme)` — same comparisons, same weights, same order — at every
+/// worker count.
 pub fn prune_blocks(
     blocks: &BlockCollection,
     weighting: WeightingScheme,
     scheme: PruningScheme,
+    par: Parallelism,
 ) -> Vec<(Pair, f64)> {
-    par_prune_blocks(blocks, weighting, scheme, 1).expect("one thread is always valid")
-}
-
-/// [`prune_blocks`] with the per-node sweeps fanned out over `threads`
-/// workers (each with its own scratch and keep-map; the union is
-/// order-independent and the final weight sort pins the output).
-///
-/// # Errors
-///
-/// Returns [`ZeroThreads`] when `threads == 0`.
-pub fn par_prune_blocks(
-    blocks: &BlockCollection,
-    weighting: WeightingScheme,
-    scheme: PruningScheme,
-    threads: usize,
-) -> Result<Vec<(Pair, f64)>, ZeroThreads> {
-    let par = Parallelism::new(threads)?;
     if matches!(scheme, PruningScheme::Wep | PruningScheme::Cep { .. }) {
-        // The materialization the edge-centric schemes force is itself the
-        // dominant cost — fan it out over the requested workers.
-        let graph = crate::parallel::parallel_blocking_graph(blocks, weighting, par.get())?;
-        return Ok(prune(&graph, scheme));
+        return prune(&BlockingGraph::build(blocks, weighting, par), scheme);
     }
-    // Same break-even guard as the graph fan-out, gated on the comparison
-    // volume the sweeps distribute: bit-identical results, sequential path
-    // when the spawn would cost more than it distributes.
+    // Same break-even guard as the graph build, gated on the comparison
+    // volume the sweeps distribute.
     let par = par.break_even(blocks.total_comparisons().min(usize::MAX as u64) as usize);
     let index = ProfileIndex::build(blocks);
     let n = blocks.n_profiles();
@@ -278,69 +258,15 @@ pub fn par_prune_blocks(
         },
     );
     // An edge can be kept from both endpoints (possibly in different
-    // shards) with the same symmetric weight — the map union dedups it.
-    let mut kept: FxHashMap<Pair, f64> = FxHashMap::default();
+    // chunks) with the same symmetric weight — the map union dedups it.
+    let mut keep_maps = keep_maps.into_iter();
+    let mut kept = keep_maps.next().unwrap_or_default();
     for keep in keep_maps {
         kept.extend(keep);
     }
     let mut kept: Vec<(Pair, f64)> = kept.into_iter().collect();
     kept.sort_by(weight_desc);
-    Ok(kept)
-}
-
-/// [`prune`] with the per-node sweeps of the node-centric schemes (WNP,
-/// CNP) fanned out over `threads` workers.
-///
-/// Each worker prunes a contiguous node range into a local keep-set; the
-/// union of keep-sets is order-independent, and the final weight sort makes
-/// the output deterministic — identical to the sequential [`prune`] for
-/// every scheme. The edge-centric schemes (WEP, CEP) are a single cheap
-/// pass and simply delegate to the sequential path (a chunked float sum
-/// would change rounding, and with it borderline mean-threshold decisions).
-///
-/// # Errors
-///
-/// Returns [`ZeroThreads`] when `threads == 0`.
-pub fn par_prune(
-    graph: &BlockingGraph,
-    scheme: PruningScheme,
-    threads: usize,
-) -> Result<Vec<(Pair, f64)>, ZeroThreads> {
-    let par = Parallelism::new(threads)?;
-    let nodes = graph.num_nodes();
-    if par.is_sequential()
-        || nodes == 0
-        || matches!(scheme, PruningScheme::Wep | PruningScheme::Cep { .. })
-    {
-        return Ok(prune(graph, scheme));
-    }
-
-    // Work-stealing chunks with a per-worker neighborhood scratch; the
-    // keep-set union is order-independent, so stealing cannot change the
-    // output.
-    let keep_sets = par.steal_chunks(
-        nodes,
-        crate::parallel::STEAL_MIN_CHUNK,
-        Vec::<(ProfileId, f64)>::new,
-        |neighborhood, range, _chunk| {
-            let mut keep = std::collections::HashSet::new();
-            for node in range {
-                keep_for_node(
-                    graph,
-                    scheme,
-                    ProfileId(node as u32),
-                    neighborhood,
-                    &mut keep,
-                );
-            }
-            keep
-        },
-    );
-
-    let keep: std::collections::HashSet<Pair> = keep_sets.into_iter().flatten().collect();
-    let mut kept: Vec<(Pair, f64)> = graph.edges().filter(|(p, _)| keep.contains(p)).collect();
-    kept.sort_by(weight_desc);
-    Ok(kept)
+    kept
 }
 
 #[cfg(test)]
@@ -353,7 +279,7 @@ mod tests {
     fn fig3_graph() -> BlockingGraph {
         let mut blocks = TokenBlocking::default().build(&fig3_profiles());
         blocks.sort_by_cardinality();
-        BlockingGraph::build(&blocks, WeightingScheme::Arcs)
+        BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL)
     }
 
     #[test]
@@ -445,7 +371,7 @@ mod tests {
             if sorted {
                 blocks.sort_by_cardinality();
             }
-            let g = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+            let g = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
             for scheme in [
                 PruningScheme::Wep,
                 PruningScheme::Cep { k: 7 },
@@ -453,38 +379,17 @@ mod tests {
                 PruningScheme::Cnp { k: 2 },
             ] {
                 let reference = prune(&g, scheme);
-                let streamed = prune_blocks(&blocks, WeightingScheme::Arcs, scheme);
-                assert_eq!(streamed, reference, "{} (sorted {sorted})", scheme.name());
-                for threads in [2, 4] {
-                    let par = par_prune_blocks(&blocks, WeightingScheme::Arcs, scheme, threads)
-                        .expect("threads > 0");
-                    assert_eq!(par, reference, "{} at {threads}", scheme.name());
+                for threads in [1, 2, 4] {
+                    let par = Parallelism::new(threads).unwrap();
+                    let streamed = prune_blocks(&blocks, WeightingScheme::Arcs, scheme, par);
+                    assert_eq!(
+                        streamed,
+                        reference,
+                        "{} at {threads} (sorted {sorted})",
+                        scheme.name()
+                    );
                 }
             }
         }
-        assert!(par_prune_blocks(&blocks, WeightingScheme::Arcs, PruningScheme::Wnp, 0).is_err());
-    }
-
-    #[test]
-    fn par_prune_matches_sequential_for_every_scheme() {
-        let g = fig3_graph();
-        for scheme in [
-            PruningScheme::Wep,
-            PruningScheme::Cep { k: 7 },
-            PruningScheme::Wnp,
-            PruningScheme::Cnp { k: 2 },
-        ] {
-            let sequential = prune(&g, scheme);
-            for threads in [1, 2, 4] {
-                let parallel = par_prune(&g, scheme, threads).expect("threads > 0");
-                assert_eq!(
-                    parallel,
-                    sequential,
-                    "{} at {threads} threads",
-                    scheme.name()
-                );
-            }
-        }
-        assert!(par_prune(&g, PruningScheme::Wnp, 0).is_err());
     }
 }

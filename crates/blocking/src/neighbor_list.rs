@@ -21,18 +21,24 @@
 //! `O(‖NL‖ log ‖NL‖)` sort runs on 8-byte records. The resulting list is
 //! bit-identical to the historical string-sorted build (the rank order *is*
 //! the string order, and the run shuffles consume the RNG identically).
+//!
+//! With several workers, each tokenizes one contiguous profile range into
+//! its own placement run and stable-sorts it; a deterministic tournament
+//! merge keyed on `(rank, run index)` then yields the very sequence the
+//! single-run sort produces, so the shuffle and the final list match
+//! position for position at every worker count.
 
 use crate::parallel::{Parallelism, ZeroThreads};
+use crate::token_blocking::ProfileTokenizer;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sper_model::{ProfileCollection, ProfileId};
-use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer};
+use sper_text::{TokenId, TokenInterner, Tokenizer};
 use std::sync::Arc;
 
 /// Shuffles every equal-key run of rank-sorted placements with a seeded
-/// RNG — the *coincidental proximity* of §4.1, shared verbatim by the
-/// sequential and parallel builds so both consume the RNG identically.
+/// RNG — the *coincidental proximity* of §4.1.
 fn shuffle_equal_runs(placements: &mut [(TokenId, ProfileId)], seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut start = 0;
@@ -54,12 +60,16 @@ fn shuffle_equal_runs(placements: &mut [(TokenId, ProfileId)], seed: u64) {
 /// distinct ranks, and equal-rank ties resolve in run order — which is
 /// global profile order, because runs hold contiguous profile ranges. The
 /// output therefore equals a single stable sort of the concatenated runs.
+/// A single run passes through untouched.
 fn merge_ranked_runs(
-    runs: Vec<Vec<(TokenId, ProfileId)>>,
+    mut runs: Vec<Vec<(TokenId, ProfileId)>>,
     rank: &[u32],
 ) -> Vec<(TokenId, ProfileId)> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    if runs.len() == 1 {
+        return runs.pop().expect("one run");
+    }
     let total = runs.iter().map(Vec::len).sum();
     let mut out: Vec<(TokenId, ProfileId)> = Vec::with_capacity(total);
     let mut cursors = vec![0usize; runs.len()];
@@ -128,37 +138,28 @@ pub struct NeighborList {
 }
 
 impl NeighborList {
-    /// Builds the Neighbor List for `profiles` with the default tokenizer.
-    /// Equal-key runs are shuffled with `seed` (coincidental proximity).
+    /// Builds the Neighbor List for `profiles` with the default tokenizer
+    /// on the calling thread. Equal-key runs are shuffled with `seed`
+    /// (coincidental proximity).
     pub fn build(profiles: &ProfileCollection, seed: u64) -> Self {
-        Self::build_inner(profiles, seed, false)
+        Self::build_inner(profiles, seed, false, Parallelism::SEQUENTIAL)
     }
 
-    /// Like [`Self::build`] but also retains the blocking key of every
-    /// position, for inspection and tests.
-    pub fn build_with_keys(profiles: &ProfileCollection, seed: u64) -> Self {
-        Self::build_inner(profiles, seed, true)
+    /// Like [`Self::build`] on up to `par` workers, also retaining the
+    /// blocking key of every position, for inspection and tests.
+    pub fn build_with_keys(profiles: &ProfileCollection, seed: u64, par: Parallelism) -> Self {
+        Self::build_inner(profiles, seed, true, par)
     }
 
-    /// Builds the Neighbor List on `threads` worker threads, **bit-identical**
-    /// to the sequential [`Self::build`] with the same `seed`.
+    /// Builds the Neighbor List on up to `threads` workers, **bit-identical**
+    /// to [`Self::build`] with the same `seed`.
     ///
     /// The requested count passes through the spawn break-even guard
     /// ([`Parallelism::break_even`]): collections smaller than
     /// [`crate::MIN_PARALLEL_BATCH`] profiles and hosts whose available
-    /// parallelism is exhausted fall back to the sequential path — the
-    /// sharded tokenize/sort + tournament merge only pays for itself when
-    /// there are both enough placements and enough real cores.
-    ///
-    /// The parallel build shards the profile range into contiguous chunks:
-    /// each worker tokenizes its chunk through the shared interner and
-    /// stable-sorts its placements by precomputed lexicographic rank; the
-    /// sorted runs are then fused by a deterministic k-way tournament merge
-    /// keyed on `(rank, chunk index)`. Because distinct strings have
-    /// distinct ranks and the tie-break follows chunk order (= global
-    /// profile order), the merged placement sequence equals the sequential
-    /// stable sort exactly — so the equal-key run shuffle consumes the RNG
-    /// identically and the final list matches position for position.
+    /// parallelism is exhausted run one worker — the per-run sort and the
+    /// tournament merge only pay for themselves when there are both enough
+    /// placements and enough real cores.
     ///
     /// # Errors
     ///
@@ -168,149 +169,61 @@ impl NeighborList {
         seed: u64,
         threads: usize,
     ) -> Result<Self, ZeroThreads> {
-        let par = Parallelism::new(threads)?.break_even(profiles.len());
-        Ok(if par.is_sequential() {
-            Self::build_inner(profiles, seed, false)
-        } else {
-            Self::par_build_inner(profiles, seed, false, par)
-        })
+        Ok(Self::build_inner(
+            profiles,
+            seed,
+            false,
+            Parallelism::new(threads)?,
+        ))
     }
 
-    /// Like [`Self::par_build`] but also retains the blocking key of every
-    /// position, for inspection and tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZeroThreads`] when `threads == 0`.
-    pub fn par_build_with_keys(
-        profiles: &ProfileCollection,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Self, ZeroThreads> {
-        let par = Parallelism::new(threads)?.break_even(profiles.len());
-        Ok(if par.is_sequential() {
-            Self::build_inner(profiles, seed, true)
-        } else {
-            Self::par_build_inner(profiles, seed, true, par)
-        })
-    }
-
-    fn build_inner(profiles: &ProfileCollection, seed: u64, keep_keys: bool) -> Self {
-        let mut span = sper_obs::span!("blocking.nl_build", profiles = profiles.len());
-        let interner = TokenInterner::shared();
-        let tokenizer = Tokenizer::default();
-        // (token, profile) placements: one per *distinct* token per profile.
-        let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
-        let mut ids: Vec<TokenId> = Vec::new();
-        for p in profiles.iter() {
-            ids.clear();
-            for attr in &p.attributes {
-                tokenizer.tokenize_ids_into(&attr.value, &interner, &mut ids);
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            for &t in &ids {
-                placements.push((t, p.id));
-            }
-        }
-        // Alphabetical order via the precomputed lexicographic rank: a
-        // stable u32-keyed sort, so equal-key runs keep their profile-id
-        // insertion order — exactly what the string sort produced.
-        let rank = interner.rank();
-        placements.sort_by_key(|&(t, _)| rank[t.index()]);
-
-        shuffle_equal_runs(&mut placements, seed);
-        span.record("placements", placements.len());
-        Self::from_parts(placements, interner, profiles.len(), keep_keys)
-    }
-
-    fn par_build_inner(
+    fn build_inner(
         profiles: &ProfileCollection,
         seed: u64,
         keep_keys: bool,
         par: Parallelism,
     ) -> Self {
+        let all = profiles.profiles();
+        let par = par.break_even(all.len());
         let mut span = sper_obs::span!(
-            "blocking.nl_par_build",
-            profiles = profiles.len(),
+            "blocking.nl_build",
+            profiles = all.len(),
             threads = par.get(),
         );
         let interner = TokenInterner::shared();
-        let n = profiles.len();
-        if n == 0 {
-            return Self::from_parts(Vec::new(), interner, 0, keep_keys);
-        }
-        let threads = par.capped(n).get();
-        let chunk = n.div_ceil(threads);
-        let all: &[sper_model::Profile] = profiles.profiles();
-
-        // Map phase: each worker tokenizes a contiguous profile range into
-        // its own placement run (run-local order = profile order).
-        let mut runs: Vec<Vec<(TokenId, ProfileId)>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = all
-                .chunks(chunk)
-                .map(|profiles_chunk| {
-                    let interner = Arc::clone(&interner);
-                    scope.spawn(move |_| {
-                        let tokenizer = Tokenizer::default();
-                        let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
-                        let mut ids: Vec<TokenId> = Vec::new();
-                        // Worker-local token → id cache (see
-                        // `parallel_token_blocking`): one interner-lock
-                        // touch per distinct token per worker.
-                        let mut cache: FxHashMap<Box<str>, TokenId> = FxHashMap::default();
-                        for p in profiles_chunk {
-                            ids.clear();
-                            for attr in &p.attributes {
-                                tokenizer.for_each_token(&attr.value, |tok| {
-                                    let id = match cache.get(tok) {
-                                        Some(&id) => id,
-                                        None => {
-                                            let id = interner.intern(tok);
-                                            cache.insert(Box::from(tok), id);
-                                            id
-                                        }
-                                    };
-                                    ids.push(id);
-                                });
-                            }
-                            ids.sort_unstable();
-                            ids.dedup();
-                            for &t in &ids {
-                                placements.push((t, p.id));
-                            }
-                        }
-                        placements
-                    })
-                })
-                .collect();
-            runs = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        })
-        .expect("neighbor-list map phase panicked");
-
-        // Sort phase: the rank table is computed once over the complete
-        // vocabulary, then every run stable-sorts in parallel. Ranks are a
-        // pure function of the token *strings* (not of the concurrent id
-        // assignment order), so this order is reproducible run to run.
+        let tokenizer = Tokenizer::default();
+        // Map: one contiguous profile range per worker, tokenized into its
+        // own run of (token, profile) placements — one per *distinct*
+        // token per profile, in profile order.
+        let per_worker = all.len().div_ceil(par.capped(all.len()).get());
+        let mut runs: Vec<Vec<(TokenId, ProfileId)>> = par.steal_chunks(
+            all.len(),
+            per_worker,
+            || ProfileTokenizer::new(&tokenizer, &interner, par),
+            |tokens, range, _chunk| {
+                let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
+                let mut ids: Vec<TokenId> = Vec::new();
+                for p in &all[range] {
+                    ids.clear();
+                    tokens.tokenize(p, &mut ids);
+                    ids.sort_unstable();
+                    ids.dedup();
+                    placements.extend(ids.iter().map(|&t| (t, p.id)));
+                }
+                placements
+            },
+        );
+        // Alphabetical order via the lexicographic rank, computed once over
+        // the complete vocabulary: ranks are a pure function of the token
+        // *strings*, not of the concurrent id assignment order. Each run
+        // stable-sorts on its own worker, so equal-key placements keep
+        // their profile-id order — exactly what the string sort produced.
         let rank = interner.rank();
-        crossbeam::thread::scope(|scope| {
-            for run in runs.iter_mut() {
-                let rank = &rank;
-                scope.spawn(move |_| {
-                    run.sort_by_key(|&(t, _)| rank[t.index()]);
-                });
-            }
-        })
-        .expect("neighbor-list sort phase panicked");
-
-        // Merge + shuffle: deterministic tournament merge restores the
-        // global stable order, then the run shuffle consumes the RNG
-        // exactly as the sequential build does.
+        par.for_each_mut(&mut runs, |run| run.sort_by_key(|&(t, _)| rank[t.index()]));
         let mut placements = merge_ranked_runs(runs, &rank);
         shuffle_equal_runs(&mut placements, seed);
         span.record("placements", placements.len());
-        Self::from_parts(placements, interner, n, keep_keys)
+        Self::from_parts(placements, interner, all.len(), keep_keys)
     }
 
     /// Builds a Neighbor List from placements that are already in final
@@ -454,7 +367,7 @@ mod tests {
     #[test]
     fn fig3_neighbor_list_shape() {
         let profiles = fig3_profiles();
-        let nl = NeighborList::build_with_keys(&profiles, 7);
+        let nl = NeighborList::build_with_keys(&profiles, 7, Parallelism::SEQUENTIAL);
         // Fig. 3(d): 11 distinct keys; Fig. 3(e): 24 placements.
         assert_eq!(nl.len(), 24);
         // Keys are sorted alphabetically.
@@ -509,8 +422,8 @@ mod tests {
     #[test]
     fn different_seeds_permute_ties_only() {
         let profiles = fig3_profiles();
-        let a = NeighborList::build_with_keys(&profiles, 1);
-        let b = NeighborList::build_with_keys(&profiles, 2);
+        let a = NeighborList::build_with_keys(&profiles, 1, Parallelism::SEQUENTIAL);
+        let b = NeighborList::build_with_keys(&profiles, 2, Parallelism::SEQUENTIAL);
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
             // Same key sequence regardless of seed.
@@ -553,37 +466,39 @@ mod tests {
     }
 
     #[test]
-    fn par_build_is_bit_identical_to_sequential() {
-        // Larger than fig3 so chunks are non-trivial and equal-key runs
-        // span chunk boundaries.
+    fn tournament_merge_equals_one_stable_sort() {
+        // Equal-key runs span run boundaries: the merge must tie-break by
+        // run index (= profile order), as the single stable sort does.
         let mut b = sper_model::ProfileCollectionBuilder::dirty();
         for i in 0..97u32 {
             let base = i % 31;
             b.add_profile([("t", format!("tok{} shared{} common", base, base % 5))]);
         }
         let profiles = b.build();
-        for seed in [0u64, 7, 42] {
-            let sequential = NeighborList::build_with_keys(&profiles, seed);
-            for threads in [2usize, 3, 5, 8] {
-                // Drive the sharded build directly: the public entry's
-                // break-even guard would route a 97-profile collection (or
-                // any run on a 1-core host) to the sequential path and
-                // leave the tournament merge untested.
-                let par = Parallelism::new(threads).unwrap();
-                let parallel = NeighborList::par_build_inner(&profiles, seed, true, par);
-                assert_eq!(
-                    parallel.as_slice(),
-                    sequential.as_slice(),
-                    "seed {seed}, threads {threads}"
-                );
-                for i in 0..sequential.len() {
-                    assert_eq!(parallel.key_at(i), sequential.key_at(i));
-                }
-                // The guarded public entry agrees (whatever path it takes).
-                let guarded = NeighborList::par_build_with_keys(&profiles, seed, threads)
-                    .expect("threads > 0");
-                assert_eq!(guarded.as_slice(), sequential.as_slice());
+        let interner = TokenInterner::shared();
+        let tokenizer = Tokenizer::default();
+        let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
+        for p in profiles.iter() {
+            let mut ids = Vec::new();
+            for attr in &p.attributes {
+                tokenizer.tokenize_ids_into(&attr.value, &interner, &mut ids);
             }
+            ids.sort_unstable();
+            ids.dedup();
+            placements.extend(ids.iter().map(|&t| (t, p.id)));
+        }
+        let rank = interner.rank();
+        let mut sorted = placements.clone();
+        sorted.sort_by_key(|&(t, _)| rank[t.index()]);
+        for runs in [2usize, 3, 5, 8] {
+            let mut split: Vec<Vec<(TokenId, ProfileId)>> = placements
+                .chunks(placements.len().div_ceil(runs))
+                .map(<[_]>::to_vec)
+                .collect();
+            for run in &mut split {
+                run.sort_by_key(|&(t, _)| rank[t.index()]);
+            }
+            assert_eq!(merge_ranked_runs(split, &rank), sorted, "runs = {runs}");
         }
     }
 

@@ -4,40 +4,43 @@
 //! and Meta-blocking \[33\]"), realized as deterministic sharded execution
 //! on crossbeam scoped threads.
 //!
-//! Every entry point is **bit-identical** to its sequential counterpart
-//! (property-tested here and in `tests/parallel_equivalence.rs`):
-//! parallelism changes wall-clock time, never results. Three ingredients
-//! make that possible:
+//! Every substrate has **one** implementation that takes a [`Parallelism`]:
+//! Token Blocking ([`TokenBlocking::par_build`]), the Neighbor List
+//! ([`NeighborList::par_build`]), the blocking graph
+//! ([`BlockingGraph::build`]) and node pruning ([`prune_blocks`]). At one
+//! worker each body runs the plain sequential loop (one chunk, no merge);
+//! at more workers it fans out through the two primitives of this module,
+//! and the result is **bit-identical** at every count (property-tested in
+//! `tests/parallel_equivalence.rs`). Three ingredients make that possible:
 //!
-//! 1. **Deterministic shard layout.** Work is split either by
-//!    `TokenId % shards` (token emissions) or by contiguous ranges of the
-//!    profile/placement arrays — both are pure functions of the input,
-//!    with none of the platform/release instability of `DefaultHasher`
-//!    (whose SipHash keys are explicitly not guaranteed stable).
+//! 1. **Deterministic shard layout.** Work is split into contiguous ranges
+//!    of the profile/placement arrays — a pure function of the input and
+//!    the worker count.
 //! 2. **Independent per-shard dedup.** Edge weighting discovers each edge
 //!    exactly once, from its smaller endpoint, inside that endpoint's
 //!    profile-range shard (the sparse-accumulator sweep of
 //!    [`crate::spacc`]) — no cross-shard `seen` set, no merge-order
 //!    sensitivity.
 //! 3. **Order-restoring merges.** Shard outputs are concatenated in shard
-//!    order (ranges), re-sorted by key string (token blocking), or
+//!    order (ranges), merged by `(key rank, shard)` (Neighbor List), or
 //!    counting-sorted by the recorded least-common-block tag (edge
 //!    weighting), so the merged result reproduces the sequential
 //!    iteration order exactly.
 //!
-//! Thread counts are validated at the API boundary: every parallel entry
-//! point takes a raw `usize` and returns [`ZeroThreads`] instead of
-//! panicking when it is zero. Use [`Parallelism`] to carry a validated
-//! count through configuration layers.
+//! Worker threads are spawned only here: [`Parallelism::steal_chunks`]
+//! (work-stealing fan-out over index ranges) and
+//! [`Parallelism::for_each_mut`] (in-place work on a few large items, such
+//! as sorting runs). Thread counts are validated at the API boundary:
+//! [`Parallelism::new`] returns [`ZeroThreads`] instead of panicking when
+//! the count is zero.
+//!
+//! [`TokenBlocking::par_build`]: crate::TokenBlocking::par_build
+//! [`NeighborList::par_build`]: crate::NeighborList::par_build
+//! [`BlockingGraph::build`]: crate::BlockingGraph::build
+//! [`prune_blocks`]: crate::prune_blocks
 
-use crate::block::{Block, BlockCollection};
-use crate::graph::BlockingGraph;
-use crate::profile_index::ProfileIndex;
-use crate::weights::WeightingScheme;
-use sper_model::{ProfileCollection, ProfileId, SourceId};
-use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer};
 use std::num::NonZeroUsize;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// Below this work-item count the parallel engines run inline on the
 /// calling thread: an OS-thread spawn/join costs tens of microseconds,
@@ -89,9 +92,15 @@ impl Parallelism {
     }
 
     /// The machine's available parallelism (≥ 1; falls back to 1 when the
-    /// runtime cannot report it). The CLI default for `--threads`.
+    /// runtime cannot report it). The CLI default for `--threads`. Probed
+    /// once per process: the break-even guard consults it on every
+    /// refill, and the probe reads cgroup files.
     pub fn available() -> Self {
-        Self(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+        static AVAILABLE: OnceLock<NonZeroUsize> = OnceLock::new();
+        Self(
+            *AVAILABLE
+                .get_or_init(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)),
+        )
     }
 
     /// The validated thread count.
@@ -128,42 +137,37 @@ impl Parallelism {
         }
     }
 
-    /// Splits `0..len` into one contiguous range per worker and runs `f`
-    /// on each concurrently (scoped threads — `f` may borrow), returning
-    /// the results **in range order**. With one effective worker, `f` runs
-    /// inline on the calling thread — no spawn.
+    /// Runs `f` on every element of `items` in place, spreading the
+    /// elements over up to `self` scoped worker threads in contiguous
+    /// groups (the calling thread takes the first group). With one
+    /// effective worker — or a single element — everything runs inline on
+    /// the calling thread, no spawn.
     ///
-    /// This is the shared fan-out shape of the whole parallel engine:
-    /// deterministic ranges in, order-preserving concatenation out. Sites
-    /// that need per-worker `&mut` scratch keep their own scopes.
-    pub fn map_ranges<T, F>(self, len: usize, f: F) -> Vec<T>
+    /// This is the fan-out for a few large independent items, where
+    /// stealing has nothing to balance: the Neighbor List sorts its
+    /// per-worker placement runs with it, and the emission list its
+    /// per-worker slices of a refill batch.
+    pub fn for_each_mut<T, F>(self, items: &mut [T], f: F)
     where
         T: Send,
-        F: Fn(std::ops::Range<usize>) -> T + Sync,
+        F: Fn(&mut T) + Sync,
     {
-        let workers = self.capped(len.max(1)).get();
+        let workers = self.capped(items.len()).get();
         if workers == 1 {
-            return vec![f(0..len)];
+            items.iter_mut().for_each(f);
+            return;
         }
-        let chunk = len.div_ceil(workers);
+        let per_worker = items.len().div_ceil(workers);
         let f = &f;
-        let mut results: Vec<T> = Vec::with_capacity(workers);
         crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|k| {
-                    // Both bounds clamp to `len`: when `chunk` overshoots
-                    // (workers does not divide len), trailing workers get
-                    // an empty `len..len` range, never a backwards one —
-                    // callers slice with these ranges.
-                    let start = (k * chunk).min(len);
-                    let end = ((k + 1) * chunk).min(len);
-                    scope.spawn(move |_| f(start..end))
-                })
-                .collect();
-            results.extend(handles.into_iter().map(|h| h.join().unwrap()));
+            let mut groups = items.chunks_mut(per_worker);
+            let first = groups.next();
+            for group in groups {
+                scope.spawn(move |_| group.iter_mut().for_each(f));
+            }
+            first.into_iter().flatten().for_each(f);
         })
-        .expect("parallel range map panicked");
-        results
+        .expect("in-place fan-out panicked");
     }
 
     /// Splits `0..len` into fine-grained chunks (about
@@ -172,8 +176,8 @@ impl Parallelism {
     /// shared lock-free queue: each worker claims the next unclaimed chunk
     /// with one atomic `fetch_add`, runs `f(&mut scratch, range, chunk)`,
     /// and moves on — a straggler chunk delays only its own worker while
-    /// the rest drain the queue, unlike the fixed per-worker ranges of
-    /// [`Self::map_ranges`], where the slowest range sets the join time.
+    /// the rest drain the queue, unlike fixed per-worker ranges, where the
+    /// slowest range sets the join time.
     ///
     /// Determinism: stealing reorders *execution*, never *output*. Chunk
     /// boundaries are a pure function of `(len, workers, min_chunk)`, each
@@ -186,8 +190,9 @@ impl Parallelism {
     /// `init` builds one per-worker scratch, reused across all chunks the
     /// worker claims (the spacc sweeps reuse one `O(|P|)` accumulator per
     /// worker instead of one per range). With one effective worker,
-    /// everything runs inline on the calling thread — no spawn, one
-    /// chunk.
+    /// everything runs inline on the calling thread — no spawn, and one
+    /// chunk covering `0..len` (there is nobody to steal from), so a
+    /// caller's chunk merge has a single input to pass through.
     ///
     /// Every fan-out records per-worker busy time: into the global
     /// metrics registry (`parallel.worker_busy_us` histogram,
@@ -206,9 +211,12 @@ impl Parallelism {
         use std::time::Instant;
 
         let workers = self.capped(len.max(1)).get();
-        let chunk = len
-            .div_ceil(workers * STEAL_OVERSUBSCRIPTION)
-            .max(min_chunk.max(1));
+        let chunk = if workers == 1 {
+            len.max(1)
+        } else {
+            len.div_ceil(workers * STEAL_OVERSUBSCRIPTION)
+                .max(min_chunk.max(1))
+        };
         let n_chunks = len.div_ceil(chunk).max(1);
         let workers = workers.min(n_chunks);
         let wall_start = Instant::now();
@@ -318,7 +326,7 @@ fn record_fanout(wall: std::time::Duration, workers: Vec<WorkerStats>) {
         }
         let _ = registry;
     }
-    *LAST_FANOUT.lock().expect("fan-out stats poisoned") = Some(FanoutStats { wall, workers });
+    LAST_FANOUT.set(Some(FanoutStats { wall, workers }));
 }
 
 /// Chunks per worker the work-stealing plan aims for: enough slack for
@@ -371,16 +379,21 @@ impl FanoutStats {
     }
 }
 
-/// The most recent [`Parallelism::steal_chunks`] fan-out profile, for
-/// bench introspection (last-writer-wins across concurrent fan-outs).
-static LAST_FANOUT: std::sync::Mutex<Option<FanoutStats>> = std::sync::Mutex::new(None);
+thread_local! {
+    /// The most recent [`Parallelism::steal_chunks`] fan-out profile of
+    /// this thread, for bench introspection. Per calling thread, so a
+    /// caller reads its own build's fan-out even while other threads run
+    /// theirs (concurrent tests, for one).
+    static LAST_FANOUT: std::cell::Cell<Option<FanoutStats>> = const { std::cell::Cell::new(None) };
+}
 
-/// Takes the execution profile of the most recent work-stealing fan-out,
-/// if any fan-out ran since the last take. The bench harnesses call this
-/// right after a timed build to record per-thread utilization; it is
-/// diagnostic state only — results never depend on it.
+/// Takes the execution profile of the most recent work-stealing fan-out
+/// the calling thread started, if any ran since the last take. The bench
+/// harnesses call this right after a timed build to record per-thread
+/// utilization, and the equivalence walls to prove their builds really
+/// fanned out; it is diagnostic state only — results never depend on it.
 pub fn take_last_fanout_stats() -> Option<FanoutStats> {
-    LAST_FANOUT.lock().expect("fan-out stats poisoned").take()
+    LAST_FANOUT.take()
 }
 
 impl Default for Parallelism {
@@ -406,181 +419,9 @@ impl TryFrom<usize> for Parallelism {
     }
 }
 
-/// Parallel Token Blocking: the *map* phase tokenizes disjoint profile
-/// ranges through the shared interner and partitions `(token, profile)`
-/// emissions by `TokenId % shards`; the *reduce* phase builds each shard's
-/// blocks independently. Produces the exact same [`BlockCollection`] as
-/// [`TokenBlocking`](crate::token_blocking::TokenBlocking) (blocks sorted
-/// by key string).
-///
-/// # Errors
-///
-/// Returns [`ZeroThreads`] when `threads == 0`.
-pub fn parallel_token_blocking(
-    profiles: &ProfileCollection,
-    threads: usize,
-) -> Result<BlockCollection, ZeroThreads> {
-    let par = Parallelism::new(threads)?;
-    let n = profiles.len();
-    let interner = TokenInterner::shared();
-    if n == 0 {
-        return Ok(BlockCollection::new(
-            profiles.kind(),
-            0,
-            interner,
-            Vec::new(),
-        ));
-    }
-    let threads = par.capped(n).get();
-    let chunk = n.div_ceil(threads);
-    let all: &[sper_model::Profile] = profiles.profiles();
-
-    // Map phase: per-worker, per-shard emission buffers. Workers intern
-    // concurrently; id *assignment order* is nondeterministic across runs,
-    // but nothing downstream observes it — output is ordered by key string.
-    let mut emissions: Vec<Vec<Vec<(TokenId, ProfileId, SourceId)>>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = all
-            .chunks(chunk)
-            .map(|profiles_chunk| {
-                let interner = Arc::clone(&interner);
-                scope.spawn(move |_| {
-                    let tokenizer = Tokenizer::default();
-                    let mut shards: Vec<Vec<(TokenId, ProfileId, SourceId)>> =
-                        vec![Vec::new(); threads];
-                    let mut ids: Vec<TokenId> = Vec::new();
-                    // Worker-local token → id cache: the shared interner's
-                    // lock is touched once per distinct token per worker,
-                    // not once per occurrence — Zipfian token traffic makes
-                    // the contention otherwise swamp the map phase.
-                    let mut cache: FxHashMap<Box<str>, TokenId> = FxHashMap::default();
-                    for p in profiles_chunk {
-                        ids.clear();
-                        for attr in &p.attributes {
-                            tokenizer.for_each_token(&attr.value, |tok| {
-                                let id = match cache.get(tok) {
-                                    Some(&id) => id,
-                                    None => {
-                                        let id = interner.intern(tok);
-                                        cache.insert(Box::from(tok), id);
-                                        id
-                                    }
-                                };
-                                ids.push(id);
-                            });
-                        }
-                        ids.sort_unstable();
-                        ids.dedup();
-                        for &tok in &ids {
-                            shards[tok.index() % threads].push((tok, p.id, p.source));
-                        }
-                    }
-                    shards
-                })
-            })
-            .collect();
-        emissions = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    })
-    .expect("map phase panicked");
-
-    // Reduce phase: shard s merges the s-th buffer of every worker.
-    let mut shard_blocks: Vec<Vec<Block>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let emissions = &emissions;
-        let kind = profiles.kind();
-        let handles: Vec<_> = (0..threads)
-            .map(|s| {
-                scope.spawn(move |_| {
-                    let mut index: FxHashMap<TokenId, Vec<(ProfileId, SourceId)>> =
-                        FxHashMap::default();
-                    for worker in emissions {
-                        for &(tok, pid, src) in &worker[s] {
-                            index.entry(tok).or_default().push((pid, src));
-                        }
-                    }
-                    index
-                        .into_iter()
-                        .map(|(key, members)| Block::new(key, members))
-                        .filter(|b| b.cardinality(kind) > 0)
-                        .collect::<Vec<Block>>()
-                })
-            })
-            .collect();
-        shard_blocks = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    })
-    .expect("reduce phase panicked");
-
-    let blocks: Vec<Block> = shard_blocks.into_iter().flatten().collect();
-    let mut coll = BlockCollection::new(profiles.kind(), n, interner, blocks);
-    coll.sort_by_key_str();
-    Ok(coll)
-}
-
-/// Parallel Meta-blocking edge weighting: the sparse-accumulator kernel
-/// ([`crate::spacc`]) sharded over contiguous **profile** ranges.
-///
-/// Each worker runs forward neighborhood sweeps over its range with its
-/// own reusable scratch — no cross-shard `seen` set, no per-pair merge
-/// intersections — and tags every discovered edge with its least common
-/// block (the LeCoBI witness, §5.2.1). A stable counting sort by that tag
-/// then restores the block-major first-occurrence order, so the resulting
-/// graph is **bit-identical** to [`BlockingGraph::build`], including the
-/// internal edge order (not merely set-equal), at every worker count.
-///
-/// This is the engine behind the progressive methods' parallel weighting:
-/// the dominant cost of meta-blocking fans out `threads`-wide while the
-/// emission order stays pinned.
-///
-/// # Errors
-///
-/// Returns [`ZeroThreads`] when `threads == 0`.
-pub fn parallel_blocking_graph(
-    blocks: &BlockCollection,
-    scheme: WeightingScheme,
-    threads: usize,
-) -> Result<BlockingGraph, ZeroThreads> {
-    // The break-even guard routes small workloads and oversubscribed
-    // hosts to the sequential sweep — results are bit-identical either
-    // way, so only wall clock is at stake. The gate unit is the
-    // comparison volume ‖B‖ (what the sweeps actually distribute), not
-    // the profile count: a small dense collection can still carry
-    // millions of co-occurrences.
-    let par = Parallelism::new(threads)?
-        .break_even(blocks.total_comparisons().min(usize::MAX as u64) as usize);
-    if blocks.is_empty() {
-        return Ok(BlockingGraph::from_edges(blocks.n_profiles(), Vec::new()));
-    }
-    let index = ProfileIndex::build(blocks);
-    let edges = crate::spacc::weighted_edge_list(blocks, &index, scheme, par);
-    Ok(BlockingGraph::from_edges(blocks.n_profiles(), edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::fig3_profiles;
-    use crate::token_blocking::TokenBlocking;
-    use sper_model::{Pair, ProfileCollectionBuilder};
-
-    fn medium_collection() -> ProfileCollection {
-        // Deterministic mid-sized dirty collection with duplicates.
-        let mut b = ProfileCollectionBuilder::dirty();
-        for i in 0..300u32 {
-            let base = i % 120; // thirds are duplicates
-            b.add_profile([
-                ("name", format!("alpha{} beta{}", base, base % 17)),
-                ("city", format!("city{}", base % 9)),
-            ]);
-        }
-        b.build()
-    }
-
-    fn keys_and_sizes(blocks: &BlockCollection) -> Vec<(String, Vec<ProfileId>)> {
-        blocks
-            .iter()
-            .map(|b| (b.key_str().to_string(), b.profiles().to_vec()))
-            .collect()
-    }
 
     #[test]
     fn parallelism_boundary() {
@@ -597,104 +438,42 @@ mod tests {
     }
 
     #[test]
-    fn map_ranges_covers_exactly_once_for_awkward_worker_counts() {
-        // Regression: with chunk = div_ceil(len, workers), trailing workers
-        // can overshoot len (e.g. len 2069, 47 workers → chunk 45, worker
-        // 46 would start at 2070). Ranges must stay well-formed (never
-        // backwards — callers slice with them) and partition 0..len.
+    fn steal_chunks_partition_the_range_in_chunk_order() {
+        // Regression: chunk bounds clamp to `len`, so awkward worker
+        // counts never yield a backwards or overlapping range.
         for (len, workers) in [(2069usize, 47usize), (5, 4), (1, 8), (0, 3), (2049, 64)] {
-            let ranges = Parallelism::new(workers)
-                .unwrap()
-                .map_ranges(len, |range| range);
-            let mut covered = 0;
+            let ranges = Parallelism::new(workers).unwrap().steal_chunks(
+                len,
+                1,
+                || (),
+                |(), range, _| range,
+            );
             let mut next = 0;
             for r in &ranges {
-                assert!(r.start <= r.end, "backwards range {r:?} at len {len}");
-                assert!(r.end <= len);
-                if !r.is_empty() {
-                    assert_eq!(r.start, next, "gap/overlap at len {len}");
-                    next = r.end;
-                }
-                covered += r.len();
+                assert_eq!(r.start, next, "gap/overlap at len {len}");
+                assert!(r.start <= r.end && r.end <= len);
+                next = r.end;
             }
-            assert_eq!(covered, len, "len {len}, workers {workers}");
+            assert_eq!(next, len, "len {len}, workers {workers}");
         }
+        // One worker: a single chunk, whatever the minimum chunk size.
+        let one = Parallelism::SEQUENTIAL.steal_chunks(10_000, 1, || (), |(), range, _| range);
+        assert_eq!(one, vec![0..10_000]);
     }
 
     #[test]
-    fn parallel_blocking_equals_sequential() {
-        let coll = medium_collection();
-        let sequential = TokenBlocking::default().build(&coll);
-        for threads in [1, 2, 4, 7] {
-            let parallel = parallel_token_blocking(&coll, threads).unwrap();
-            assert_eq!(
-                keys_and_sizes(&parallel),
-                keys_and_sizes(&sequential),
-                "threads = {threads}"
-            );
+    fn for_each_mut_visits_every_item_once() {
+        for workers in [1usize, 2, 3, 8] {
+            let mut items: Vec<Vec<u32>> = (0..7u32).map(|i| vec![i; 3]).collect();
+            Parallelism::new(workers)
+                .unwrap()
+                .for_each_mut(&mut items, |v| v.iter_mut().for_each(|x| *x += 1));
+            let expected: Vec<Vec<u32>> = (0..7u32).map(|i| vec![i + 1; 3]).collect();
+            assert_eq!(items, expected, "workers = {workers}");
         }
-    }
-
-    #[test]
-    fn parallel_blocking_on_fig3() {
-        let coll = fig3_profiles();
-        let parallel = parallel_token_blocking(&coll, 3).unwrap();
-        let mut keys: Vec<String> = parallel.iter().map(|b| b.key_str().to_string()).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec!["carl", "ml", "ny", "tailor", "teacher", "white"]);
-    }
-
-    #[test]
-    fn parallel_graph_is_bit_identical_to_sequential() {
-        let coll = medium_collection();
-        let mut blocks = TokenBlocking::default().build(&coll);
-        blocks.sort_by_cardinality();
-        let sequential = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
-        for threads in [1, 2, 4, 7] {
-            let parallel = parallel_blocking_graph(&blocks, WeightingScheme::Arcs, threads)
-                .expect("threads > 0");
-            // Not merely the same edge *set*: the same edge *sequence* —
-            // the internal order every downstream consumer observes.
-            let seq_edges: Vec<(Pair, f64)> = sequential.edges().collect();
-            let par_edges: Vec<(Pair, f64)> = parallel.edges().collect();
-            assert_eq!(par_edges.len(), seq_edges.len(), "threads = {threads}");
-            for (a, b) in par_edges.iter().zip(&seq_edges) {
-                assert_eq!(a.0, b.0, "edge order diverged at threads = {threads}");
-                assert!((a.1 - b.1).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_graph_without_cardinality_sort() {
-        // LeCoBI sharding must agree with the seen-set dedup in *any*
-        // block order, not just the scheduled one.
-        let coll = medium_collection();
-        let blocks = TokenBlocking::default().build(&coll); // key order
-        let sequential = BlockingGraph::build(&blocks, WeightingScheme::Cbs);
-        let parallel = parallel_blocking_graph(&blocks, WeightingScheme::Cbs, 4).unwrap();
-        let seq_edges: Vec<(Pair, f64)> = sequential.edges().collect();
-        let par_edges: Vec<(Pair, f64)> = parallel.edges().collect();
-        assert_eq!(seq_edges, par_edges);
-    }
-
-    #[test]
-    fn empty_collection() {
-        let coll = ProfileCollectionBuilder::dirty().build();
-        let blocks = parallel_token_blocking(&coll, 4).unwrap();
-        assert!(blocks.is_empty());
-        let graph = parallel_blocking_graph(&blocks, WeightingScheme::Arcs, 4).unwrap();
-        assert_eq!(graph.num_edges(), 0);
-    }
-
-    #[test]
-    fn zero_threads_is_a_typed_error() {
-        let err = parallel_token_blocking(&fig3_profiles(), 0).unwrap_err();
-        assert_eq!(err, ZeroThreads);
-        let blocks = TokenBlocking::default().build(&fig3_profiles());
-        assert_eq!(
-            parallel_blocking_graph(&blocks, WeightingScheme::Arcs, 0).unwrap_err(),
-            ZeroThreads
-        );
+        let mut empty: Vec<u8> = Vec::new();
+        Parallelism::new(4)
+            .unwrap()
+            .for_each_mut(&mut empty, |_| unreachable!());
     }
 }

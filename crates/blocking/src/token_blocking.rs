@@ -10,11 +10,73 @@
 //! `u32` sort, and the token → members index is a flat `Vec` indexed by id
 //! instead of a string-keyed hash map. Output order (lexicographic by key)
 //! and contents are identical to the historical string-keyed build.
+//!
+//! With several workers, each indexes one contiguous profile range and the
+//! per-range indexes are concatenated bucket by bucket in range order —
+//! which is profile order, so every merged bucket is exactly the one the
+//! single-range loop builds.
 
 use crate::block::{Block, BlockCollection};
-use sper_model::{ProfileCollection, ProfileId};
-use sper_text::{TokenId, TokenInterner, Tokenizer, TokenizerConfig};
+use crate::parallel::Parallelism;
+use sper_model::{Profile, ProfileCollection, ProfileId};
+use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer, TokenizerConfig};
 use std::sync::Arc;
+
+/// Tokenizes profiles into interned ids for one worker of a blocking
+/// fan-out (Token Blocking, the Neighbor List).
+///
+/// A lone worker interns every token directly — one interner lookup per
+/// token. Concurrent workers would contend on the shared interner's lock
+/// for every occurrence of Zipfian token traffic, so each keeps a local
+/// token → id cache and touches the interner once per distinct token.
+/// Ids are the same either way; only their assignment order differs, and
+/// no output depends on it.
+pub(crate) struct ProfileTokenizer<'a> {
+    tokenizer: &'a Tokenizer,
+    interner: &'a TokenInterner,
+    cache: Option<FxHashMap<Box<str>, TokenId>>,
+}
+
+impl<'a> ProfileTokenizer<'a> {
+    /// A tokenizer for one of `par` concurrent workers.
+    pub(crate) fn new(
+        tokenizer: &'a Tokenizer,
+        interner: &'a TokenInterner,
+        par: Parallelism,
+    ) -> Self {
+        Self {
+            tokenizer,
+            interner,
+            cache: (!par.is_sequential()).then(FxHashMap::default),
+        }
+    }
+
+    /// Appends the ids of every token of `p` to `ids` (not cleared, not
+    /// deduplicated).
+    pub(crate) fn tokenize(&mut self, p: &Profile, ids: &mut Vec<TokenId>) {
+        let Self {
+            tokenizer,
+            interner,
+            cache,
+        } = self;
+        for attr in &p.attributes {
+            match cache {
+                None => tokenizer.tokenize_ids_into(&attr.value, interner, ids),
+                Some(cache) => tokenizer.for_each_token(&attr.value, |tok| {
+                    let id = match cache.get(tok) {
+                        Some(&id) => id,
+                        None => {
+                            let id = interner.intern(tok);
+                            cache.insert(Box::from(tok), id);
+                            id
+                        }
+                    };
+                    ids.push(id);
+                }),
+            }
+        }
+    }
+}
 
 /// Token Blocking builder.
 #[derive(Debug, Clone, Default)]
@@ -30,45 +92,83 @@ impl TokenBlocking {
         }
     }
 
-    /// Builds the block collection for `profiles` with a fresh interner.
+    /// Builds the block collection for `profiles` with a fresh interner on
+    /// the calling thread.
     ///
     /// Blocks that cannot yield a valid comparison are dropped: singleton
     /// blocks in Dirty ER, single-source blocks in Clean-clean ER.
     pub fn build(&self, profiles: &ProfileCollection) -> BlockCollection {
-        self.build_with_interner(profiles, TokenInterner::shared())
+        self.par_build(profiles, Parallelism::SEQUENTIAL)
     }
 
-    /// Like [`Self::build`] with an existing (possibly shared) interner —
-    /// ids already interned elsewhere are reused, new tokens append.
+    /// [`Self::build`] on up to `par` workers. The request passes the
+    /// spawn break-even guard ([`Parallelism::break_even`]) on the profile
+    /// count; the result is identical at every worker count.
+    pub fn par_build(&self, profiles: &ProfileCollection, par: Parallelism) -> BlockCollection {
+        self.build_with_interner(profiles, TokenInterner::shared(), par)
+    }
+
+    /// Like [`Self::par_build`] with an existing (possibly shared) interner
+    /// — ids already interned elsewhere are reused, new tokens append.
     pub fn build_with_interner(
         &self,
         profiles: &ProfileCollection,
         interner: Arc<TokenInterner>,
+        par: Parallelism,
     ) -> BlockCollection {
-        let mut span = sper_obs::span!("blocking.token_build", profiles = profiles.len());
-        // token id → member profile ids, flat-indexed; grown as the
+        let all = profiles.profiles();
+        let par = par.break_even(all.len());
+        let mut span = sper_obs::span!(
+            "blocking.token_build",
+            profiles = all.len(),
+            threads = par.get(),
+        );
+        // One contiguous profile range per worker, each indexed on its own:
+        // token id → member profile ids, flat-indexed and grown as the
         // vocabulary grows. Profiles are visited in id order with all P1
         // profiles before P2 (the ProfileCollection invariant), so every
         // bucket is born deduplicated, ascending and source-partitioned.
-        let mut index: Vec<Vec<ProfileId>> = Vec::new();
-        let mut ids: Vec<TokenId> = Vec::new();
-        for p in profiles.iter() {
-            ids.clear();
-            for attr in &p.attributes {
-                self.tokenizer
-                    .tokenize_ids_into(&attr.value, &interner, &mut ids);
+        let per_worker = all.len().div_ceil(par.capped(all.len()).get());
+        let indexes = par.steal_chunks(
+            all.len(),
+            per_worker,
+            || ProfileTokenizer::new(&self.tokenizer, &interner, par),
+            |tokens, range, _chunk| {
+                let mut index: Vec<Vec<ProfileId>> = Vec::new();
+                let mut ids: Vec<TokenId> = Vec::new();
+                for p in &all[range] {
+                    ids.clear();
+                    tokens.tokenize(p, &mut ids);
+                    // A profile enters each token block once, regardless of
+                    // how many attributes repeat the token. All of this
+                    // profile's pushes happen now, so a repeated token's
+                    // bucket already ends with this profile — no sort.
+                    if index.len() < interner.len() {
+                        index.resize_with(interner.len(), Vec::new);
+                    }
+                    for &tok in &ids {
+                        let bucket = &mut index[tok.index()];
+                        if bucket.last() != Some(&p.id) {
+                            bucket.push(p.id);
+                        }
+                    }
+                }
+                index
+            },
+        );
+        // Concatenate the range indexes bucket by bucket in range order
+        // (a single range passes through untouched).
+        let mut indexes = indexes.into_iter();
+        let mut index = indexes.next().unwrap_or_default();
+        for other in indexes {
+            if index.len() < other.len() {
+                index.resize_with(other.len(), Vec::new);
             }
-            // A profile enters each token block once, regardless of how many
-            // attributes repeat the token. Dense ids make the dedup free:
-            // all of this profile's pushes happen now, so a repeated token's
-            // bucket already ends with this profile — no sort needed.
-            if index.len() < interner.len() {
-                index.resize_with(interner.len(), Vec::new);
-            }
-            for &tok in &ids {
-                let bucket = &mut index[tok.index()];
-                if bucket.last() != Some(&p.id) {
-                    bucket.push(p.id);
+            for (bucket, members) in index.iter_mut().zip(other) {
+                if bucket.is_empty() {
+                    *bucket = members;
+                } else {
+                    bucket.extend(members);
                 }
             }
         }
@@ -168,8 +268,10 @@ pub(crate) mod tests {
     fn shared_interner_reuses_ids() {
         let coll = fig3_profiles();
         let interner = TokenInterner::shared();
-        let b1 = TokenBlocking::default().build_with_interner(&coll, Arc::clone(&interner));
-        let b2 = TokenBlocking::default().build_with_interner(&coll, Arc::clone(&interner));
+        let build =
+            |par| TokenBlocking::default().build_with_interner(&coll, Arc::clone(&interner), par);
+        let b1 = build(Parallelism::SEQUENTIAL);
+        let b2 = build(Parallelism::new(4).unwrap());
         // Same vocabulary interned once; key ids stable across builds.
         let k1: Vec<_> = b1.iter().map(|b| b.key).collect();
         let k2: Vec<_> = b2.iter().map(|b| b.key).collect();

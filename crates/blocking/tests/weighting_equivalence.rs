@@ -7,7 +7,7 @@
 //! What is pinned down:
 //!
 //! * **Edge lists** — `spacc::weighted_edge_list` (the engine inside
-//!   `BlockingGraph::build` and `parallel_blocking_graph`) reproduces the
+//!   `BlockingGraph::build`) reproduces the
 //!   legacy builder's exact edge *sequence* (pairs and weight bits), not
 //!   merely its edge set, at every thread count.
 //! * **Weights** — every kernel edge weight equals the naive string-keyed
@@ -15,9 +15,9 @@
 //! * **Streaming** — `for_each_weighted_edge` (zero materialization)
 //!   covers the same edges with the same weight bits and correct
 //!   least-common-block witnesses.
-//! * **Pruning** — `prune_blocks` / `par_prune_blocks` (node-centric
-//!   sweeps, no materialized graph) equal `prune` over the kernel-built
-//!   graph for every pruning scheme.
+//! * **Pruning** — `prune_blocks` (node-centric sweeps, no materialized
+//!   graph) equals `prune` over the kernel-built graph for every pruning
+//!   scheme, at every requested worker count.
 //! * **Incremental substrates** — the growable `IncrementalProfileIndex` +
 //!   live `[Block]` array drive the kernel to the frozen CSR results.
 //! * **Degenerate inputs** — empty and single-profile collections take
@@ -29,8 +29,8 @@ use sper_blocking::legacy::{
 };
 use sper_blocking::spacc::{for_each_weighted_edge, weighted_edge_list};
 use sper_blocking::{
-    par_prune_blocks, prune, prune_blocks, Block, BlockingGraph, IncrementalProfileIndex,
-    Parallelism, ProfileIndex, PruningScheme, TokenBlocking, WeightAccumulator, WeightingScheme,
+    prune, prune_blocks, Block, BlockingGraph, IncrementalProfileIndex, Parallelism, ProfileIndex,
+    PruningScheme, TokenBlocking, WeightAccumulator, WeightingScheme,
 };
 use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder, ProfileId};
 
@@ -141,12 +141,12 @@ proptest! {
     }
 
     /// Node-centric streaming pruning ≡ graph-based pruning for every
-    /// pruning scheme, sequential and sharded.
+    /// pruning scheme, at one and at several requested workers.
     #[test]
     fn streaming_prune_matches_graph_prune(coll in any_collection(), threads in 1usize..5) {
         let mut blocks = TokenBlocking::default().build(&coll);
         blocks.sort_by_cardinality();
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
         for scheme in [
             PruningScheme::Wep,
             PruningScheme::Cep { k: 5 },
@@ -154,11 +154,10 @@ proptest! {
             PruningScheme::Cnp { k: 2 },
         ] {
             let reference = prune(&graph, scheme);
-            let streamed = prune_blocks(&blocks, WeightingScheme::Arcs, scheme);
-            prop_assert_eq!(&streamed, &reference, "{} sequential", scheme.name());
-            let sharded = par_prune_blocks(&blocks, WeightingScheme::Arcs, scheme, threads)
-                .expect("threads > 0");
-            prop_assert_eq!(&sharded, &reference, "{} at {} threads", scheme.name(), threads);
+            for par in [Parallelism::SEQUENTIAL, Parallelism::new(threads).unwrap()] {
+                let streamed = prune_blocks(&blocks, WeightingScheme::Arcs, scheme, par);
+                prop_assert_eq!(&streamed, &reference, "{} at {} threads", scheme.name(), par);
+            }
         }
     }
 
@@ -212,8 +211,10 @@ fn empty_and_single_profile_regressions() {
                 assert!(edges.is_empty());
             }
             assert!(legacy_graph_edges(&blocks, scheme).is_empty());
-            assert!(prune_blocks(&blocks, scheme, PruningScheme::Wnp).is_empty());
-            assert!(prune_blocks(&blocks, scheme, PruningScheme::Wep).is_empty());
+            for pruning in [PruningScheme::Wnp, PruningScheme::Wep] {
+                let par = Parallelism::new(4).unwrap();
+                assert!(prune_blocks(&blocks, scheme, pruning, par).is_empty());
+            }
         }
     }
 }
@@ -233,8 +234,10 @@ fn graph_builders_expose_kernel_edges() {
     let index = ProfileIndex::build(&blocks);
     for scheme in WeightingScheme::ALL {
         let expected = weighted_edge_list(&blocks, &index, scheme, Parallelism::SEQUENTIAL);
-        let graph = BlockingGraph::build(&blocks, scheme);
-        let got: Vec<(Pair, f64)> = graph.edges().collect();
-        assert_same_edges(&got, &expected, "BlockingGraph::build");
+        for threads in [1, 4] {
+            let graph = BlockingGraph::build(&blocks, scheme, Parallelism::new(threads).unwrap());
+            let got: Vec<(Pair, f64)> = graph.edges().collect();
+            assert_same_edges(&got, &expected, "BlockingGraph::build");
+        }
     }
 }

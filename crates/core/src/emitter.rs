@@ -2,21 +2,17 @@
 //! matching likelihood, consumed from the front during the emission phase
 //! and refilled by the owning method when it runs dry.
 //!
-//! Two engines share one observable behavior:
-//!
-//! * [`ComparisonList`] — the sequential engine: one sorted run drained by
-//!   cursor.
-//! * [`ShardedComparisonList`] — the parallel engine: the batch is split
-//!   into contiguous shards, each shard sorted on its own worker thread,
-//!   and emission pops the globally best front through a deterministic
-//!   **tournament merge** (a max-heap over shard fronts keyed by the shared
-//!   [`emission_order`], ties broken by shard index).
+//! [`EmissionList`] sorts each refill batch in place as contiguous runs,
+//! one per worker ([`Parallelism::for_each_mut`]). A batch that sorts into
+//! a single run — one worker, or a batch below the spawn break-even —
+//! drains by cursor in `O(1)` per emission. Several runs drain through a
+//! deterministic **tournament merge**: a max-heap over run fronts keyed by
+//! the shared [`emission_order`], ties broken by run index.
 //!
 //! Because [`emission_order`] is a strict total order whenever weights are
 //! non-NaN and pairs are distinct within a batch (true for every method in
 //! this crate), the tournament merge emits the exact sequence a full sort
-//! would — sharding changes wall-clock time, never emission order.
-//! [`EmissionList`] packages the choice so methods hold one field.
+//! would — the worker count changes wall-clock time, never emission order.
 
 use crate::Comparison;
 use sper_blocking::Parallelism;
@@ -35,277 +31,150 @@ pub fn emission_order(a: &Comparison, b: &Comparison) -> Ordering {
         .then_with(|| a.pair.cmp(&b.pair))
 }
 
-/// A drainable list of comparisons kept in non-increasing weight order.
-///
-/// Refill–sort–drain is the shared emission machinery of all advanced
-/// methods (LS-PSN, GS-PSN, PBS, PPS). Draining is O(1) per emission: the
-/// list is sorted once per refill and consumed via a cursor.
-#[derive(Debug, Clone, Default)]
-pub struct ComparisonList {
-    items: Vec<Comparison>,
-    cursor: usize,
-}
-
-impl ComparisonList {
-    /// Creates an empty list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when no comparison is left to emit.
-    pub fn is_empty(&self) -> bool {
-        self.cursor >= self.items.len()
-    }
-
-    /// Number of comparisons left to emit.
-    pub fn remaining(&self) -> usize {
-        self.items.len() - self.cursor
-    }
-
-    /// Adds a comparison to the pending batch (call [`Self::sort_descending`]
-    /// before draining).
-    pub fn push(&mut self, c: Comparison) {
-        self.items.push(c);
-    }
-
-    /// Replaces the contents with `batch`, resetting the cursor. The batch
-    /// is sorted in non-increasing weight (ties broken by pair id so that
-    /// emission order is fully deterministic).
-    pub fn refill(&mut self, batch: Vec<Comparison>) {
-        self.items = batch;
-        self.cursor = 0;
-        self.sort_descending();
-    }
-
-    /// Sorts the pending comparisons in non-increasing weight, ties by pair.
-    pub fn sort_descending(&mut self) {
-        self.items[self.cursor..].sort_by(emission_order);
-    }
-
-    /// Removes and returns the best remaining comparison.
-    pub fn remove_first(&mut self) -> Option<Comparison> {
-        if self.is_empty() {
-            // Release memory of fully drained batches.
-            if !self.items.is_empty() {
-                self.items.clear();
-                self.cursor = 0;
-            }
-            return None;
-        }
-        let c = self.items[self.cursor];
-        self.cursor += 1;
-        Some(c)
-    }
-}
-
-/// One shard's front in the tournament: the candidate comparison plus the
-/// shard it came from (the deterministic tie-break).
+/// One run's front in the tournament: the candidate comparison plus the
+/// run it came from (the deterministic tie-break).
 #[derive(Debug, Clone, Copy)]
-struct ShardFront {
+struct RunFront {
     c: Comparison,
-    shard: usize,
+    run: usize,
 }
 
-impl PartialEq for ShardFront {
+impl PartialEq for RunFront {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 
-impl Eq for ShardFront {}
+impl Eq for RunFront {}
 
-impl PartialOrd for ShardFront {
+impl PartialOrd for RunFront {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for ShardFront {
+impl Ord for RunFront {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: "greater" must mean "emits earlier".
         // `emission_order` returns Less for the earlier emission, so
-        // reverse it; equal fronts resolve by the lower shard index (the
-        // earlier batch chunk), keeping the merge a strict total order.
+        // reverse it; equal fronts resolve by the lower run index (the
+        // earlier batch slice), keeping the merge a strict total order.
         emission_order(&self.c, &other.c)
             .reverse()
-            .then_with(|| other.shard.cmp(&self.shard))
+            .then_with(|| other.run.cmp(&self.run))
     }
 }
 
-/// The spawn break-even guard, shared with the blocking substrates (see
-/// [`sper_blocking::MIN_PARALLEL_BATCH`]): below this work-item count the
-/// parallel engines run inline on the calling thread.
-pub(crate) const MIN_PARALLEL_BATCH: usize = sper_blocking::MIN_PARALLEL_BATCH;
-
-/// The sharded best-first scheduler: per-shard sorted runs drained through
-/// a deterministic tournament merge.
+/// A drainable list of comparisons kept in non-increasing weight order —
+/// the refill–sort–drain emission machinery of all advanced methods
+/// (LS-PSN, GS-PSN, PBS, PPS).
 ///
-/// [`refill`](Self::refill) keeps the batch in one allocation, splits it
-/// into `threads` contiguous shards via `chunks_mut` (no copy) and sorts
-/// each on its own scoped worker thread; emission then costs
-/// `O(log threads)` per comparison (one heap pop + push) instead of the
-/// sequential engine's `O(1)` cursor — the price of sorting
-/// `threads`-wide. Batches under `MIN_PARALLEL_BATCH` sort inline (one
-/// shard, no spawn). The emitted sequence is **identical** to
-/// [`ComparisonList`] on the same batch.
+/// [`refill`](Self::refill) keeps the batch in one allocation, sorts it as
+/// one contiguous run per worker (up to the configured [`Parallelism`],
+/// behind the spawn break-even guard), and drains a single run by cursor
+/// or several through the tournament merge, which costs `O(log runs)` per
+/// emission — the price of sorting several runs at once. The emitted
+/// sequence is identical at every worker count.
 #[derive(Debug, Clone, Default)]
-pub struct ShardedComparisonList {
+pub struct EmissionList {
     items: Vec<Comparison>,
-    /// Per-shard `(cursor, end)` index pairs into `items`.
-    shards: Vec<(usize, usize)>,
-    heap: BinaryHeap<ShardFront>,
-    remaining: usize,
+    /// Next position of a single-run batch; `items.len()` when the batch
+    /// drains through the tournament instead.
+    cursor: usize,
+    /// Per-run `(cursor, end)` index pairs into `items` (several runs only).
+    runs: Vec<(usize, usize)>,
+    /// Tournament over the run fronts (several runs only).
+    heap: BinaryHeap<RunFront>,
+    par: Parallelism,
 }
 
-impl ShardedComparisonList {
-    /// Creates an empty sharded list.
-    pub fn new() -> Self {
-        Self::default()
+impl EmissionList {
+    /// An empty list sorting its refills on up to `par` workers.
+    pub fn new(par: Parallelism) -> Self {
+        Self {
+            par,
+            ..Self::default()
+        }
+    }
+
+    /// The configured worker count.
+    pub fn parallelism(&self) -> Parallelism {
+        self.par
     }
 
     /// True when no comparison is left to emit.
     pub fn is_empty(&self) -> bool {
-        self.remaining == 0
+        self.heap.is_empty() && self.cursor >= self.items.len()
     }
 
     /// Number of comparisons left to emit.
     pub fn remaining(&self) -> usize {
-        self.remaining
+        let in_runs: usize = self.runs.iter().map(|&(cursor, end)| end - cursor).sum();
+        self.items.len() - self.cursor + in_runs
     }
 
-    /// Replaces the contents with `batch`: shards it in place, sorts every
-    /// shard on its own worker thread, and seeds the tournament with each
-    /// shard's front.
-    pub fn refill(&mut self, batch: Vec<Comparison>, par: Parallelism) {
-        let workers = if batch.len() < MIN_PARALLEL_BATCH {
-            1
-        } else {
-            par.capped(batch.len()).get()
-        };
-        self.refill_with_workers(batch, workers);
-    }
-
-    /// [`Self::refill`] with the worker count already decided — the
-    /// spawn-threshold-free core, also driven directly by the unit tests
-    /// so the tournament merge is exercised on small batches.
-    fn refill_with_workers(&mut self, mut batch: Vec<Comparison>, workers: usize) {
-        self.remaining = batch.len();
-        self.heap.clear();
-        self.shards.clear();
-        if batch.is_empty() {
-            self.items.clear();
-            return;
-        }
-        let chunk = batch.len().div_ceil(workers);
-        if workers == 1 {
-            batch.sort_by(emission_order);
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for shard in batch.chunks_mut(chunk) {
-                    scope.spawn(move |_| shard.sort_by(emission_order));
-                }
-            })
-            .expect("shard sort panicked");
-        }
-        let mut start = 0;
-        while start < batch.len() {
-            let end = (start + chunk).min(batch.len());
-            self.heap.push(ShardFront {
-                c: batch[start],
-                shard: self.shards.len(),
-            });
-            self.shards.push((start, end));
-            start = end;
-        }
-        self.items = batch;
-    }
-
-    /// Removes and returns the best remaining comparison: pops the
-    /// tournament winner and advances that shard's cursor.
-    pub fn remove_first(&mut self) -> Option<Comparison> {
-        let front = self.heap.pop()?;
-        let s = front.shard;
-        self.shards[s].0 += 1;
-        let (cursor, end) = self.shards[s];
-        if cursor < end {
-            self.heap.push(ShardFront {
-                c: self.items[cursor],
-                shard: s,
-            });
-        }
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            // Release memory of fully drained batches.
-            self.items.clear();
-            self.shards.clear();
-        }
-        Some(front.c)
-    }
-}
-
-/// The per-method emission engine: sequential cursor drain or sharded
-/// tournament drain, chosen once at construction from the configured
-/// [`Parallelism`]. Observable behavior is identical either way.
-#[derive(Debug, Clone)]
-pub enum EmissionList {
-    /// One sorted run, drained by cursor ([`ComparisonList`]).
-    Sequential(ComparisonList),
-    /// Per-shard sorted runs, drained through the tournament merge.
-    Sharded(ShardedComparisonList, Parallelism),
-}
-
-impl EmissionList {
-    /// An empty engine for the given thread count (1 → sequential).
-    pub fn new(par: Parallelism) -> Self {
-        if par.is_sequential() {
-            EmissionList::Sequential(ComparisonList::new())
-        } else {
-            EmissionList::Sharded(ShardedComparisonList::new(), par)
-        }
-    }
-
-    /// Replaces the contents with `batch` (sorted sequentially or
-    /// shard-parallel, emission order identical).
+    /// Replaces the contents with `batch`, resetting the drain. The batch
+    /// is emitted in non-increasing weight, ties broken by pair id so that
+    /// emission order is fully deterministic.
     pub fn refill(&mut self, batch: Vec<Comparison>) {
         // Per-batch (never per-pop) accounting keeps the drain loop clean.
         sper_obs::count!("emitter.refills");
         sper_obs::count!("emitter.refill_comparisons", batch.len() as u64);
-        match self {
-            EmissionList::Sequential(list) => list.refill(batch),
-            EmissionList::Sharded(list, par) => list.refill(batch, *par),
+        let par = self.par.break_even(batch.len());
+        self.sort_runs(batch, par);
+    }
+
+    /// Sorts `batch` in place as one contiguous run per worker of `par`
+    /// and seeds the tournament when there is more than one run.
+    fn sort_runs(&mut self, mut batch: Vec<Comparison>, par: Parallelism) {
+        self.heap.clear();
+        self.runs.clear();
+        self.cursor = 0;
+        let run_len = batch.len().div_ceil(par.get()).max(1);
+        if batch.len() <= run_len {
+            // One run: sorted here, drained by cursor.
+            batch.sort_by(emission_order);
+        } else {
+            let mut runs: Vec<&mut [Comparison]> = batch.chunks_mut(run_len).collect();
+            par.for_each_mut(&mut runs, |run| run.sort_by(emission_order));
+            for (run, start) in (0..batch.len()).step_by(run_len).enumerate() {
+                self.runs.push((start, (start + run_len).min(batch.len())));
+                self.heap.push(RunFront {
+                    c: batch[start],
+                    run,
+                });
+            }
+            self.cursor = batch.len();
         }
+        self.items = batch;
     }
 
     /// Removes and returns the best remaining comparison.
     pub fn remove_first(&mut self) -> Option<Comparison> {
-        match self {
-            EmissionList::Sequential(list) => list.remove_first(),
-            EmissionList::Sharded(list, _) => list.remove_first(),
+        let Some(front) = self.heap.pop() else {
+            // A single run: drain by cursor.
+            let Some(&c) = self.items.get(self.cursor) else {
+                // Release memory of fully drained batches.
+                if !self.items.is_empty() {
+                    self.items.clear();
+                    self.runs.clear();
+                    self.cursor = 0;
+                }
+                return None;
+            };
+            self.cursor += 1;
+            return Some(c);
+        };
+        // Several runs: the tournament winner, then that run's next front.
+        let (cursor, end) = &mut self.runs[front.run];
+        *cursor += 1;
+        if *cursor < *end {
+            self.heap.push(RunFront {
+                c: self.items[*cursor],
+                run: front.run,
+            });
         }
-    }
-
-    /// True when no comparison is left to emit.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            EmissionList::Sequential(list) => list.is_empty(),
-            EmissionList::Sharded(list, _) => list.is_empty(),
-        }
-    }
-
-    /// Number of comparisons left to emit.
-    pub fn remaining(&self) -> usize {
-        match self {
-            EmissionList::Sequential(list) => list.remaining(),
-            EmissionList::Sharded(list, _) => list.remaining(),
-        }
-    }
-
-    /// The configured worker count (1 for the sequential engine).
-    pub fn parallelism(&self) -> Parallelism {
-        match self {
-            EmissionList::Sequential(_) => Parallelism::SEQUENTIAL,
-            EmissionList::Sharded(_, par) => *par,
-        }
+        Some(front.c)
     }
 }
 
@@ -318,24 +187,24 @@ mod tests {
         Comparison::new(Pair::new(ProfileId(a), ProfileId(b)), w)
     }
 
+    fn drain(list: &mut EmissionList) -> Vec<Comparison> {
+        std::iter::from_fn(|| list.remove_first()).collect()
+    }
+
     #[test]
     fn drains_in_descending_weight() {
-        let mut list = ComparisonList::new();
+        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
         list.refill(vec![cmp(0, 1, 0.2), cmp(2, 3, 0.9), cmp(4, 5, 0.5)]);
-        let weights: Vec<f64> = std::iter::from_fn(|| list.remove_first())
-            .map(|c| c.weight)
-            .collect();
+        let weights: Vec<f64> = drain(&mut list).iter().map(|c| c.weight).collect();
         assert_eq!(weights, vec![0.9, 0.5, 0.2]);
         assert!(list.is_empty());
     }
 
     #[test]
     fn ties_broken_by_pair_id() {
-        let mut list = ComparisonList::new();
+        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
         list.refill(vec![cmp(4, 5, 1.0), cmp(0, 1, 1.0), cmp(2, 3, 1.0)]);
-        let pairs: Vec<Pair> = std::iter::from_fn(|| list.remove_first())
-            .map(|c| c.pair)
-            .collect();
+        let pairs: Vec<Pair> = drain(&mut list).iter().map(|c| c.pair).collect();
         assert_eq!(
             pairs,
             vec![
@@ -348,7 +217,7 @@ mod tests {
 
     #[test]
     fn refill_resets_cursor() {
-        let mut list = ComparisonList::new();
+        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
         list.refill(vec![cmp(0, 1, 1.0)]);
         assert!(list.remove_first().is_some());
         assert!(list.remove_first().is_none());
@@ -358,20 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn push_then_sort() {
-        let mut list = ComparisonList::new();
-        list.push(cmp(0, 1, 0.1));
-        list.push(cmp(0, 2, 0.7));
-        list.sort_descending();
-        assert_eq!(list.remove_first().unwrap().weight, 0.7);
-    }
-
-    #[test]
     fn nan_weights_do_not_panic() {
-        let mut list = ComparisonList::new();
+        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
         list.refill(vec![cmp(0, 1, f64::NAN), cmp(2, 3, 1.0)]);
         // Order with NaN is unspecified but draining must be total.
-        assert_eq!(std::iter::from_fn(|| list.remove_first()).count(), 2);
+        assert_eq!(drain(&mut list).len(), 2);
     }
 
     /// A deterministic pseudo-random batch with heavy weight ties.
@@ -386,72 +246,66 @@ mod tests {
     }
 
     #[test]
-    fn sharded_list_emits_exactly_the_sequential_sequence() {
+    fn several_runs_emit_exactly_the_single_run_sequence() {
+        let mut one = EmissionList::new(Parallelism::SEQUENTIAL);
+        one.refill(tie_heavy_batch(257));
+        let expected = drain(&mut one);
         for threads in [2usize, 3, 4, 8] {
-            let batch = tie_heavy_batch(257);
-            let mut seq = ComparisonList::new();
-            seq.refill(batch.clone());
-            let mut par = ShardedComparisonList::new();
-            // Force multi-shard sorting below the spawn threshold so the
+            let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
+            // Force several runs below the spawn threshold so the
             // tournament merge itself is what this test exercises.
-            par.refill_with_workers(batch, threads);
-            assert_eq!(par.remaining(), seq.remaining());
-            loop {
-                let (a, b) = (seq.remove_first(), par.remove_first());
-                match (a, b) {
-                    (None, None) => break,
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.pair, b.pair, "threads = {threads}");
-                        assert_eq!(a.weight, b.weight);
-                    }
-                    _ => panic!("lengths diverged at threads = {threads}"),
-                }
-            }
+            list.sort_runs(tie_heavy_batch(257), Parallelism::new(threads).unwrap());
+            assert_eq!(list.runs.len(), threads, "threads = {threads}");
+            assert_eq!(list.remaining(), expected.len());
+            assert_eq!(drain(&mut list), expected, "threads = {threads}");
+            assert_eq!(list.remaining(), 0);
         }
     }
 
     #[test]
-    fn sharded_list_handles_empty_and_tiny_batches() {
-        let mut list = ShardedComparisonList::new();
-        list.refill(Vec::new(), Parallelism::new(4).unwrap());
+    fn handles_empty_and_tiny_batches_at_any_worker_count() {
+        let mut list = EmissionList::new(Parallelism::new(4).unwrap());
+        list.refill(Vec::new());
         assert!(list.is_empty());
         assert!(list.remove_first().is_none());
-        list.refill(vec![cmp(0, 1, 1.0)], Parallelism::new(8).unwrap());
+        list.sort_runs(vec![cmp(0, 1, 1.0)], Parallelism::new(8).unwrap());
         assert_eq!(list.remaining(), 1);
         assert_eq!(list.remove_first().unwrap().pair.first, ProfileId(0));
         assert!(list.remove_first().is_none());
+        assert!(list.is_empty());
     }
 
     #[test]
-    fn sharded_list_refills_between_drains() {
-        let mut list = ShardedComparisonList::new();
-        list.refill_with_workers(tie_heavy_batch(10), 3);
+    fn refills_between_drains() {
+        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
+        list.sort_runs(tie_heavy_batch(10), Parallelism::new(3).unwrap());
         assert!(list.remove_first().is_some());
         // Refill mid-drain: previous contents replaced wholesale.
-        list.refill_with_workers(vec![cmp(0, 1, 9.0), cmp(2, 3, 5.0)], 2);
+        list.sort_runs(
+            vec![cmp(0, 1, 9.0), cmp(2, 3, 5.0)],
+            Parallelism::new(2).unwrap(),
+        );
         assert_eq!(list.remaining(), 2);
         assert_eq!(list.remove_first().unwrap().weight, 9.0);
         assert_eq!(list.remove_first().unwrap().weight, 5.0);
         assert!(list.remove_first().is_none());
+        // And from the tournament back to a single run.
+        list.refill(vec![cmp(4, 5, 1.0)]);
+        assert_eq!(list.remaining(), 1);
+        assert_eq!(list.remove_first().unwrap().weight, 1.0);
     }
 
     #[test]
-    fn emission_list_dispatches_by_parallelism() {
-        let seq = EmissionList::new(Parallelism::SEQUENTIAL);
-        assert!(matches!(seq, EmissionList::Sequential(_)));
-        assert!(seq.parallelism().is_sequential());
-        let par = EmissionList::new(Parallelism::new(4).unwrap());
-        assert!(matches!(par, EmissionList::Sharded(..)));
-        assert_eq!(par.parallelism().get(), 4);
-        for mut list in [seq, par] {
-            list.refill(tie_heavy_batch(50));
-            assert_eq!(list.remaining(), 50);
-            let mut prev = f64::INFINITY;
-            while let Some(c) = list.remove_first() {
-                assert!(c.weight <= prev);
-                prev = c.weight;
-            }
-            assert!(list.is_empty());
-        }
+    fn keeps_its_configured_parallelism() {
+        assert!(EmissionList::new(Parallelism::SEQUENTIAL)
+            .parallelism()
+            .is_sequential());
+        let mut list = EmissionList::new(Parallelism::new(4).unwrap());
+        assert_eq!(list.parallelism().get(), 4);
+        list.refill(tie_heavy_batch(50));
+        assert_eq!(list.remaining(), 50);
+        let weights: Vec<f64> = drain(&mut list).iter().map(|c| c.weight).collect();
+        assert!(weights.windows(2).all(|w| w[0] >= w[1]));
+        assert!(list.is_empty());
     }
 }

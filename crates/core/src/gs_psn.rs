@@ -16,9 +16,9 @@ use sper_blocking::Parallelism;
 use sper_model::{Pair, ProfileCollection, ProfileId};
 
 /// Accumulates co-occurrence frequencies over every window in `[1, wmax]`
-/// for the profiles of `range` — the unit of work of both the sequential
-/// and the sharded initialization, on the shared dense scratch (one per
-/// worker, touched-list reset).
+/// for the profiles of `range` — the unit of work of the initialization
+/// fan-out, on the dense scratch of the worker running it (touched-list
+/// reset).
 fn weight_all_windows_range(
     profiles: &ProfileCollection,
     nl: &NeighborList,
@@ -96,21 +96,6 @@ impl GsPsn {
         )
     }
 
-    /// Parallel initialization: builds the Neighbor List and runs the
-    /// all-window accumulation on `par` worker threads, emitting the exact
-    /// sequence of the sequential engine.
-    pub fn with_weighting_par(
-        profiles: &ProfileCollection,
-        seed: u64,
-        wmax: usize,
-        weighting: NeighborWeighting,
-        par: Parallelism,
-    ) -> Self {
-        let nl = NeighborList::par_build(profiles, seed, par.get())
-            .expect("Parallelism is validated non-zero");
-        Self::from_neighbor_list_par(profiles, nl, wmax, weighting, par)
-    }
-
     /// Builds GS-PSN over an externally maintained Neighbor List — the
     /// streaming path (`sper-stream`).
     pub fn from_neighbor_list(
@@ -123,10 +108,9 @@ impl GsPsn {
     }
 
     /// Like [`Self::from_neighbor_list`], accumulating the `[1, wmax]`
-    /// window weights over contiguous profile ranges on `par` worker
-    /// threads (per-worker frequency scratch) and emitting through the
-    /// sharded tournament list. Emission order is identical to the
-    /// sequential engine.
+    /// window weights on up to `par` workers (work-stealing profile
+    /// ranges, per-worker frequency scratch) and sorting the list on them.
+    /// Emission order is identical at every worker count.
     pub fn from_neighbor_list_par(
         profiles: &ProfileCollection,
         nl: NeighborList,
@@ -146,24 +130,23 @@ impl GsPsn {
         let nl_ref = &nl;
         // Work-stealing chunks with a per-worker frequency scratch; each
         // chunk's batch is a pure function of its profile range, so the
-        // chunk-order concatenation reproduces the sequential sequence.
-        let batch: Vec<Comparison> = par
-            .steal_chunks(
-                iterated.len(),
-                sper_blocking::STEAL_MIN_CHUNK,
-                || CooccurrenceScratch::new(profiles.len()),
-                |scratch, range, _chunk| {
-                    weight_all_windows_range(
-                        profiles,
-                        nl_ref,
-                        wmax,
-                        weighting,
-                        range.start as u32..range.end as u32,
-                        scratch,
-                    )
-                },
-            )
-            .concat();
+        // chunk-order concatenation is the same at every worker count.
+        let chunks = par.steal_chunks(
+            iterated.len(),
+            sper_blocking::STEAL_MIN_CHUNK,
+            || CooccurrenceScratch::new(profiles.len()),
+            |scratch, range, _chunk| {
+                weight_all_windows_range(
+                    profiles,
+                    nl_ref,
+                    wmax,
+                    weighting,
+                    range.start as u32..range.end as u32,
+                    scratch,
+                )
+            },
+        );
+        let batch = crate::concat_chunks(chunks);
 
         let mut list = EmissionList::new(par);
         let nl_len = nl.len();

@@ -37,7 +37,7 @@ pub mod sa_psab;
 pub mod sa_psn;
 pub(crate) mod scratch;
 
-pub use emitter::{emission_order, ComparisonList, EmissionList, ShardedComparisonList};
+pub use emitter::{emission_order, EmissionList};
 pub use method::{build_method, MethodConfig, ProgressiveMethod};
 pub use rcf::{rcf_weight, NeighborWeighting};
 // The thread-count boundary of the parallel engine, re-exported so method
@@ -60,6 +60,15 @@ pub(crate) fn is_valid_similarity_neighbor(
         ErKind::Dirty => j < i,
         ErKind::CleanClean => profiles.source_of(j) == SourceId::SECOND,
     }
+}
+
+/// Concatenates per-chunk batches of a [`Parallelism::steal_chunks`]
+/// fan-out in chunk order; a single chunk passes through without a copy.
+pub(crate) fn concat_chunks(mut chunks: Vec<Vec<Comparison>>) -> Vec<Comparison> {
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
+    chunks.concat()
 }
 
 /// Profiles iterated by the similarity-based weighting passes: all of them

@@ -180,8 +180,9 @@ pub fn build_method<'a>(
         threads = config.threads.get(),
     );
     let par = config.threads;
-    // The schema-agnostic similarity methods share the (parallel) Neighbor
-    // List build; equality methods fan out inside their own initialization.
+    // Every substrate build takes the configured worker count: the
+    // similarity methods share the Neighbor List build, the equality
+    // methods the Token Blocking Workflow.
     let par_nl = |seed: u64| {
         NeighborList::par_build(profiles, seed, par.get()).expect("Parallelism is validated")
     };
@@ -213,12 +214,12 @@ pub fn build_method<'a>(
             par,
         )),
         ProgressiveMethod::Pbs => Box::new(Pbs::from_blocks_par(
-            config.workflow.run(profiles),
+            config.workflow.par_run(profiles, par),
             config.scheme,
             par,
         )),
         ProgressiveMethod::Pps => Box::new(Pps::from_blocks_par(
-            config.workflow.run(profiles),
+            config.workflow.par_run(profiles, par),
             config.scheme,
             config.kmax,
             par,

@@ -72,11 +72,11 @@ impl Pbs {
         Self::from_blocks_par(blocks, scheme, Parallelism::SEQUENTIAL)
     }
 
-    /// Like [`Self::from_blocks`], weighting each scheduled block's
-    /// comparisons on `par` worker threads and emitting through the sharded
-    /// tournament list. Emission order is identical to the sequential
-    /// engine: the LeCoBI dedup is a per-pair predicate and the batch
-    /// concatenation preserves the block's comparison order.
+    /// Like [`Self::from_blocks`], weighting each large scheduled block's
+    /// comparisons on up to `par` workers and sorting each refill on them.
+    /// Emission order is identical at every worker count: the LeCoBI dedup
+    /// is a per-pair predicate and the batch concatenation preserves the
+    /// block's comparison order.
     pub fn from_blocks_par(
         mut blocks: BlockCollection,
         scheme: WeightingScheme,
@@ -228,12 +228,12 @@ impl Pbs {
     fn fill_next_block(&mut self) -> bool {
         while self.next_block < self.blocks.len() {
             let bid = BlockId(self.next_block as u32);
-            let par = self.list.parallelism();
             // Most token blocks are tiny; below the spawn break-even the
             // fan-out would cost more than the weighting it distributes.
             let cardinality = self.blocks.cardinality(bid) as usize;
+            let par = self.list.parallelism().break_even(cardinality);
             let mut batch: Vec<Comparison> = Vec::new();
-            if par.is_sequential() || cardinality < crate::emitter::MIN_PARALLEL_BATCH {
+            if par.is_sequential() {
                 self.fill_block_sequential(bid, &mut batch);
             } else {
                 let kind = self.blocks.kind();
@@ -243,14 +243,12 @@ impl Pbs {
                 // filter and weighting read shared state only); the batch
                 // is a pure function of the pair range, so chunk-order
                 // concatenation reproduces the fixed-range output.
-                batch = par
-                    .steal_chunks(
-                        pairs.len(),
-                        sper_blocking::STEAL_MIN_CHUNK,
-                        || (),
-                        |(), range, _chunk| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
-                    )
-                    .concat();
+                batch = crate::concat_chunks(par.steal_chunks(
+                    pairs.len(),
+                    sper_blocking::STEAL_MIN_CHUNK,
+                    || (),
+                    |(), range, _chunk| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
+                ));
             }
             self.next_block += 1;
             if !batch.is_empty() {

@@ -141,10 +141,10 @@ impl Pps {
     }
 
     /// Like [`Self::from_blocks`], running the Algorithm-5 initialization
-    /// (the top-k scheduling pass — PPS's dominant cost) over contiguous
-    /// profile ranges on `par` worker threads with per-worker scratch, and
-    /// emitting through the sharded tournament list. The Sorted Profile
-    /// List and the emission order are identical to the sequential engine.
+    /// (the top-k scheduling pass — PPS's dominant cost) over work-stealing
+    /// profile ranges on up to `par` workers with per-worker scratch, and
+    /// sorting each refill on them. The Sorted Profile List and the
+    /// emission order are identical at every worker count.
     pub fn from_blocks_par(
         mut blocks: BlockCollection,
         scheme: WeightingScheme,
@@ -429,7 +429,7 @@ mod tests {
         // The lazy accumulation must equal the BlockingGraph reference.
         use sper_blocking::BlockingGraph;
         let blocks = TokenBlocking::default().build(&fig3_profiles());
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
         let pps = Pps::from_blocks(blocks, WeightingScheme::Arcs, 2);
         // Reconstruct likelihood order from the graph and compare.
         let mut expected: Vec<(ProfileId, f64)> = (0..6)

@@ -27,10 +27,12 @@
 //!   behind the engine's fault-injection harness, gated exactly like the
 //!   macros: one relaxed load when unarmed.
 //!
-//! The crate has **zero dependencies** (not even the workspace's vendored
-//! ones): it must be embeddable under every other crate in the graph
-//! without cycles, and its absence of codegen keeps the disabled path
-//! auditable.
+//! The crate's only dependency is the workspace's vendored `serde` (itself
+//! dependency-free apart from its derive): obs must be embeddable under
+//! every other crate in the graph without cycles. The profiler and the run
+//! report read their JSON inputs back through `serde::json::parse`, whose
+//! depth cap turns hostile nesting into a skipped input instead of a stack
+//! overflow.
 //!
 //! # Quickstart
 //!
@@ -58,7 +60,6 @@
 
 pub mod clock;
 pub mod fault;
-mod json;
 pub mod metrics;
 pub mod profile;
 pub mod profiling;

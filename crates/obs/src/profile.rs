@@ -24,8 +24,8 @@
 //! ([`ProfileRecord::from`] a [`Record`]) or from a trace JSON-lines file
 //! via [`parse_trace`] — both feed the same aggregation.
 
-use crate::json::{parse, JsonValue};
 use crate::trace::{FieldValue, Record, RecordKind};
+use serde::json::{parse, Value};
 use std::collections::BTreeMap;
 
 /// One owned trace record, decoupled from the `&'static str` names of the
@@ -102,20 +102,20 @@ fn parse_trace_line(line: &str) -> Option<ProfileRecord> {
     if line.is_empty() {
         return None;
     }
-    let v = parse(line)?;
+    let v = parse(line).ok()?;
     let kind = match v.get("kind")?.as_str()? {
         "span" => RecordKind::Span,
         "event" => RecordKind::Event,
         _ => return None,
     };
     let fields = match v.get("fields") {
-        Some(JsonValue::Obj(members)) => members
+        Some(Value::Object(members)) => members
             .iter()
             .map(|(k, fv)| {
                 let value = match fv {
-                    JsonValue::Num(n) => FieldValue::F64(*n),
-                    JsonValue::Bool(b) => FieldValue::Bool(*b),
-                    JsonValue::Str(s) => FieldValue::Str(s.clone()),
+                    Value::Number(_) => FieldValue::F64(fv.as_f64().unwrap_or(f64::NAN)),
+                    Value::Bool(b) => FieldValue::Bool(*b),
+                    Value::String(s) => FieldValue::Str(s.clone()),
                     _ => FieldValue::Str(String::new()),
                 };
                 (k.clone(), value)
@@ -129,7 +129,7 @@ fn parse_trace_line(line: &str) -> Option<ProfileRecord> {
         name: v.get("name")?.as_str()?.to_string(),
         thread: v.get("thread")?.as_u64()?,
         depth: v.get("depth")?.as_u64()?,
-        dur_ns: v.get("dur_ns").and_then(JsonValue::as_u64),
+        dur_ns: v.get("dur_ns").and_then(Value::as_u64),
         fields,
     })
 }
@@ -565,7 +565,7 @@ mod tests {
             {\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":1.500,\"cat\":\"event\",\"name\":\"tick\",\"args\":{\"n\":3}}\
             ]}";
         assert_eq!(json, expected);
-        assert!(crate::json::parse(&json).is_some(), "well-formed JSON");
+        assert!(parse(&json).is_ok(), "well-formed JSON");
     }
 
     #[test]
@@ -578,6 +578,6 @@ mod tests {
         let json = chrome_trace(&[worker]);
         assert!(json.contains("\"name\":\"worker_utilization\""), "{json}");
         assert!(json.contains("\"w2\":80.0"), "{json}");
-        assert!(crate::json::parse(&json).is_some());
+        assert!(parse(&json).is_ok());
     }
 }

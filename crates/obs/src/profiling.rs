@@ -8,6 +8,7 @@
 //! OS) so committed BENCH baselines are self-describing instead of
 //! "an opaque 1-core container".
 
+use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -113,7 +114,7 @@ unsafe impl GlobalAlloc for PeakAllocTracker {
 }
 
 /// A fingerprint of the machine a run executed on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HostInfo {
     /// Physical/logical CPU count from `/proc/cpuinfo` (0 if unreadable).
     pub cores: usize,
@@ -181,7 +182,7 @@ fn cpu_features() -> Vec<&'static str> {
 /// Provenance of a run: when it happened and what code produced it.
 /// Stamped into every committed artifact (bench baselines, run reports)
 /// so a number on disk can always be traced back to a commit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RunStamp {
     /// UTC wall-clock time, ISO-8601 (`2026-08-07T12:34:56Z`).
     pub timestamp: String,

@@ -15,9 +15,9 @@
 //! palette defined once as CSS custom properties, and every data point
 //! carries a native `<title>` tooltip.
 
-use crate::json::{parse, JsonValue};
 use crate::profile::{ProfileRecord, SpanProfile};
 use crate::trace::RecordKind;
+use serde::json::{parse, Value};
 
 /// Everything the report is built from.
 #[derive(Debug, Clone, Default)]
@@ -50,8 +50,8 @@ pub fn render_html(inputs: &ReportInputs) -> String {
     let metrics = inputs
         .metrics_json
         .as_deref()
-        .and_then(parse)
-        .filter(|v| v.as_obj().is_some());
+        .and_then(|text| parse(text).ok())
+        .filter(|v| matches!(v, Value::Object(_)));
     let recall = inputs
         .recall_csv
         .as_deref()
@@ -161,14 +161,14 @@ fn parse_recall_csv(csv: &str) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn metric_num(metrics: Option<&JsonValue>, name: &str) -> Option<f64> {
+fn metric_num(metrics: Option<&Value>, name: &str) -> Option<f64> {
     metrics?.get(name)?.as_f64()
 }
 
 fn render_tiles(
     out: &mut String,
     epochs: &[EpochSample],
-    metrics: Option<&JsonValue>,
+    metrics: Option<&Value>,
     trace: &[ProfileRecord],
 ) {
     let n_epochs = metric_num(metrics, "session.epochs").unwrap_or(epochs.len() as f64);
@@ -217,11 +217,11 @@ fn tile(out: &mut String, label: &str, value: &str, note: &str) {
     out.push_str("</div>\n");
 }
 
-fn render_histograms(out: &mut String, metrics: Option<&JsonValue>) {
-    let Some(members) = metrics.and_then(JsonValue::as_obj) else {
+fn render_histograms(out: &mut String, metrics: Option<&Value>) {
+    let Some(Value::Object(members)) = metrics else {
         return;
     };
-    let rows: Vec<(&str, &JsonValue)> = members
+    let rows: Vec<(&str, &Value)> = members
         .iter()
         .filter(|(_, v)| v.get("count").is_some())
         .map(|(k, v)| (k.as_str(), v))
@@ -240,12 +240,12 @@ fn render_histograms(out: &mut String, metrics: Option<&JsonValue>) {
         out.push_str("</td><td>");
         escape_into(
             out,
-            &format_count(h.get("count").and_then(JsonValue::as_f64).unwrap_or(0.0)),
+            &format_count(h.get("count").and_then(Value::as_f64).unwrap_or(0.0)),
         );
         out.push_str("</td>");
         for q in ["p50", "p90", "p99"] {
             out.push_str("<td>");
-            match h.get(q).and_then(JsonValue::as_f64) {
+            match h.get(q).and_then(Value::as_f64) {
                 Some(v) => escape_into(out, &format_ms(v / 1_000.0)),
                 None => out.push('–'),
             }

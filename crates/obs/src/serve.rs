@@ -383,6 +383,14 @@ mod tests {
         }
     }
 
+    /// Holds the failpoint registry's test lock with nothing armed. Every
+    /// test here takes it (the fault test by arming its schedule): a
+    /// connection accepted by a concurrently running serve test would
+    /// otherwise consume the armed `serve.accept` fault.
+    fn unarmed() -> crate::fault::Armed {
+        crate::fault::arm_scoped("").expect("empty spec")
+    }
+
     /// Polls until `server` has tallied at least `n` client errors —
     /// handler threads race the assertions otherwise.
     fn wait_client_errors(server: &ObsServer, n: u64) {
@@ -395,6 +403,7 @@ mod tests {
 
     #[test]
     fn serves_health_build_and_404() {
+        let _serial = unarmed();
         let mut server = serve("127.0.0.1:0", test_build(), None).expect("bind");
         let addr = server.addr();
 
@@ -419,6 +428,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_and_rejects_post() {
+        let _serial = unarmed();
         let mut server = serve("127.0.0.1:0", test_build(), None).expect("bind");
         let addr = server.addr();
 
@@ -434,6 +444,7 @@ mod tests {
 
     #[test]
     fn tracez_reflects_the_ring() {
+        let _serial = unarmed();
         let ring = Arc::new(RingSink::new(8));
         ring.record(&Record {
             t_ns: 1,
@@ -462,6 +473,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_frees_the_port() {
+        let _serial = unarmed();
         let mut server = serve("127.0.0.1:0", test_build(), None).expect("bind");
         let addr = server.addr();
         server.shutdown();
@@ -473,6 +485,7 @@ mod tests {
 
     #[test]
     fn slow_loris_cannot_stall_healthz() {
+        let _serial = unarmed();
         let mut server = serve("127.0.0.1:0", test_build(), None).expect("bind");
         let addr = server.addr();
 
@@ -505,6 +518,7 @@ mod tests {
 
     #[test]
     fn malformed_request_line_is_400_and_counted() {
+        let _serial = unarmed();
         let mut server = serve("127.0.0.1:0", test_build(), None).expect("bind");
         let addr = server.addr();
 
@@ -522,6 +536,7 @@ mod tests {
 
     #[test]
     fn oversized_head_is_cut_off() {
+        let _serial = unarmed();
         let mut server = serve("127.0.0.1:0", test_build(), None).expect("bind");
         let addr = server.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -4,7 +4,9 @@
 //! panic or a silently inconsistent structure.
 
 use proptest::prelude::*;
-use sper_blocking::{BlockingGraph, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme};
+use sper_blocking::{
+    BlockingGraph, NeighborList, Parallelism, ProfileIndex, TokenBlocking, WeightingScheme,
+};
 use sper_core::ProgressiveMethod;
 use sper_model::{Attribute, ProfileCollectionBuilder};
 use sper_store::{SessionCheckpoint, Snapshot, Store, StoreError};
@@ -27,7 +29,11 @@ fn sample_snapshot_bytes() -> Vec<u8> {
     blocks.sort_by_cardinality();
     let mut snapshot = Snapshot::new(Arc::clone(blocks.interner()));
     snapshot.profile_index = Some(ProfileIndex::build(&blocks));
-    snapshot.graph = Some(BlockingGraph::build(&blocks, WeightingScheme::Arcs));
+    snapshot.graph = Some(BlockingGraph::build(
+        &blocks,
+        WeightingScheme::Arcs,
+        Parallelism::SEQUENTIAL,
+    ));
     snapshot.neighbor_list = Some(NeighborList::build(&coll, 7));
     snapshot.profiles = Some(coll);
     snapshot.blocks = Some(blocks);

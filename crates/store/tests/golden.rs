@@ -28,7 +28,9 @@
 //! cargo test -p sper-store --test golden -- --ignored regenerate
 //! ```
 
-use sper_blocking::{BlockingGraph, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme};
+use sper_blocking::{
+    BlockingGraph, NeighborList, Parallelism, ProfileIndex, TokenBlocking, WeightingScheme,
+};
 use sper_core::ProgressiveMethod;
 use sper_model::{Attribute, ProfileCollection, ProfileCollectionBuilder, ProfileId};
 use sper_store::{SessionCheckpoint, Snapshot, Store};
@@ -80,7 +82,7 @@ fn build_golden_store() -> Store {
     let mut blocks = TokenBlocking::default().build(&coll);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
-    let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+    let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
     let nl = NeighborList::build(&coll, GOLDEN_SEED);
 
     let mut snapshot = Snapshot::new(Arc::clone(blocks.interner()));
@@ -176,7 +178,7 @@ fn golden_fixture_loads_bit_identically() {
     let mut blocks = TokenBlocking::default().build(&coll);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
-    let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+    let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
     let nl = NeighborList::build(&coll, GOLDEN_SEED);
 
     let loaded = snapshot.blocks.as_ref().expect("blocks stored");

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sper_blocking::{
-    BlockId, BlockingGraph, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme,
+    BlockId, BlockingGraph, NeighborList, Parallelism, ProfileIndex, TokenBlocking, WeightingScheme,
 };
 use sper_model::{ErKind, ProfileCollection, ProfileCollectionBuilder, ProfileId};
 use sper_store::{substrates, Snapshot, Store};
@@ -131,7 +131,7 @@ proptest! {
     fn graph_round_trips(coll in arbitrary_collection()) {
         let mut blocks = TokenBlocking::default().build(&coll);
         blocks.sort_by_cardinality();
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
         let bytes = substrates::encode_graph(&graph);
         let back = substrates::decode_graph(&bytes).unwrap();
         prop_assert_eq!(back.num_nodes(), graph.num_nodes());
@@ -152,7 +152,7 @@ proptest! {
     #[test]
     fn neighbor_list_round_trips(coll in arbitrary_collection(), keep_keys in 0u8..2, seed in 0u64..16) {
         let nl = if keep_keys == 1 {
-            NeighborList::build_with_keys(&coll, seed)
+            NeighborList::build_with_keys(&coll, seed, Parallelism::SEQUENTIAL)
         } else {
             NeighborList::build(&coll, seed)
         };
@@ -176,7 +176,7 @@ proptest! {
         blocks.sort_by_cardinality();
         let interner = Arc::clone(blocks.interner());
         let index = ProfileIndex::build(&blocks);
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
         let nl = NeighborList::build(&coll, seed);
 
         let mut snapshot = Snapshot::new(Arc::clone(&interner));

@@ -1055,7 +1055,11 @@ fn snapshot(args: &[String]) -> Result<(), CliError> {
 
     let mut snapshot = Snapshot::new(std::sync::Arc::clone(blocks.interner()));
     if args.iter().any(|a| a == "--with-graph") {
-        snapshot.graph = Some(BlockingGraph::build(&blocks, WeightingScheme::Arcs));
+        snapshot.graph = Some(BlockingGraph::build(
+            &blocks,
+            WeightingScheme::Arcs,
+            Parallelism::SEQUENTIAL,
+        ));
     }
     snapshot.profiles = Some(profiles);
     snapshot.blocks = Some(blocks);

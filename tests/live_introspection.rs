@@ -74,6 +74,10 @@ fn run_stream(extra: &[&str]) -> (String, String) {
     )
 }
 
+/// Delays the first three stream epochs by 300 ms each, so a listened run
+/// outlives the scrapes made against it.
+const EPOCH_DELAY: &str = "session.epoch=3*delay(300)";
+
 fn read_to_string(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
@@ -89,8 +93,10 @@ fn scraped_run_is_bit_identical_and_endpoints_answer_mid_run() {
     let baseline = read_to_string(&quiet_pairs);
     assert!(!baseline.is_empty(), "baseline run emitted nothing");
 
-    // A bigger workload for the listened run so there is a comfortable
-    // window between the listener coming up and the stream finishing.
+    // The same workload, held in flight by delayed epochs: a delay does
+    // not change emission, and it keeps the child alive until every
+    // scrape below has been answered (a child that exits with a
+    // connection still queued resets it).
     let live_pairs = tmp("live-pairs.csv");
     let mut child = sper()
         .args([
@@ -103,6 +109,7 @@ fn scraped_run_is_bit_identical_and_endpoints_answer_mid_run() {
             "--threads",
             "2",
         ])
+        .args(["--failpoints", EPOCH_DELAY])
         .args(["--listen", "127.0.0.1:0"])
         .args(["--emit-pairs", live_pairs.to_str().unwrap()])
         .stdout(Stdio::null())
@@ -178,6 +185,7 @@ fn hostile_clients_neither_stall_healthz_nor_kill_the_run() {
             "--threads",
             "2",
         ])
+        .args(["--failpoints", EPOCH_DELAY])
         .args(["--listen", "127.0.0.1:0"])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -405,4 +413,45 @@ fn report_html_is_self_contained() {
         !html.contains("<script"),
         "report should not need JavaScript"
     );
+}
+
+/// Hostile nesting in either report input is skipped like any other
+/// malformed line or file: 200,000 nested `[` in a trace line and
+/// 200,000 nested `{"a":` objects as the metrics file used to overflow
+/// the stack (SIGABRT, exit 134).
+#[test]
+fn report_skips_pathologically_nested_inputs() {
+    let span = r#"{"t":1000,"kind":"span","level":"info","name":"deep.survivor","thread":0,"depth":0,"dur_ns":5000,"fields":{}}"#;
+    let deep_trace = tmp("deep-trace.jsonl");
+    std::fs::write(&deep_trace, format!("{}\n{span}\n", "[".repeat(200_000))).unwrap();
+    let plain_trace = tmp("plain-trace.jsonl");
+    std::fs::write(&plain_trace, format!("{span}\n")).unwrap();
+    let deep_metrics = tmp("deep-metrics.json");
+    std::fs::write(&deep_metrics, "{\"a\":".repeat(200_000)).unwrap();
+
+    for (trace, metrics) in [(&deep_trace, None), (&plain_trace, Some(&deep_metrics))] {
+        let html_path = tmp("deep-report.html");
+        let mut cmd = sper();
+        cmd.args(["report", "--trace", trace.to_str().unwrap()]);
+        if let Some(metrics) = metrics {
+            cmd.args(["--metrics", metrics.to_str().unwrap()]);
+        }
+        let out = cmd
+            .args(["--out", html_path.to_str().unwrap()])
+            .output()
+            .expect("spawn sper report");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "sper report on deep input ({}): {}",
+            trace.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let html = read_to_string(&html_path);
+        assert!(html.contains("deep.survivor"), "the valid span was lost");
+        assert!(
+            !html.contains("Latency percentiles"),
+            "the deep metrics file should be skipped"
+        );
+    }
 }

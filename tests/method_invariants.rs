@@ -113,7 +113,7 @@ fn lazy_weights_match_materialized_graph() {
     let mut blocks = TokenBlocking::default().build(&data.profiles);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
-    let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
+    let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
     for (pair, w) in graph.edges().take(2_000) {
         let lazy = index.weight(pair.first, pair.second, WeightingScheme::Arcs);
         assert!((lazy - w).abs() < 1e-9, "{pair:?}: {lazy} vs {w}");
