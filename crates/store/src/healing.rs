@@ -419,8 +419,17 @@ mod tests {
         s.get(*b"DATA").expect("DATA section")[0]
     }
 
+    /// Holds the failpoint registry's test lock with nothing armed. Every
+    /// test here that writes through `write_rotated` takes it (the fault
+    /// test by arming its schedule): a concurrently running write would
+    /// otherwise consume the armed `store.rename` fault.
+    fn unarmed() -> sper_obs::fault::Armed {
+        sper_obs::fault::arm_scoped("").expect("empty spec")
+    }
+
     #[test]
     fn rotation_keeps_the_previous_generation() {
+        let _serial = unarmed();
         let d = dir("rotate");
         let path = d.join("run.sper");
         store_with(1).write_rotated(&path).unwrap();
@@ -437,6 +446,7 @@ mod tests {
 
     #[test]
     fn fallback_reads_prev_when_current_is_corrupt() {
+        let _serial = unarmed();
         let d = dir("fallback");
         let path = d.join("run.sper");
         store_with(1).write_rotated(&path).unwrap();
@@ -454,6 +464,7 @@ mod tests {
 
     #[test]
     fn both_generations_torn_is_a_typed_error_not_a_panic() {
+        let _serial = unarmed();
         let d = dir("torn");
         let path = d.join("run.sper");
         store_with(1).write_rotated(&path).unwrap();
