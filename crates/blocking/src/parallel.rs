@@ -145,8 +145,8 @@ impl Parallelism {
     ///
     /// This is the fan-out for a few large independent items, where
     /// stealing has nothing to balance: the Neighbor List sorts its
-    /// per-worker placement runs with it, and the emission list its
-    /// per-worker slices of a refill batch.
+    /// per-worker placement runs with it, and the emission list prepares
+    /// the first sorted tier of each run of a refill.
     pub fn for_each_mut<T, F>(self, items: &mut [T], f: F)
     where
         T: Send,

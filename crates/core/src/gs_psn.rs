@@ -18,7 +18,10 @@ use sper_model::{Pair, ProfileCollection, ProfileId};
 /// Accumulates co-occurrence frequencies over every window in `[1, wmax]`
 /// for the profiles of `range` — the unit of work of the initialization
 /// fan-out, on the dense scratch of the worker running it (touched-list
-/// reset).
+/// reset). The windows `1..=wmax` around a placement are exactly the
+/// `wmax` positions on each side of it, so each placement scans two slices
+/// of the Neighbor List; frequencies are counts, hence independent of the
+/// scan order.
 fn weight_all_windows_range(
     profiles: &ProfileCollection,
     nl: &NeighborList,
@@ -28,16 +31,18 @@ fn weight_all_windows_range(
     scratch: &mut CooccurrenceScratch,
 ) -> Vec<Comparison> {
     let pi = nl.position_index();
+    let list = nl.as_slice();
     let mut batch: Vec<Comparison> = Vec::new();
     for i in range {
         let i = ProfileId(i);
+        let valid = crate::similarity_neighbor_ids(profiles, i);
         for &pos in pi.positions_of(i) {
-            for w in 1..=wmax as isize {
-                for probe in [pos as isize + w, pos as isize - w] {
-                    let Some(j) = nl.get(probe) else { continue };
-                    if j != i && crate::is_valid_similarity_neighbor(profiles, i, j) {
-                        scratch.bump(j);
-                    }
+            let pos = pos as usize;
+            let before = &list[pos.saturating_sub(wmax)..pos];
+            let after = &list[pos + 1..(pos + 1 + wmax).min(list.len())];
+            for &j in before.iter().chain(after) {
+                if valid.contains(&j.0) {
+                    scratch.bump(j);
                 }
             }
         }
@@ -64,7 +69,8 @@ impl GsPsn {
     pub const WMAX_HETEROGENEOUS: usize = 200;
 
     /// Initialization phase: one weighting pass accumulating co-occurrences
-    /// over every window size in `[1, wmax]`, followed by a global sort.
+    /// over every window size in `[1, wmax]`; the Comparison List orders
+    /// the result lazily, one tier at a time as it is emitted.
     ///
     /// ```
     /// use sper_core::gs_psn::GsPsn;
@@ -109,8 +115,9 @@ impl GsPsn {
 
     /// Like [`Self::from_neighbor_list`], accumulating the `[1, wmax]`
     /// window weights on up to `par` workers (work-stealing profile
-    /// ranges, per-worker frequency scratch) and sorting the list on them.
-    /// Emission order is identical at every worker count.
+    /// ranges, per-worker frequency scratch) and preparing the first tier
+    /// of each range's run on them. Emission order is identical at every
+    /// worker count.
     pub fn from_neighbor_list_par(
         profiles: &ProfileCollection,
         nl: NeighborList,
@@ -129,8 +136,9 @@ impl GsPsn {
         let iterated = crate::iterated_profile_range(profiles);
         let nl_ref = &nl;
         // Work-stealing chunks with a per-worker frequency scratch; each
-        // chunk's batch is a pure function of its profile range, so the
-        // chunk-order concatenation is the same at every worker count.
+        // chunk's batch is a pure function of its profile range and becomes
+        // one run of the Comparison List, which emits the union of the runs
+        // in one order whatever the chunking.
         let chunks = par.steal_chunks(
             iterated.len(),
             sper_blocking::STEAL_MIN_CHUNK,
@@ -146,11 +154,10 @@ impl GsPsn {
                 )
             },
         );
-        let batch = crate::concat_chunks(chunks);
 
         let mut list = EmissionList::new(par);
         let nl_len = nl.len();
-        list.refill(batch);
+        list.refill(chunks);
         Self { list, wmax, nl_len }
     }
 
@@ -173,8 +180,11 @@ impl GsPsn {
 impl Iterator for GsPsn {
     type Item = Comparison;
 
-    /// Emission phase: just returns the next best comparison — `O(1)`,
-    /// no repeats — until the precomputed list is exhausted.
+    /// Emission phase: returns the next best comparison, no repeats,
+    /// until the precomputed list is exhausted. Most calls read the next
+    /// slot of an already sorted tier; once a run's tier is used up, one
+    /// call also selects and sorts that run's next tier (at most 4,096
+    /// comparisons).
     fn next(&mut self) -> Option<Comparison> {
         self.list.remove_first()
     }
@@ -191,7 +201,7 @@ mod tests {
     use super::*;
     use sper_blocking::fixtures::{fig3_ground_truth, fig3_profiles};
     use sper_model::ProfileCollectionBuilder;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn emits_no_repeated_comparison() {
@@ -260,6 +270,62 @@ mod tests {
         let coll = b.build();
         for c in GsPsn::new(&coll, 0, 10) {
             assert!(coll.is_valid_comparison(c.pair.first, c.pair.second));
+        }
+    }
+
+    #[test]
+    fn window_scan_counts_what_window_probes_count() {
+        // Reference: Algorithm 1's probes at distances 1..=wmax on both
+        // sides of every placement, validity read from the profile sources.
+        let clean = {
+            let mut b = ProfileCollectionBuilder::clean_clean();
+            for v in ["alpha beta", "beta gamma", "gamma alpha beta"] {
+                b.add_profile([("t", v)]);
+            }
+            b.start_second_source();
+            for v in ["alpha gamma", "beta", "alpha beta gamma delta"] {
+                b.add_profile([("t", v)]);
+            }
+            b.build()
+        };
+        for coll in [fig3_profiles(), clean] {
+            let nl = NeighborList::build(&coll, 7);
+            let pi = nl.position_index();
+            let iterated = crate::iterated_profile_range(&coll);
+            for wmax in [1usize, 2, 3, 5, 40] {
+                let mut expected: HashMap<Pair, f64> = HashMap::new();
+                for i in iterated.clone().map(ProfileId) {
+                    for &pos in pi.positions_of(i) {
+                        for w in 1..=wmax as isize {
+                            for probe in [pos as isize + w, pos as isize - w] {
+                                let Some(j) = nl.get(probe) else { continue };
+                                let valid = match coll.kind() {
+                                    sper_model::ErKind::Dirty => j < i,
+                                    sper_model::ErKind::CleanClean => {
+                                        coll.source_of(j) == sper_model::SourceId::SECOND
+                                    }
+                                };
+                                if valid {
+                                    *expected.entry(Pair::new(i, j)).or_default() += 1.0;
+                                }
+                            }
+                        }
+                    }
+                }
+                let mut scratch = CooccurrenceScratch::new(coll.len());
+                let batch = weight_all_windows_range(
+                    &coll,
+                    &nl,
+                    wmax,
+                    NeighborWeighting::Frequency,
+                    iterated.clone(),
+                    &mut scratch,
+                );
+                let scanned: HashMap<Pair, f64> =
+                    batch.iter().map(|c| (c.pair, c.weight)).collect();
+                assert_eq!(scanned.len(), batch.len(), "one comparison per pair");
+                assert_eq!(scanned, expected, "wmax = {wmax}");
+            }
         }
     }
 

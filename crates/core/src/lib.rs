@@ -44,31 +44,24 @@ pub use rcf::{rcf_weight, NeighborWeighting};
 // consumers don't need a direct sper-blocking dependency.
 pub use sper_blocking::{Parallelism, ZeroThreads};
 
-use sper_model::{ErKind, Pair, ProfileCollection, ProfileId, SourceId};
+use sper_model::{ErKind, Pair, ProfileCollection, ProfileId};
 
-/// Whether `j` is a valid neighbor for the *iterated* profile `i` in the
+/// The ids that are valid neighbors of the *iterated* profile `i` in the
 /// similarity-based weighting passes (Algorithm 1 lines 10/14): Dirty ER
 /// counts each pair from its larger endpoint only (`j < i`); Clean-clean
-/// ER iterates `P1` profiles and accepts `P2` neighbors only.
+/// ER iterates `P1` profiles and accepts `P2` neighbors only, which are
+/// the ids from `len_first` on because every collection numbers `P1`
+/// first. One range per iterated profile keeps the probe loop free of
+/// per-neighbor profile lookups.
 #[inline]
-pub(crate) fn is_valid_similarity_neighbor(
+pub(crate) fn similarity_neighbor_ids(
     profiles: &ProfileCollection,
     i: ProfileId,
-    j: ProfileId,
-) -> bool {
+) -> std::ops::Range<u32> {
     match profiles.kind() {
-        ErKind::Dirty => j < i,
-        ErKind::CleanClean => profiles.source_of(j) == SourceId::SECOND,
+        ErKind::Dirty => 0..i.0,
+        ErKind::CleanClean => profiles.len_first() as u32..profiles.len() as u32,
     }
-}
-
-/// Concatenates per-chunk batches of a [`Parallelism::steal_chunks`]
-/// fan-out in chunk order; a single chunk passes through without a copy.
-pub(crate) fn concat_chunks(mut chunks: Vec<Vec<Comparison>>) -> Vec<Comparison> {
-    if chunks.len() == 1 {
-        return chunks.pop().expect("one chunk");
-    }
-    chunks.concat()
 }
 
 /// Profiles iterated by the similarity-based weighting passes: all of them

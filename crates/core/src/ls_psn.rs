@@ -36,13 +36,12 @@ fn weight_window_range(
     let mut batch: Vec<Comparison> = Vec::new();
     for i in range {
         let i = ProfileId(i);
+        let valid = crate::similarity_neighbor_ids(profiles, i);
         for &pos in pi.positions_of(i) {
             for probe in [pos as isize + w, pos as isize - w] {
-                let Some(j) = nl.get(probe) else {
-                    continue;
-                };
-                if j != i && crate::is_valid_similarity_neighbor(profiles, i, j) {
-                    scratch.bump(j);
+                match nl.get(probe) {
+                    Some(j) if valid.contains(&j.0) => scratch.bump(j),
+                    _ => {}
                 }
             }
         }
@@ -106,8 +105,8 @@ impl<'a> LsPsn<'a> {
 
     /// Like [`Self::from_neighbor_list`], weighting each window's
     /// comparisons on up to `par` workers (work-stealing profile ranges,
-    /// per-worker scratch) and sorting each refill on them. Emission order
-    /// is identical at every worker count.
+    /// per-worker scratch) and preparing each refill on them. Emission
+    /// order is identical at every worker count.
     pub fn from_neighbor_list_par(
         profiles: &'a ProfileCollection,
         nl: NeighborList,
@@ -144,8 +143,9 @@ impl<'a> LsPsn<'a> {
         let par = self.list.parallelism().break_even(iterated.len());
         let (profiles, nl, weighting) = (self.profiles, &self.nl, self.weighting);
         // Work-stealing chunks with a per-worker scratch; each chunk's
-        // batch is a pure function of its profile range, so the chunk-order
-        // concatenation is the same at every worker count.
+        // batch is a pure function of its profile range and becomes one run
+        // of the Comparison List, so emission is the same at every worker
+        // count.
         let chunks = par.steal_chunks(
             iterated.len(),
             sper_blocking::STEAL_MIN_CHUNK,
@@ -155,7 +155,7 @@ impl<'a> LsPsn<'a> {
                 weight_window_range(profiles, nl, weighting, w, range, scratch)
             },
         );
-        self.list.refill(crate::concat_chunks(chunks));
+        self.list.refill(chunks);
     }
 }
 

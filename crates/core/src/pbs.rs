@@ -73,10 +73,10 @@ impl Pbs {
     }
 
     /// Like [`Self::from_blocks`], weighting each large scheduled block's
-    /// comparisons on up to `par` workers and sorting each refill on them.
-    /// Emission order is identical at every worker count: the LeCoBI dedup
-    /// is a per-pair predicate and the batch concatenation preserves the
-    /// block's comparison order.
+    /// comparisons on up to `par` workers and preparing each refill on
+    /// them. Emission order is identical at every worker count: the LeCoBI
+    /// dedup is a per-pair predicate, so the union of the chunk batches is
+    /// the block's comparison set whatever the chunking.
     pub fn from_blocks_par(
         mut blocks: BlockCollection,
         scheme: WeightingScheme,
@@ -228,33 +228,38 @@ impl Pbs {
     fn fill_next_block(&mut self) -> bool {
         while self.next_block < self.blocks.len() {
             let bid = BlockId(self.next_block as u32);
+            self.next_block += 1;
             // Most token blocks are tiny; below the spawn break-even the
             // fan-out would cost more than the weighting it distributes.
             let cardinality = self.blocks.cardinality(bid) as usize;
             let par = self.list.parallelism().break_even(cardinality);
-            let mut batch: Vec<Comparison> = Vec::new();
             if par.is_sequential() {
+                let mut batch: Vec<Comparison> = Vec::new();
                 self.fill_block_sequential(bid, &mut batch);
+                if batch.is_empty() {
+                    continue;
+                }
+                self.list.refill([batch]);
             } else {
                 let kind = self.blocks.kind();
                 let pairs = self.blocks.get(bid).comparisons(kind);
                 let (index, scheme) = (&self.index, self.scheme);
                 // Work-stealing chunks (no per-worker scratch: the LeCoBI
-                // filter and weighting read shared state only); the batch
-                // is a pure function of the pair range, so chunk-order
-                // concatenation reproduces the fixed-range output.
-                batch = crate::concat_chunks(par.steal_chunks(
+                // filter and weighting read shared state only); each
+                // chunk's batch is a pure function of its pair range and
+                // becomes one run of the Comparison List.
+                let chunks = par.steal_chunks(
                     pairs.len(),
                     sper_blocking::STEAL_MIN_CHUNK,
                     || (),
                     |(), range, _chunk| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
-                ));
+                );
+                if chunks.iter().all(Vec::is_empty) {
+                    continue;
+                }
+                self.list.refill(chunks);
             }
-            self.next_block += 1;
-            if !batch.is_empty() {
-                self.list.refill(batch);
-                return true;
-            }
+            return true;
         }
         false
     }

@@ -143,7 +143,7 @@ impl Pps {
     /// Like [`Self::from_blocks`], running the Algorithm-5 initialization
     /// (the top-k scheduling pass — PPS's dominant cost) over work-stealing
     /// profile ranges on up to `par` workers with per-worker scratch, and
-    /// sorting each refill on them. The Sorted Profile List and the
+    /// preparing each refill on them. The Sorted Profile List and the
     /// emission order are identical at every worker count.
     pub fn from_blocks_par(
         mut blocks: BlockCollection,
@@ -223,7 +223,7 @@ impl Pps {
             .into_iter()
             .map(|(pair, w)| Comparison::new(pair, w))
             .collect();
-        self.list.refill(batch);
+        self.list.refill([batch]);
     }
 
     /// Algorithm 6 lines 4–19: schedule the next profile and gather its
@@ -252,10 +252,13 @@ impl Pps {
                 batch.push(Comparison::new(Pair::new(i, j), w));
             }
             self.acc.reset();
-            // SortedStack semantics: keep only the Kmax best.
-            batch.sort_by(crate::emission_order);
-            batch.truncate(self.kmax);
-            self.list.refill(batch);
+            // SortedStack semantics: keep only the Kmax best, selected
+            // rather than sorted — the Comparison List orders them.
+            if batch.len() > self.kmax {
+                batch.select_nth_unstable_by(self.kmax, crate::emission_order);
+                batch.truncate(self.kmax);
+            }
+            self.list.refill([batch]);
             return true;
         }
         false

@@ -276,14 +276,9 @@ proptest! {
     }
 }
 
-/// Above the spawn break-even (`MIN_PARALLEL_BATCH`) the advanced methods
-/// genuinely shard — parallel window weighting, per-block fan-out, sharded
-/// refills — and the emission sequence must still match the sequential
-/// engine exactly. 2 600 profiles put the iterated range, the hub block's
-/// pair list (C(70,2) = 2 415 pairs) and the refill batches all above the
-/// threshold.
-#[test]
-fn parallel_paths_engage_above_spawn_threshold() {
+/// The deterministic 2,600-profile dirty collection of the walls below:
+/// 1,300 token pairs plus a 70-profile hub block.
+fn hub_collection() -> ProfileCollection {
     let mut b = ProfileCollectionBuilder::dirty();
     for i in 0..2_600u32 {
         let mut text = format!("t{}", i % 1_300);
@@ -292,7 +287,52 @@ fn parallel_paths_engage_above_spawn_threshold() {
         }
         b.add_profile([("t", text)]);
     }
-    let coll = b.build();
+    b.build()
+}
+
+/// A full GS-PSN drain whose batch spans many sort tiers, as one run (one
+/// worker) and as one run per work-stealing chunk (two workers): every
+/// pair comes out once, in strictly increasing `emission_order`, and the
+/// drain is exactly as long as `remaining()` promised after construction.
+#[test]
+fn gs_psn_full_drain_is_the_sorted_batch_at_every_worker_count() {
+    let coll = hub_collection();
+    let mut drains = Vec::new();
+    for threads in [1usize, 2] {
+        let nl = NeighborList::build(&coll, 42);
+        let par = Parallelism::new(threads).unwrap();
+        let gs = GsPsn::from_neighbor_list_par(&coll, nl, 64, Default::default(), par);
+        let promised = gs.remaining();
+        // Two workers split the batch into 16 runs; each must still span
+        // several 4,096-comparison tiers.
+        assert!(
+            promised > 16 * 2 * 4_096,
+            "batch of {promised} is too small"
+        );
+        let drain: Vec<Comparison> = gs.collect();
+        assert_eq!(drain.len(), promised, "threads = {threads}");
+        let distinct: HashSet<Pair> = drain.iter().map(|c| c.pair).collect();
+        assert_eq!(distinct.len(), drain.len(), "threads = {threads}");
+        assert!(
+            drain
+                .windows(2)
+                .all(|w| sper_core::emission_order(&w[0], &w[1]).is_lt()),
+            "threads = {threads}: drain is not strictly increasing"
+        );
+        drains.push(drain);
+    }
+    assert_eq!(drains[0], drains[1]);
+}
+
+/// Above the spawn break-even (`MIN_PARALLEL_BATCH`) the advanced methods
+/// genuinely shard — parallel window weighting, per-block fan-out, sharded
+/// refills — and the emission sequence must still match the sequential
+/// engine exactly. 2 600 profiles put the iterated range, the hub block's
+/// pair list (C(70,2) = 2 415 pairs) and the refill batches all above the
+/// threshold.
+#[test]
+fn parallel_paths_engage_above_spawn_threshold() {
+    let coll = hub_collection();
     let config_at = |t: usize| {
         let mut c = MethodConfig {
             wmax: 3,

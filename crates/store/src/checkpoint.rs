@@ -407,6 +407,14 @@ fn decode_method_config(d: &mut Decoder<'_>) -> Result<MethodConfig, StoreError>
     let wmax = scalar(d)?;
     let lmin = scalar(d)?;
     let kmax = scalar(d)?;
+    // GS-PSN and PPS refuse a zero window bound or profile cap; no writer
+    // produces one, and a resumed session would panic on it.
+    if wmax == 0 {
+        return Err(d.corrupt("zero wmax"));
+    }
+    if kmax == 0 {
+        return Err(d.corrupt("zero kmax"));
+    }
     let scheme = WeightingScheme::from_code(d.u8()?)
         .ok_or_else(|| d.corrupt("unknown weighting-scheme code"))?;
     let neighbor_weighting = NeighborWeighting::from_code(d.u8()?)

@@ -387,6 +387,30 @@ fn semantically_corrupt_tombstones_are_typed() {
 }
 
 #[test]
+fn zero_wmax_or_kmax_is_corrupt() {
+    // Checkpointed before the first epoch: emitting one would already
+    // panic on the zero, which is what a resumed session must never reach.
+    for method in [ProgressiveMethod::GsPsn, ProgressiveMethod::Pps] {
+        let mut config = SessionConfig::new(method);
+        if method == ProgressiveMethod::GsPsn {
+            config.config.wmax = 0;
+        } else {
+            config.config.kmax = 0;
+        }
+        let mut session =
+            ProgressiveSession::new(ProfileCollectionBuilder::dirty().build(), config);
+        session.ingest_batch(
+            ["carl white", "karl white", "emma white"].map(|v| vec![Attribute::new("t", v)]),
+        );
+        let bytes = SessionCheckpoint::of(&session).to_store().to_bytes();
+        assert!(
+            matches!(load_checkpoint(&bytes), Err(StoreError::Corrupt { .. })),
+            "{method} checkpoint with a zero parameter loaded"
+        );
+    }
+}
+
+#[test]
 fn missing_required_section_is_typed() {
     let store = Store::new();
     assert!(matches!(
