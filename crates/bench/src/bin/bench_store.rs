@@ -16,11 +16,14 @@
 //!   index + neighbor list from raw profiles (tokenize, hash, sort);
 //! * **snapshot write / load** — the same substrates through the store's
 //!   sectioned binary format (array dumps + CRC32, no tokenization);
-//! * **checkpoint write / load / resume** — a budgeted PPS streaming
-//!   session persisted mid-run and rehydrated.
+//! * **checkpoint write / load** — a budgeted PPS streaming session saved
+//!   mid-run by `CheckpointWriter::save` (encoded from the live session,
+//!   streamed to a temp directory, fsynced, rotated) and parsed back.
 //!
 //! The loaded substrates are verified bit-identical to the built ones, so
-//! the recorded speedup is for an exact replacement, not an approximation.
+//! the recorded speedup is for an exact replacement, not an approximation,
+//! and the saved checkpoint is verified byte-identical to the encoding of
+//! the session's owned copy.
 
 use serde::Serialize;
 use sper_bench::peak_bytes;
@@ -28,7 +31,7 @@ use sper_blocking::{NeighborList, ProfileIndex, TokenBlocking};
 use sper_core::ProgressiveMethod;
 use sper_datagen::{DatasetKind, DatasetSpec};
 use sper_obs::{event, Level};
-use sper_store::{SessionCheckpoint, Snapshot, Store};
+use sper_store::{CheckpointOutcome, CheckpointWriter, SessionCheckpoint, Snapshot, Store};
 use sper_stream::{ProgressiveSession, SessionConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,8 +61,15 @@ struct Report {
     snapshot_bytes: usize,
     /// Loaded substrates verified bit-identical to the built ones.
     identical: bool,
-    /// Mid-stream session state → store bytes.
+    /// Mid-stream session → committed checkpoint file, through
+    /// `CheckpointWriter::save`: encode from the live session, streamed
+    /// write to a temp directory, fsyncs and rotation.
     checkpoint_write_ms: f64,
+    /// High-water allocation of one checkpoint save, bytes.
+    checkpoint_write_peak_bytes: usize,
+    /// The saved file equals the bytes encoded from the session's owned
+    /// copy (`SessionCheckpoint::of`).
+    checkpoint_identical: bool,
     /// Store bytes → validated, resumable session state.
     checkpoint_load_ms: f64,
     /// High-water allocation of one checkpoint load, bytes.
@@ -179,11 +189,22 @@ fn main() {
         session.emit_epoch(Some(500));
     }
     let checkpoint_epochs = session.reports().len();
-    let ck_bytes = SessionCheckpoint::of(&session).to_store().to_bytes();
+    let ck_dir = std::env::temp_dir().join(format!("sper-bench-store-{}", std::process::id()));
+    if let Err(e) = std::fs::create_dir_all(&ck_dir) {
+        eprintln!("error: {}: {e}", ck_dir.display());
+        std::process::exit(1);
+    }
+    let mut writer = CheckpointWriter::new(ck_dir.join("session.sper"));
+    let mut save = || {
+        let outcome = writer.save(&session).expect("checkpoint saves");
+        assert_eq!(outcome, CheckpointOutcome::Saved);
+    };
+    let checkpoint_write_ms = median_ms(iters, &mut save);
+    let ((), checkpoint_write_peak_bytes) = peak_bytes(save);
+    let ck_bytes = std::fs::read(writer.path()).expect("saved checkpoint reads");
+    let _ = std::fs::remove_dir_all(&ck_dir);
     let checkpoint_bytes = ck_bytes.len();
-    let checkpoint_write_ms = median_ms(iters, || {
-        std::hint::black_box(SessionCheckpoint::of(&session).to_store().to_bytes());
-    });
+    let checkpoint_identical = ck_bytes == SessionCheckpoint::of(&session).to_store().to_bytes();
     let checkpoint_load_ms = median_ms(iters, || {
         let store = Store::from_bytes(&ck_bytes).expect("clean bytes parse");
         std::hint::black_box(
@@ -210,13 +231,15 @@ fn main() {
         snapshot_bytes,
         identical,
         checkpoint_write_ms,
+        checkpoint_write_peak_bytes,
+        checkpoint_identical,
         checkpoint_load_ms,
         checkpoint_load_peak_bytes,
         checkpoint_bytes,
         checkpoint_epochs,
     };
     println!(
-        "cold rebuild      {:>9.3} ms\nsnapshot write    {:>9.3} ms\nsnapshot load     {:>9.3} ms   ({:.2}x faster than rebuild)\nsnapshot size     {:>9} bytes   identical {}\ncheckpoint write  {:>9.3} ms\ncheckpoint load   {:>9.3} ms\ncheckpoint size   {:>9} bytes   ({} epochs)",
+        "cold rebuild      {:>9.3} ms\nsnapshot write    {:>9.3} ms\nsnapshot load     {:>9.3} ms   ({:.2}x faster than rebuild)\nsnapshot size     {:>9} bytes   identical {}\ncheckpoint write  {:>9.3} ms   identical {}\ncheckpoint load   {:>9.3} ms\ncheckpoint size   {:>9} bytes   ({} epochs)",
         report.cold_rebuild_ms,
         report.snapshot_write_ms,
         report.snapshot_load_ms,
@@ -224,6 +247,7 @@ fn main() {
         report.snapshot_bytes,
         report.identical,
         report.checkpoint_write_ms,
+        report.checkpoint_identical,
         report.checkpoint_load_ms,
         report.checkpoint_bytes,
         report.checkpoint_epochs,

@@ -1,15 +1,16 @@
 //! Session checkpoints: persisting a [`ProgressiveSession`]'s complete
 //! transferable state so a later process resumes it mid-stream.
 //!
-//! A checkpoint file captures the [`SessionState`] a session dehydrates
-//! to: method + configuration, the ingested collection, the live
-//! incremental substrate (blocks *or* neighbor-list runs — each method
-//! maintains at most one), the cross-epoch emitted-pair filter, and the
-//! epoch reports (whose length is the emission cursor). Resuming
-//! rehydrates a session whose every future epoch is **bit-identical** to
-//! what the uninterrupted session would have emitted — the guarantee the
-//! kill/resume property test in `tests/resume.rs` pins for every
-//! streamable method.
+//! A checkpoint file captures a session's transferable state, encoded
+//! from a [`SessionView`] — borrowed from the live session, or from an
+//! owned [`SessionState`]: method + configuration, the ingested
+//! collection, the live incremental substrate (blocks *or* neighbor-list
+//! runs — each method maintains at most one), the cross-epoch
+//! emitted-pair filter, and the epoch reports (whose length is the
+//! emission cursor). Resuming rehydrates a session whose every future
+//! epoch is **bit-identical** to what the uninterrupted session would
+//! have emitted — the guarantee the kill/resume property test in
+//! `tests/resume.rs` pins for every streamable method.
 //!
 //! Sections: `SESS` (method, config, counters) is required; `PROF` is
 //! required; `INTR` + `ITBK` or `INTR` + `INLR` carry the substrate when
@@ -45,7 +46,7 @@ use sper_core::{MethodConfig, NeighborWeighting, Parallelism, ProgressiveMethod}
 use sper_model::{Pair, ProfileId};
 use sper_stream::{
     CompactionPolicy, EpochReport, IncrementalNeighborList, IncrementalTokenBlocking,
-    ProgressiveSession, SessionState,
+    ProgressiveSession, SessionState, SessionView,
 };
 use sper_text::TokenId;
 use std::path::Path;
@@ -71,7 +72,7 @@ pub const TAG_TOMBSTONES: Tag = *b"TOMB";
 /// ```no_run
 /// use sper_core::ProgressiveMethod;
 /// use sper_model::ProfileCollectionBuilder;
-/// use sper_store::SessionCheckpoint;
+/// use sper_store::{CheckpointWriter, SessionCheckpoint};
 /// use sper_stream::{ProgressiveSession, SessionConfig};
 ///
 /// # fn main() -> Result<(), sper_store::StoreError> {
@@ -79,8 +80,9 @@ pub const TAG_TOMBSTONES: Tag = *b"TOMB";
 ///     ProfileCollectionBuilder::dirty().build(),
 ///     SessionConfig::exhaustive(ProgressiveMethod::Pps),
 /// );
-/// // … ingest and emit epochs, then persist at a budget boundary:
-/// SessionCheckpoint::of(&session).write_to_path("run.sper".as_ref())?;
+/// // … ingest and emit epochs, then persist at a budget boundary,
+/// // encoding straight from the live session:
+/// CheckpointWriter::new("run.sper").save(&session)?;
 /// // … later, in a fresh process:
 /// let mut resumed = SessionCheckpoint::read_from_path("run.sper".as_ref())?.resume();
 /// resumed.emit_epoch(None); // exactly what the original would have emitted
@@ -94,14 +96,14 @@ pub struct SessionCheckpoint {
 }
 
 impl SessionCheckpoint {
-    /// Captures a session's current state.
-    ///
-    /// This clones the state out of the live session (`dehydrate`), so
-    /// the checkpoint stays valid while the session keeps running; the
-    /// copy is the dominant cost of a checkpoint (~tens of ms per 10⁴
-    /// profiles — see `BENCH_store.json`). A borrow-based encode path is
-    /// a possible future optimization if checkpoint cadence ever needs
-    /// to be per-emission rather than per-epoch.
+    /// Captures a session's current state as an owned copy
+    /// (`dehydrate`), so the checkpoint stays valid while the session
+    /// keeps running — or is handed to [`resume`](Self::resume) in the
+    /// same process. The copy costs as much memory as the session's
+    /// collection and substrate. To save a running session, use
+    /// [`CheckpointWriter::save`](crate::CheckpointWriter::save), which
+    /// encodes straight from [`ProgressiveSession::view`] and copies
+    /// nothing.
     pub fn of(session: &ProgressiveSession) -> Self {
         Self {
             state: session.dehydrate(),
@@ -115,76 +117,7 @@ impl SessionCheckpoint {
 
     /// Serializes the checkpoint into a sectioned store.
     pub fn to_store(&self) -> Store {
-        let state = &self.state;
-        let mut store = Store::new();
-
-        let mut e = Encoder::new();
-        e.u8(state.method.code());
-        encode_method_config(&mut e, &state.config);
-        e.u64(state.pending_ingest as u64);
-        e.u8(state.blocks.is_some() as u8);
-        e.u8(state.nl.is_some() as u8);
-        store.push(TAG_SESSION, e.into_bytes());
-
-        store.push(TAG_PROFILES, encode_profiles(&state.profiles));
-
-        // Mutation state (format v2). Always written — an empty section
-        // keeps the byte layout a pure function of the state, and the
-        // reader's v1 fallback only triggers on files that truly predate
-        // the section.
-        let mut e = Encoder::new();
-        e.f64(state.compaction.tombstone_ratio);
-        e.u64(state.retracted.len() as u64);
-        for p in &state.retracted {
-            e.u32(p.0);
-        }
-        e.u64(state.pending_tombstones.len() as u64);
-        for p in &state.pending_tombstones {
-            e.u32(p.0);
-        }
-        store.push(TAG_TOMBSTONES, e.into_bytes());
-
-        if let Some(blocks) = &state.blocks {
-            store.push(TAG_INTERNER, encode_interner(blocks.interner()));
-            let mut e = Encoder::new();
-            let live = encode_live_blocks(blocks.blocks());
-            e.u64(live.len() as u64);
-            let mut payload = e.into_bytes();
-            payload.extend_from_slice(&live);
-            payload.extend_from_slice(&encode_incremental_index(blocks.profile_index()));
-            store.push(TAG_LIVE_BLOCKS, payload);
-        } else if let Some(nl) = &state.nl {
-            store.push(TAG_INTERNER, encode_interner(nl.interner()));
-            store.push(TAG_NL_RUNS, encode_nl_runs(nl));
-        }
-
-        let mut e = Encoder::new();
-        e.u64(state.emitted.len() as u64);
-        for p in &state.emitted {
-            e.u32(p.first.0);
-            e.u32(p.second.0);
-        }
-        store.push(TAG_EMITTED, e.into_bytes());
-
-        let mut e = Encoder::new();
-        e.u64(state.reports.len() as u64);
-        for r in &state.reports {
-            e.u64(r.epoch as u64);
-            e.u64(r.ingested as u64);
-            e.u64(r.profiles_total as u64);
-            e.u64(r.raw_emissions);
-            e.u64(r.new_emissions);
-            e.u64(r.suppressed);
-            // Timing state is never persisted: it describes the machine
-            // the epoch ran on, not the session's resumable state. The two
-            // wire slots that historically carried init/emission nanos are
-            // kept (layout compatibility) but always written as zero.
-            e.u64(0);
-            e.u64(0);
-        }
-        store.push(TAG_REPORTS, e.into_bytes());
-
-        store
+        encode_checkpoint(&self.state.view())
     }
 
     /// Deserializes a checkpoint from a sectioned store, validating every
@@ -328,7 +261,7 @@ impl SessionCheckpoint {
             let new_emissions = d.u64()?;
             let suppressed = d.u64()?;
             // Drain the two legacy timing slots; restored reports always
-            // carry zeroed timings (see `to_store`).
+            // carry zeroed timings (see `encode_checkpoint`).
             let _ = d.u64()?;
             let _ = d.u64()?;
             reports.push(EpochReport {
@@ -365,8 +298,10 @@ impl SessionCheckpoint {
 
     /// Writes the checkpoint to a file (atomically, via temp + rename).
     pub fn write_to_path(&self, path: &Path) -> Result<(), StoreError> {
-        let _span = sper_obs::span!("store.checkpoint_write");
-        self.to_store().write_to_path(path)
+        let mut span = sper_obs::span!("store.checkpoint_write");
+        let store = self.to_store();
+        span.record("bytes", store.byte_len());
+        store.write_to_path(path)
     }
 
     /// Reads a checkpoint file.
@@ -374,6 +309,83 @@ impl SessionCheckpoint {
         let _span = sper_obs::span!("store.checkpoint_read");
         Self::from_store(&Store::read_from_path(path)?)
     }
+}
+
+/// The checkpoint encoder: a session view to its sections, in file
+/// order. Both [`SessionCheckpoint::to_store`] and
+/// [`CheckpointWriter`](crate::CheckpointWriter) saves come through here,
+/// so a file's bytes depend only on the state, never on the path that
+/// wrote it.
+pub(crate) fn encode_checkpoint(view: &SessionView<'_>) -> Store {
+    let mut store = Store::new();
+
+    let mut e = Encoder::new();
+    e.u8(view.method.code());
+    encode_method_config(&mut e, view.config);
+    e.u64(view.pending_ingest as u64);
+    e.u8(view.blocks.is_some() as u8);
+    e.u8(view.nl.is_some() as u8);
+    store.push(TAG_SESSION, e.into_bytes());
+
+    store.push(TAG_PROFILES, encode_profiles(view.profiles));
+
+    // Mutation state (format v2). Always written — an empty section
+    // keeps the byte layout a pure function of the state, and the
+    // reader's v1 fallback only triggers on files that truly predate
+    // the section.
+    let mut e = Encoder::new();
+    e.f64(view.compaction.tombstone_ratio);
+    e.u64(view.retracted.len() as u64);
+    for p in view.retracted.iter() {
+        e.u32(p.0);
+    }
+    e.u64(view.pending_tombstones.len() as u64);
+    for p in view.pending_tombstones.iter() {
+        e.u32(p.0);
+    }
+    store.push(TAG_TOMBSTONES, e.into_bytes());
+
+    if let Some(blocks) = view.blocks {
+        store.push(TAG_INTERNER, encode_interner(blocks.interner()));
+        let mut e = Encoder::new();
+        let live = encode_live_blocks(blocks.blocks());
+        e.u64(live.len() as u64);
+        let mut payload = e.into_bytes();
+        payload.extend_from_slice(&live);
+        payload.extend_from_slice(&encode_incremental_index(blocks.profile_index()));
+        store.push(TAG_LIVE_BLOCKS, payload);
+    } else if let Some(nl) = view.nl {
+        store.push(TAG_INTERNER, encode_interner(nl.interner()));
+        store.push(TAG_NL_RUNS, encode_nl_runs(nl));
+    }
+
+    let mut e = Encoder::new();
+    e.u64(view.emitted.len() as u64);
+    for p in view.emitted.iter() {
+        e.u32(p.first.0);
+        e.u32(p.second.0);
+    }
+    store.push(TAG_EMITTED, e.into_bytes());
+
+    let mut e = Encoder::new();
+    e.u64(view.reports.len() as u64);
+    for r in view.reports {
+        e.u64(r.epoch as u64);
+        e.u64(r.ingested as u64);
+        e.u64(r.profiles_total as u64);
+        e.u64(r.raw_emissions);
+        e.u64(r.new_emissions);
+        e.u64(r.suppressed);
+        // Timing state is never persisted: it describes the machine the
+        // epoch ran on, not the session's resumable state. The two wire
+        // slots that historically carried init/emission nanos are kept
+        // (layout compatibility) but always written as zero.
+        e.u64(0);
+        e.u64(0);
+    }
+    store.push(TAG_REPORTS, e.into_bytes());
+
+    store
 }
 
 fn encode_method_config(e: &mut Encoder, config: &MethodConfig) {

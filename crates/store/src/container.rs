@@ -103,22 +103,43 @@ impl Store {
         self.sections.clone()
     }
 
+    /// The size of the serialized store: the 12-byte header plus each
+    /// section's 16-byte prologue and payload.
+    pub(crate) fn byte_len(&self) -> usize {
+        12 + self
+            .sections
+            .iter()
+            .map(|(_, p)| 16 + p.len())
+            .sum::<usize>()
+    }
+
+    /// The framing of the byte layout: the 12-byte header, then each
+    /// section's 16-byte prologue (tag, payload length, payload CRC-32)
+    /// beside its payload. A section's CRC is computed when the iterator
+    /// reaches it. [`to_bytes`](Self::to_bytes) concatenates the pieces
+    /// and `write_tmp` streams them, so memory and disk share one layout.
+    fn frame(&self) -> ([u8; 12], impl Iterator<Item = ([u8; 16], &[u8])> + '_) {
+        let mut header = [0u8; 12];
+        header[..4].copy_from_slice(&MAGIC);
+        header[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header[8..].copy_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        let sections = self.sections.iter().map(|(tag, payload)| {
+            let mut prologue = [0u8; 16];
+            prologue[..4].copy_from_slice(tag);
+            prologue[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            prologue[12..].copy_from_slice(&crc32_timed(payload).to_le_bytes());
+            (prologue, payload.as_slice())
+        });
+        (header, sections)
+    }
+
     /// Serializes the store to its byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let total: usize = 12
-            + self
-                .sections
-                .iter()
-                .map(|(_, p)| 16 + p.len())
-                .sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (tag, payload) in &self.sections {
-            out.extend_from_slice(tag);
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32_timed(payload).to_le_bytes());
+        let mut out = Vec::with_capacity(self.byte_len());
+        let (header, sections) = self.frame();
+        out.extend_from_slice(&header);
+        for (prologue, payload) in sections {
+            out.extend_from_slice(&prologue);
             out.extend_from_slice(payload);
         }
         out
@@ -187,10 +208,11 @@ impl Store {
     }
 
     /// Writes the store to a file. The write goes through a sibling
-    /// temporary file that is fsynced before the rename, so neither a
-    /// crash mid-write nor a power loss right after the rename leaves a
-    /// half-written store at `path` — the previous file survives intact
-    /// until the new bytes are durable.
+    /// temporary file that is fsynced before the rename, and the
+    /// directory is fsynced after it. A crash mid-write therefore never
+    /// leaves a half-written store at `path`: until the rename the
+    /// previous file is intact, and once this returns `Ok` the new one
+    /// survives a power loss.
     ///
     /// Three failpoints cover the syscall boundaries
     /// (`store.write.section`, `store.fsync`, `store.rename` — see
@@ -202,31 +224,34 @@ impl Store {
         self.write_tmp(&tmp)?;
         sper_obs::fault::failpoint("store.rename")?;
         std::fs::rename(&tmp, path)?;
-        Ok(())
+        sync_parent_dir(path)
     }
 
-    /// Writes the serialized store to `tmp` (create, per-section writes,
-    /// fsync) without the commit rename — shared by the plain and
-    /// last-good-rotating write paths.
+    /// Writes the store to `tmp` (create, per-section writes, fsync)
+    /// without the commit rename — shared by the plain and
+    /// last-good-rotating write paths. Each section's prologue and
+    /// payload go to the file as soon as its CRC is known; the file is
+    /// never assembled in memory.
     pub(crate) fn write_tmp(&self, tmp: &std::path::Path) -> Result<(), StoreError> {
         use std::io::Write as _;
         let mut span = sper_obs::span!("store.write", sections = self.sections.len());
-        let bytes = self.to_bytes();
-        span.record("bytes", bytes.len());
+        span.record("bytes", self.byte_len());
         let mut file = std::fs::File::create(tmp)?;
-        // Write the header, then each section as its own syscall-shaped
-        // chunk so the `store.write.section` failpoint can tear the file
-        // at a realistic boundary (`partial(n)`: n bytes of the section
-        // reach the disk, then the write fails).
-        let mut at = 12.min(bytes.len());
-        file.write_all(&bytes[..at])?;
-        for (_, payload) in &self.sections {
-            let chunk = &bytes[at..at + 16 + payload.len()];
+        let (header, sections) = self.frame();
+        file.write_all(&header)?;
+        // Each section is its own syscall-shaped chunk so the
+        // `store.write.section` failpoint can tear the file at a
+        // realistic boundary (`partial(n)`: the first n bytes of the
+        // section's prologue and payload reach the disk, then the write
+        // fails).
+        for (prologue, payload) in sections {
             match sper_obs::fault::evaluate("store.write.section") {
                 None => {}
                 Some(sper_obs::InjectedFault::Err(e)) => return Err(e.into()),
                 Some(sper_obs::InjectedFault::Partial(n)) => {
-                    file.write_all(&chunk[..n.min(chunk.len())])?;
+                    let head = n.min(prologue.len());
+                    file.write_all(&prologue[..head])?;
+                    file.write_all(&payload[..(n - head).min(payload.len())])?;
                     let _ = file.sync_all();
                     return Err(std::io::Error::other(
                         "injected partial write at store.write.section",
@@ -234,8 +259,8 @@ impl Store {
                     .into());
                 }
             }
-            file.write_all(chunk)?;
-            at += chunk.len();
+            file.write_all(&prologue)?;
+            file.write_all(payload)?;
         }
         sper_obs::fault::failpoint("store.fsync")?;
         file.sync_all()?;
@@ -265,6 +290,23 @@ pub fn tmp_path(path: &std::path::Path) -> std::path::PathBuf {
         .unwrap_or_else(|| "store".into());
     tmp_name.push(".tmp");
     path.with_file_name(tmp_name)
+}
+
+/// Fsyncs the directory holding `path`, so that a rename into it is
+/// durable: without it, a power loss can undo a rename that has already
+/// returned. A failure is a [`StoreError::Io`], which write retries
+/// treat as transient.
+pub(crate) fn sync_parent_dir(path: &std::path::Path) -> Result<(), StoreError> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => std::path::Path::new("."),
+    };
+    // Only Unix can open a directory as a file to fsync it.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 /// Deletes a stale `.tmp` sibling left by a killed writer, if present.
@@ -388,6 +430,19 @@ mod tests {
                 "len {len:#x}"
             );
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn parent_dir_sync_covers_bare_names_and_types_failures() {
+        // A bare file name lives in the working directory.
+        sync_parent_dir(std::path::Path::new("run.sper")).unwrap();
+        // A directory that cannot be opened is an Io error, which write
+        // retries treat as transient.
+        let missing = std::env::temp_dir()
+            .join(format!("sper-no-such-dir-{}", std::process::id()))
+            .join("run.sper");
+        assert!(matches!(sync_parent_dir(&missing), Err(StoreError::Io(_))));
     }
 
     #[test]

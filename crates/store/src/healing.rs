@@ -35,11 +35,13 @@
 //! At every instruction at least one complete, checksummed store exists
 //! under `path` or `path.prev` — the invariant the fault-schedule
 //! proptest (`store/tests/fault_schedules.rs`) drives schedules against.
+//! After the final rename the directory is fsynced, so a rotation that
+//! reported success also survives a power loss.
 
-use crate::checkpoint::SessionCheckpoint;
-use crate::container::{tmp_path, Store};
+use crate::checkpoint::{encode_checkpoint, SessionCheckpoint};
+use crate::container::{sync_parent_dir, tmp_path, Store};
 use crate::error::StoreError;
-use sper_stream::ProgressiveSession;
+use sper_stream::{ProgressiveSession, SessionView};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -59,7 +61,8 @@ impl Store {
     /// `path.prev` instead of overwriting it. The new bytes are fsynced
     /// before either rename, so a kill at any instruction leaves at
     /// least one complete generation on disk (see the module docs for
-    /// the state machine).
+    /// the state machine). The directory is fsynced after the final
+    /// rename, so a committed rotation also survives a power loss.
     pub fn write_rotated(&self, path: &Path) -> Result<(), StoreError> {
         let tmp = tmp_path(path);
         self.write_tmp(&tmp)?;
@@ -69,7 +72,7 @@ impl Store {
         }
         sper_obs::fault::failpoint("store.rename")?;
         std::fs::rename(&tmp, path)?;
-        Ok(())
+        sync_parent_dir(path)
     }
 }
 
@@ -345,9 +348,10 @@ impl CheckpointWriter {
         self.failures
     }
 
-    /// Captures and saves `session`'s state.
+    /// Saves `session`'s state, encoded straight from
+    /// [`ProgressiveSession::view`]: the session is not copied.
     pub fn save(&mut self, session: &ProgressiveSession) -> Result<CheckpointOutcome, StoreError> {
-        self.save_checkpoint(&SessionCheckpoint::of(session))
+        self.save_view(|| session.view())
     }
 
     /// Saves an already-captured checkpoint.
@@ -355,7 +359,18 @@ impl CheckpointWriter {
         &mut self,
         checkpoint: &SessionCheckpoint,
     ) -> Result<CheckpointOutcome, StoreError> {
-        let store = checkpoint.to_store();
+        self.save_view(|| checkpoint.state.view())
+    }
+
+    /// Encodes a view once and commits it through the retry policy and
+    /// rotation, under one `store.checkpoint_write` span.
+    fn save_view<'a>(
+        &mut self,
+        view: impl FnOnce() -> SessionView<'a>,
+    ) -> Result<CheckpointOutcome, StoreError> {
+        let mut span = sper_obs::span!("store.checkpoint_write");
+        let store = encode_checkpoint(&view());
+        span.record("bytes", store.byte_len());
         let result = self.retry.run("stream.checkpoint", |_| {
             sper_obs::fault::failpoint("stream.checkpoint")?;
             store.write_rotated(&self.path)

@@ -33,7 +33,7 @@ use sper_blocking::{
 };
 use sper_core::ProgressiveMethod;
 use sper_model::{Attribute, ProfileCollection, ProfileCollectionBuilder, ProfileId};
-use sper_store::{SessionCheckpoint, Snapshot, Store};
+use sper_store::{CheckpointOutcome, CheckpointWriter, SessionCheckpoint, Snapshot, Store};
 use sper_stream::{CompactionPolicy, ProgressiveSession, SessionConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -306,4 +306,24 @@ fn golden_v2_fixture_loads_bit_identically() {
         "fixture-resumed session diverged post-compaction"
     );
     assert_eq!(a.report.epoch, 3);
+}
+
+/// The v2 fixture's session, saved by a [`CheckpointWriter`] straight
+/// from the live session, is the committed file byte for byte.
+#[test]
+fn golden_v2_session_saved_by_the_writer_is_the_fixture() {
+    let dir = std::env::temp_dir().join(format!("sper-golden-writer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut writer = CheckpointWriter::new(dir.join("golden-v2.sper"));
+    assert_eq!(
+        writer.save(&build_golden_v2_session()).expect("save"),
+        CheckpointOutcome::Saved
+    );
+    assert!(
+        std::fs::read(writer.path()).expect("saved file")
+            == std::fs::read(golden_v2_path()).expect("fixture read"),
+        "the writer's file diverged from the committed fixture"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -55,5 +55,5 @@ pub mod session;
 pub use incremental::{IncrementalNeighborList, IncrementalTokenBlocking};
 pub use session::{
     run_streaming, run_streaming_with, CompactionPolicy, EpochOutcome, EpochReport,
-    ProgressiveSession, SessionConfig, SessionState,
+    ProgressiveSession, SessionConfig, SessionState, SessionView,
 };

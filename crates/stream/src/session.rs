@@ -40,6 +40,7 @@ use sper_core::{
 };
 use sper_eval::{streaming_recall, StreamEpoch, StreamingRecall};
 use sper_model::{Attribute, GroundTruth, Pair, ProfileCollection, ProfileId};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -182,6 +183,83 @@ pub struct SessionState {
     /// substrates (ascending, a subset of `retracted`) — the tombstones a
     /// future compaction will drop.
     pub pending_tombstones: Vec<ProfileId>,
+}
+
+impl SessionState {
+    /// Borrows the state as a [`SessionView`] (no copy: the three sorted
+    /// lists are already canonical).
+    pub fn view(&self) -> SessionView<'_> {
+        SessionView {
+            method: self.method,
+            config: &self.config,
+            profiles: &self.profiles,
+            blocks: self.blocks.as_ref(),
+            nl: self.nl.as_ref(),
+            emitted: Cow::Borrowed(&self.emitted),
+            pending_ingest: self.pending_ingest,
+            reports: &self.reports,
+            compaction: self.compaction,
+            retracted: Cow::Borrowed(&self.retracted),
+            pending_tombstones: Cow::Borrowed(&self.pending_tombstones),
+        }
+    }
+}
+
+/// A borrowed view of a session's transferable state: the fields of
+/// [`SessionState`], without the copy.
+///
+/// [`ProgressiveSession::view`] borrows the configuration, the
+/// collection, the live substrate and the reports, and builds only the
+/// three canonical sorted lists a checkpoint stores: the emitted pairs,
+/// the retracted ids and the pending tombstones.
+/// [`SessionState::view`] borrows all of them. A checkpoint encodes a
+/// view, and [`ProgressiveSession::dehydrate`] is a view turned
+/// [`into_owned`](Self::into_owned), so the canonical form is defined
+/// once.
+#[derive(Debug)]
+pub struct SessionView<'a> {
+    /// The progressive method the session runs.
+    pub method: ProgressiveMethod,
+    /// Shared method parameters.
+    pub config: &'a MethodConfig,
+    /// The full collection ingested so far.
+    pub profiles: &'a ProfileCollection,
+    /// The live token-blocking substrate (PBS/PPS sessions).
+    pub blocks: Option<&'a IncrementalTokenBlocking>,
+    /// The live Neighbor List substrate (SA-PSN/LS-PSN/GS-PSN sessions).
+    pub nl: Option<&'a IncrementalNeighborList>,
+    /// Every pair emitted so far, in ascending order.
+    pub emitted: Cow<'a, [Pair]>,
+    /// Profiles ingested since the last epoch.
+    pub pending_ingest: usize,
+    /// Per-epoch reports so far.
+    pub reports: &'a [EpochReport],
+    /// The compaction policy in effect.
+    pub compaction: CompactionPolicy,
+    /// Every profile ever retracted, ascending.
+    pub retracted: Cow<'a, [ProfileId]>,
+    /// Retracted profiles whose rows are still physically present in the
+    /// substrates, ascending.
+    pub pending_tombstones: Cow<'a, [ProfileId]>,
+}
+
+impl SessionView<'_> {
+    /// Copies the borrowed state into an owned [`SessionState`].
+    pub fn into_owned(self) -> SessionState {
+        SessionState {
+            method: self.method,
+            config: self.config.clone(),
+            profiles: self.profiles.clone(),
+            blocks: self.blocks.cloned(),
+            nl: self.nl.cloned(),
+            emitted: self.emitted.into_owned(),
+            pending_ingest: self.pending_ingest,
+            reports: self.reports.to_vec(),
+            compaction: self.compaction,
+            retracted: self.retracted.into_owned(),
+            pending_tombstones: self.pending_tombstones.into_owned(),
+        }
+    }
 }
 
 /// Statistics of one `ingest → reprioritize → emit` epoch.
@@ -351,9 +429,10 @@ impl ProgressiveSession {
         }
     }
 
-    /// Extracts the session's complete transferable state — the save hook
-    /// of the checkpoint/resume cycle (see [`SessionState`]).
-    pub fn dehydrate(&self) -> SessionState {
+    /// Lends the session's complete transferable state without copying
+    /// it — what a checkpoint encodes (see [`SessionView`]). Only the
+    /// three canonical sorted lists are built here.
+    pub fn view(&self) -> SessionView<'_> {
         let mut emitted: Vec<Pair> = self.emitted.iter().copied().collect();
         emitted.sort_unstable();
         // Tombstone state canonicalizes to sorted id lists: checkpoint
@@ -367,19 +446,26 @@ impl ProgressiveSession {
             .collect();
         let mut pending_tombstones = self.pending.clone();
         pending_tombstones.sort_unstable();
-        SessionState {
+        SessionView {
             method: self.method,
-            config: self.config.clone(),
-            profiles: self.profiles.clone(),
-            blocks: self.blocks.clone(),
-            nl: self.nl.clone(),
-            emitted,
+            config: &self.config,
+            profiles: &self.profiles,
+            blocks: self.blocks.as_ref(),
+            nl: self.nl.as_ref(),
+            emitted: Cow::Owned(emitted),
             pending_ingest: self.pending_ingest,
-            reports: self.reports.clone(),
+            reports: &self.reports,
             compaction: self.compaction,
-            retracted,
-            pending_tombstones,
+            retracted: Cow::Owned(retracted),
+            pending_tombstones: Cow::Owned(pending_tombstones),
         }
+    }
+
+    /// Extracts the session's complete transferable state — the save hook
+    /// of the checkpoint/resume cycle (see [`SessionState`]): the
+    /// [`view`](Self::view), copied into owned fields.
+    pub fn dehydrate(&self) -> SessionState {
+        self.view().into_owned()
     }
 
     /// Reconstructs a session from a [`SessionState`] — the restore hook
