@@ -49,9 +49,11 @@ pub(crate) fn prefix_offsets(counts: &[u32]) -> Vec<u32> {
     offsets
 }
 
-/// Computes `‖b‖` from a member count and the `P1` partition size.
+/// Computes `‖b‖` from a member count and the `P1` partition size — for
+/// blocks counted before they are packed (Block Filtering, streaming
+/// snapshots).
 #[inline]
-pub(crate) fn cardinality_of(kind: ErKind, size: usize, n_first: u32) -> u64 {
+pub fn cardinality_of(kind: ErKind, size: usize, n_first: u32) -> u64 {
     match kind {
         ErKind::Dirty => {
             let n = size as u64;
@@ -363,39 +365,6 @@ impl BlockCollection {
         }
     }
 
-    /// Packs borrowed blocks into CSR form, preserving order — the
-    /// zero-intermediate-copy path for snapshots that keep their owned
-    /// blocks (`sper-stream`).
-    pub fn from_borrowed<'a>(
-        kind: ErKind,
-        n_profiles: usize,
-        interner: Arc<TokenInterner>,
-        blocks: impl Iterator<Item = &'a Block> + Clone,
-    ) -> Self {
-        let total: usize = blocks.clone().map(Block::size).sum();
-        let count = blocks.clone().count();
-        let mut keys = Vec::with_capacity(count);
-        let mut offsets = Vec::with_capacity(count + 1);
-        let mut members = Vec::with_capacity(total);
-        let mut n_firsts = Vec::with_capacity(count);
-        offsets.push(0u32);
-        for b in blocks {
-            keys.push(b.key);
-            n_firsts.push(b.n_first);
-            members.extend_from_slice(&b.profiles);
-            offsets.push(csr_offset(members.len()));
-        }
-        Self {
-            kind,
-            n_profiles,
-            interner,
-            keys,
-            offsets,
-            members,
-            n_firsts,
-        }
-    }
-
     /// An empty collection with a fresh interner.
     pub fn empty(kind: ErKind, n_profiles: usize) -> Self {
         Self::new(kind, n_profiles, TokenInterner::shared(), Vec::new())
@@ -579,10 +548,18 @@ impl BlockCollection {
         }
     }
 
+    /// Consumes the collection into its owned CSR arrays `(keys, offsets,
+    /// members, n_firsts)`, for passes that rewrite them in place (Block
+    /// Filtering); [`from_raw_parts`](Self::from_raw_parts) reassembles.
+    pub(crate) fn into_raw_parts(self) -> (Vec<TokenId>, Vec<u32>, Vec<ProfileId>, Vec<u32>) {
+        (self.keys, self.offsets, self.members, self.n_firsts)
+    }
+
     /// Reassembles a collection from raw CSR arrays — the inverse of
-    /// [`raw_parts`](Self::raw_parts). Callers (the persistence layer)
-    /// must validate untrusted input first; invariants are only
-    /// debug-asserted here.
+    /// [`raw_parts`](Self::raw_parts), also used by passes that pack CSR
+    /// arrays directly (Block Filtering, streaming snapshots). Callers
+    /// must validate untrusted input first (the persistence layer does);
+    /// invariants are only debug-asserted here.
     pub fn from_raw_parts(
         kind: ErKind,
         n_profiles: usize,

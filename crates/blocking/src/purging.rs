@@ -38,8 +38,10 @@ impl BlockPurger {
     /// Applies purging, preserving block order — an in-place CSR
     /// compaction, no block is rebuilt.
     pub fn purge(&self, mut blocks: BlockCollection) -> BlockCollection {
+        let mut span = sper_obs::span!("blocking.purge", blocks = blocks.len());
         let max = self.max_block_size(blocks.n_profiles());
         blocks.retain(|b| b.size() <= max);
+        span.record("kept", blocks.len());
         blocks
     }
 }

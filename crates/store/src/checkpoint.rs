@@ -433,8 +433,12 @@ fn decode_method_config(d: &mut Decoder<'_>) -> Result<MethodConfig, StoreError>
         .ok_or_else(|| d.corrupt("unknown neighbor-weighting code"))?;
     let purge_ratio = d.f64()?;
     let filter_ratio = d.f64()?;
-    if !(purge_ratio.is_finite() && filter_ratio.is_finite()) {
-        return Err(d.corrupt("non-finite workflow ratio"));
+    // Block Purging and Block Filtering refuse a ratio outside (0, 1]
+    // (NaN included); a resumed PBS or PPS session would panic on it.
+    for (name, ratio) in [("purge", purge_ratio), ("filter", filter_ratio)] {
+        if !(ratio > 0.0 && ratio <= 1.0) {
+            return Err(d.corrupt(format!("{name} ratio {ratio} outside (0, 1]")));
+        }
     }
     let max_window = match d.u8()? {
         0 => None,

@@ -411,6 +411,35 @@ fn zero_wmax_or_kmax_is_corrupt() {
 }
 
 #[test]
+fn workflow_ratio_outside_unit_interval_is_corrupt() {
+    // Checkpointed before the first epoch: emitting one would already
+    // panic in `BlockPurger::new` or `BlockFilter::new`.
+    for method in [ProgressiveMethod::Pbs, ProgressiveMethod::Pps] {
+        for (purge, filter) in [
+            (0.1, 0.0),
+            (0.1, 2.0),
+            (1.5, 0.8),
+            (-0.2, 0.8),
+            (f64::NAN, 0.8),
+        ] {
+            let mut config = SessionConfig::new(method);
+            config.config.workflow.purge_ratio = purge;
+            config.config.workflow.filter_ratio = filter;
+            let mut session =
+                ProgressiveSession::new(ProfileCollectionBuilder::dirty().build(), config);
+            session.ingest_batch(
+                ["carl white", "karl white", "emma white"].map(|v| vec![Attribute::new("t", v)]),
+            );
+            let bytes = SessionCheckpoint::of(&session).to_store().to_bytes();
+            assert!(
+                matches!(load_checkpoint(&bytes), Err(StoreError::Corrupt { .. })),
+                "{method} checkpoint with purge {purge}, filter {filter} loaded"
+            );
+        }
+    }
+}
+
+#[test]
 fn missing_required_section_is_typed() {
     let store = Store::new();
     assert!(matches!(

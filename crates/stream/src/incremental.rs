@@ -30,6 +30,7 @@
 //! interner's concurrency guarantees make the same sharing safe when
 //! ingest and snapshotting move to different threads.
 
+use sper_blocking::block::cardinality_of;
 use sper_blocking::{
     Block, BlockCollection, BlockId, IncrementalProfileIndex, NeighborList, TokenId, TokenInterner,
 };
@@ -85,8 +86,8 @@ pub struct IncrementalTokenBlocking {
     /// retracted). Never cleared: ids are not recycled.
     tombstones: Vec<bool>,
     /// Tombstoned members still physically present in `blocks` — zero
-    /// right after [`Self::compact`], which is also the fast-path guard
-    /// that keeps mutation-free snapshots allocation-identical to PR 1.
+    /// right after [`Self::compact`]; while zero, snapshots skip the
+    /// tombstone lookups.
     pending: usize,
 }
 
@@ -361,41 +362,58 @@ impl IncrementalTokenBlocking {
     /// exactly what `TokenBlocking::default().build(..)` produces on the
     /// same collection. Tombstoned members are filtered out lazily, so the
     /// snapshot is the same whether [`Self::compact`] already ran or not.
+    ///
+    /// One pass over the live blocks counts each block's surviving `P1`
+    /// and `P2` members and selects the comparable ones; the selection is
+    /// ordered by the interner's rank table (a `u32` per key) and packed
+    /// straight from the live blocks.
     pub fn snapshot(&self) -> BlockCollection {
-        let mut coll = if self.pending == 0 {
-            // Pack straight from the live blocks — no intermediate owned
-            // Vec on the mutation-free fast path.
-            BlockCollection::from_borrowed(
-                self.kind,
-                self.n_profiles,
-                Arc::clone(&self.interner),
-                self.blocks.iter().filter(|b| b.cardinality(self.kind) > 0),
-            )
-        } else {
-            let filtered: Vec<Block> = self
-                .blocks
-                .iter()
-                .filter_map(|b| filter_block(b, &self.tombstones))
-                .collect();
-            BlockCollection::from_borrowed(
-                self.kind,
-                self.n_profiles,
-                Arc::clone(&self.interner),
-                filtered.iter().filter(|b| b.cardinality(self.kind) > 0),
-            )
-        };
-        coll.sort_by_key_str();
-        coll
+        let mut span = sper_obs::span!("blocking.token_snapshot", live_blocks = self.blocks.len());
+        let live = |p: &&ProfileId| self.pending == 0 || !self.tombstones[p.index()];
+        let rank = self.interner.rank();
+        // (key rank, live block position, surviving P1 members)
+        let mut selected: Vec<(u32, u32, u32)> = Vec::new();
+        let mut total = 0;
+        for (i, b) in self.blocks.iter().enumerate() {
+            let n_first = b.first_source().iter().filter(live).count() as u32;
+            let size = n_first as usize + b.second_source().iter().filter(live).count();
+            if cardinality_of(self.kind, size, n_first) > 0 {
+                selected.push((rank[b.key.index()], i as u32, n_first));
+                total += size;
+            }
+        }
+        // Keys are distinct, so their ranks are too: no ties.
+        selected.sort_unstable_by_key(|&(r, ..)| r);
+        let mut keys = Vec::with_capacity(selected.len());
+        let mut offsets = Vec::with_capacity(selected.len() + 1);
+        let mut members = Vec::with_capacity(total);
+        let mut n_firsts = Vec::with_capacity(selected.len());
+        offsets.push(0u32);
+        for &(_, i, n_first) in &selected {
+            let b = &self.blocks[i as usize];
+            keys.push(b.key);
+            n_firsts.push(n_first);
+            members.extend(b.profiles().iter().filter(live));
+            offsets.push(u32::try_from(members.len()).expect("CSR array exceeds u32::MAX entries"));
+        }
+        span.record("blocks", keys.len());
+        BlockCollection::from_raw_parts(
+            self.kind,
+            self.n_profiles,
+            Arc::clone(&self.interner),
+            keys,
+            offsets,
+            members,
+            n_firsts,
+        )
     }
 }
 
-/// `block` without its tombstoned members (`None` when nothing survives).
-/// Partition order is preserved, so the result is a valid
-/// partitioned-ascending block over the survivors.
+/// `block` without its tombstoned members (`None` when nothing survives)
+/// — compaction's rewrite of a block that lost members. Partition order
+/// is preserved, so the result is a valid partitioned-ascending block over
+/// the survivors.
 fn filter_block(block: &Block, tombstones: &[bool]) -> Option<Block> {
-    if block.profiles().iter().all(|p| !tombstones[p.index()]) {
-        return Some(block.clone());
-    }
     let live_first = block
         .first_source()
         .iter()
@@ -678,8 +696,9 @@ impl IncrementalNeighborList {
     /// Materializes the current placements as a [`NeighborList`]. Stale
     /// runs recompute their canonical permutation (amortized: a run is
     /// reshuffled only after it changed); assembling the flat list is
-    /// `O(placements)` plus one vocabulary-sized rank sort — no
-    /// re-tokenization and no placement-level sort.
+    /// `O(placements)` plus merging the epoch's new tokens into the
+    /// interner's rank table — no re-tokenization and no placement-level
+    /// sort.
     ///
     /// Tombstoned members are filtered lazily: a run still carrying dead
     /// placements is shuffled over its *surviving* member set into scratch
@@ -688,6 +707,7 @@ impl IncrementalNeighborList {
     pub fn snapshot(&mut self) -> NeighborList {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
+        let _span = sper_obs::span!("blocking.nl_snapshot", runs = self.runs.len());
         let seed = self.seed;
         let rank = self.interner.rank();
         let mut keys: Vec<TokenId> = self.runs.keys().copied().collect();
@@ -1000,6 +1020,46 @@ mod proptests {
         })
     }
 
+    /// A Dirty collection, or a Clean-clean one whose `P2` starts at the
+    /// drawn split.
+    fn arbitrary_dirty_or_clean_clean() -> impl Strategy<Value = ProfileCollection> {
+        (
+            proptest::collection::vec("[a-e ]{1,8}", 1..20),
+            0usize..2,
+            1usize..20,
+        )
+            .prop_map(|(values, clean_clean, split)| {
+                let mut b = if clean_clean == 1 {
+                    ProfileCollectionBuilder::clean_clean()
+                } else {
+                    ProfileCollectionBuilder::dirty()
+                };
+                let n = values.len();
+                let split = split.min(n);
+                for (i, v) in values.into_iter().enumerate() {
+                    if clean_clean == 1 && i == split {
+                        b.start_second_source();
+                    }
+                    b.add_profile([("t", v)]);
+                }
+                if clean_clean == 1 && split == n {
+                    b.start_second_source();
+                }
+                b.build()
+            })
+    }
+
+    /// The snapshot's CSR arrays.
+    fn csr(blocks: &BlockCollection) -> (Vec<TokenId>, Vec<u32>, Vec<ProfileId>, Vec<u32>) {
+        let parts = blocks.raw_parts();
+        (
+            parts.keys.to_vec(),
+            parts.offsets.to_vec(),
+            parts.members.to_vec(),
+            parts.n_firsts.to_vec(),
+        )
+    }
+
     proptest! {
         /// The incremental snapshot equals batch Token Blocking for every
         /// collection and every batching of its ingest.
@@ -1016,6 +1076,50 @@ mod proptests {
                 prop_assert_eq!(a.key_str(), b.key_str());
                 prop_assert_eq!(a.profiles(), b.profiles());
             }
+        }
+
+        /// With retractions interleaved into any ingest split, the snapshot
+        /// — before and after compaction — equals batch Token Blocking over
+        /// the collection with the retracted profiles emptied to husks.
+        #[test]
+        fn snapshot_with_tombstones_equals_batch_over_husks(
+            coll in arbitrary_dirty_or_clean_clean(),
+            split in 1usize..8,
+            retract in proptest::collection::vec(0u32..20, 0..8),
+        ) {
+            let mut retract: Vec<ProfileId> = retract
+                .into_iter()
+                .filter(|&id| (id as usize) < coll.len())
+                .map(ProfileId)
+                .collect();
+            retract.sort_unstable();
+            retract.dedup();
+            let mut husked = coll.clone();
+            for &id in &retract {
+                husked.retract_profile(id);
+            }
+            let mut inc = IncrementalTokenBlocking::new(coll.kind());
+            for chunk in coll.profiles().chunks(split) {
+                inc.add_batch(chunk);
+                // Retract every listed id as soon as it is ingested.
+                for &id in &retract {
+                    if id.index() < inc.n_profiles() && !inc.is_tombstoned(id) {
+                        inc.retract(id);
+                    }
+                }
+            }
+            // Same interner: the batch build adds no token, so key ids and
+            // the whole CSR layout must agree.
+            let batch = TokenBlocking::default().build_with_interner(
+                &husked,
+                Arc::clone(inc.interner()),
+                sper_blocking::Parallelism::SEQUENTIAL,
+            );
+            let want = csr(&batch);
+            prop_assert_eq!(inc.pending_tombstones(), retract.len());
+            prop_assert_eq!(&csr(&inc.snapshot()), &want, "before compaction");
+            inc.compact();
+            prop_assert_eq!(&csr(&inc.snapshot()), &want, "after compaction");
         }
 
         /// The incremental Neighbor List is a pure function of the final

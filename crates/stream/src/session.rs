@@ -740,7 +740,9 @@ impl ProgressiveSession {
         );
         let t0 = Instant::now();
         // Snapshot the substrates first (they need `&mut self`), then
-        // build the epoch method over `&self.profiles`.
+        // build the epoch method over `&self.profiles`. Each step opens its
+        // own child span: `blocking.nl_snapshot`, `blocking.token_snapshot`,
+        // `blocking.purge` and `blocking.filter`.
         let (nl_snapshot, block_snapshot) = {
             let mut snap_span = sper_obs::span!("blocking.epoch_snapshot");
             let nl_snapshot = self.nl.as_mut().map(|nl| nl.snapshot());

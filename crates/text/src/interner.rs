@@ -76,7 +76,8 @@ pub struct TokenInterner {
     /// Memoized lexicographic rank table, keyed by the vocabulary size it
     /// was computed for — append-only interning means equal size ⇒
     /// identical table, so steady-state `rank()` calls (e.g. one per
-    /// streaming snapshot) are a read-lock and an `Arc` clone.
+    /// streaming snapshot) are a read-lock and an `Arc` clone, and a grown
+    /// vocabulary merges its new ids into this table.
     rank_cache: RwLock<(usize, Arc<Vec<u32>>)>,
 }
 
@@ -199,31 +200,62 @@ impl TokenInterner {
     }
 
     /// Lexicographic rank table: `rank[id] = r` iff the id's string is the
-    /// `r`-th smallest interned string. One vocabulary-sized sort that lets
-    /// every downstream "order by token text" be a `u32` comparison.
-    /// Memoized per vocabulary size: repeated calls with no intervening
-    /// interning return the cached table.
+    /// `r`-th smallest interned string, so every downstream "order by token
+    /// text" is a `u32` comparison.
+    ///
+    /// Memoized per vocabulary size and grown incrementally. Interning only
+    /// appends, so the memoized table still orders its `n` ids; a call after
+    /// `m` new tokens sorts only those and merges them into the memoized
+    /// order — `O(m log m + m log n)` string comparisons plus `O(n)` integer
+    /// work, instead of re-sorting the vocabulary. Strings are distinct, so
+    /// the merge has no ties and the table does not depend on the order in
+    /// which ids were assigned.
     pub fn rank(&self) -> Arc<Vec<u32>> {
-        {
+        let (known, memo) = {
             let cache = self.rank_cache.read().expect("interner poisoned");
-            if cache.0 == self.len() {
-                return Arc::clone(&cache.1);
-            }
+            (cache.0, Arc::clone(&cache.1))
+        };
+        let inner = self.inner.read().expect("interner poisoned");
+        let strings = &inner.strings;
+        let len = strings.len();
+        if known == len {
+            return memo;
         }
-        // Compute outside any lock on `inner`-adjacent state; the snapshot
-        // fixes the vocabulary this table is valid for.
-        let strings = self.strings();
-        let mut order: Vec<u32> = (0..strings.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| strings[a as usize].cmp(&strings[b as usize]));
-        let mut rank = vec![0u32; strings.len()];
+        // The memoized order, recovered by inverting its rank table.
+        let mut order = vec![0u32; known];
+        for (id, &r) in memo.iter().enumerate() {
+            order[r as usize] = id as u32;
+        }
+        let mut fresh: Vec<u32> = (known as u32..len as u32).collect();
+        fresh.sort_unstable_by(|&a, &b| strings[a as usize].cmp(&strings[b as usize]));
+        // `below[j]`: memoized strings sorting before `fresh[j]`. It never
+        // decreases with `j`, so each search starts where the last ended.
+        let mut below = Vec::with_capacity(fresh.len());
+        let mut lo = 0;
+        for &id in &fresh {
+            let s = &strings[id as usize];
+            lo += order[lo..].partition_point(|&o| strings[o as usize] < *s);
+            below.push(lo);
+        }
+        drop(inner);
+        // An old string moves up by the fresh strings sorting before it; a
+        // fresh one sits after its `below` old strings and `j` fresh ones.
+        let mut rank = vec![0u32; len];
+        let mut j = 0;
         for (r, &id) in order.iter().enumerate() {
-            rank[id as usize] = r as u32;
+            while below.get(j).is_some_and(|&b| b <= r) {
+                j += 1;
+            }
+            rank[id as usize] = (r + j) as u32;
+        }
+        for (j, (&id, &b)) in fresh.iter().zip(&below).enumerate() {
+            rank[id as usize] = (b + j) as u32;
         }
         let rank = Arc::new(rank);
         let mut cache = self.rank_cache.write().expect("interner poisoned");
         // Keep whichever table covers more of the vocabulary.
-        if strings.len() >= cache.0 {
-            *cache = (strings.len(), Arc::clone(&rank));
+        if len >= cache.0 {
+            *cache = (len, Arc::clone(&rank));
         }
         rank
     }
@@ -319,5 +351,84 @@ mod tests {
         let it = TokenInterner::new();
         assert!(it.is_empty());
         assert!(it.rank().is_empty());
+    }
+
+    /// The rank table a fresh interner over the same id-ordered
+    /// vocabulary computes with one full sort.
+    pub(super) fn full_sort_rank(strings: &[Arc<str>]) -> Arc<Vec<u32>> {
+        TokenInterner::from_strings(strings.iter().map(|s| &**s))
+            .expect("interned strings are distinct")
+            .rank()
+    }
+
+    #[test]
+    fn rank_while_other_threads_intern() {
+        const ROUNDS: usize = 20;
+        let words: Vec<String> = (0..2_000u32)
+            .map(|i| format!("w{:x}", i.wrapping_mul(2_654_435_761) % 4_099))
+            .collect();
+        let it = TokenInterner::new();
+        // Every round, both interning threads add a slice while the third
+        // thread asks for the rank table.
+        let barrier = std::sync::Barrier::new(3);
+        let tables = std::thread::scope(|scope| {
+            for half in words.chunks(words.len() / 2) {
+                let (it, barrier) = (&it, &barrier);
+                scope.spawn(move || {
+                    for slice in half.chunks(half.len() / ROUNDS) {
+                        barrier.wait();
+                        for w in slice {
+                            it.intern(w);
+                        }
+                    }
+                });
+            }
+            let ranker = scope.spawn(|| {
+                (0..ROUNDS)
+                    .map(|_| {
+                        barrier.wait();
+                        it.rank()
+                    })
+                    .collect::<Vec<_>>()
+            });
+            ranker.join().expect("ranking thread panicked")
+        });
+        let strings = it.strings();
+        for table in &tables {
+            // Each table ranks exactly the vocabulary prefix it covered.
+            assert_eq!(*table, full_sort_rank(&strings[..table.len()]));
+        }
+        assert_eq!(it.rank(), full_sort_rank(&strings));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::full_sort_rank;
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Interleaved intern batches and `rank()` calls: every table
+        /// equals a full sort of the vocabulary so far — whether
+        /// the new tokens sort before, between or after the old ones, and
+        /// when a call follows no growth at all.
+        #[test]
+        fn merged_rank_equals_a_full_sort(
+            batches in proptest::collection::vec(
+                proptest::collection::vec("[a-e]{0,4}", 0..8),
+                1..10,
+            ),
+        ) {
+            let it = TokenInterner::new();
+            for batch in &batches {
+                for token in batch {
+                    it.intern(token);
+                }
+                let table = it.rank();
+                prop_assert_eq!(&table, &full_sort_rank(&it.strings()));
+                prop_assert_eq!(&it.rank(), &table, "no growth, same table");
+            }
+        }
     }
 }

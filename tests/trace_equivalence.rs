@@ -118,6 +118,29 @@ fn tracing_is_a_pure_observer() {
         builds >= methods.len() * THREAD_STEPS.len(),
         "{builds} builds traced"
     );
+    // Each step of the streamed epochs' snapshot has its own child span,
+    // and together they cover the snapshot span within max(2 %, 2 ms).
+    let records: Vec<obs::ProfileRecord> = capture.records().iter().map(Into::into).collect();
+    let profile = obs::SpanProfile::from_records(&records);
+    let snapshot = "stream.epoch;blocking.epoch_snapshot";
+    for step in [
+        "blocking.token_snapshot",
+        "blocking.purge",
+        "blocking.filter",
+    ] {
+        assert!(
+            profile.stacks().contains_key(&format!("{snapshot};{step}")),
+            "no {step:?} span inside the epoch snapshot"
+        );
+    }
+    let parent = profile.stacks()[snapshot];
+    let tolerance = (parent.total_ns / 50).max(2_000_000);
+    assert!(
+        parent.self_ns <= tolerance,
+        "child spans leave {} of {} ns of the epoch snapshot uncovered",
+        parent.self_ns,
+        parent.total_ns
+    );
 
     // Phase 4: trace records render as parseable JSON lines with the
     // documented required keys, and the metrics registry exports cleanly.
