@@ -8,24 +8,25 @@
 //! — kept in the producer's own allocations, never concatenated. Each run
 //! sorts itself from the front by *incremental quicksort* (Paredes &
 //! Navarro, "Optimal Incremental Sorting", ALENEX 2006): while the unsorted
-//! front segment is longer than one tier, a selection splits it at its
-//! midpoint and the split goes on the run's stack; the front segment, now
-//! at most one tier, is sorted outright. The first `k` of `n` comparisons
-//! thus cost `O(n + k log k)` instead of a full sort's `O(n log n)`, and
-//! later tiers reuse the stacked splits.
+//! front segment is longer than one tier, one partition pass splits off
+//! its front around a sampled pivot and the split goes on the run's stack;
+//! the front segment, now at most one tier, is sorted outright. The pivot
+//! aims at an eighth of a long segment and at half of one within eight
+//! tiers, so the first tier of `n` comparisons costs about `1.14 n`
+//! comparisons and later tiers reuse the stacked splits.
 //!
 //! A single run drains by cursor. Several runs drain through a
 //! deterministic **tournament merge**: a max-heap over run fronts keyed by
 //! the shared [`emission_order`], ties broken by run index. Each run's
 //! first tier is prepared at refill, on up to the configured workers
 //! ([`Parallelism::for_each_mut`]), so the first emission waits for one
-//! parallel pass instead of every run's selection cascade in turn.
+//! parallel pass instead of every run's partition steps in turn.
 //!
-//! Because [`emission_order`] is a strict total order whenever weights are
-//! non-NaN and pairs are distinct within a batch (true for every method in
-//! this crate), selection, sorting and the tournament each place every
-//! comparison at its unique rank — the run layout and the worker count
-//! change wall-clock time, never emission order.
+//! Because [`emission_order`] is a strict total order whenever pairs are
+//! distinct within a batch (true for every method in this crate),
+//! partitioning, selection, sorting and the tournament each place every
+//! comparison at its unique rank — the pivots, the run layout and the
+//! worker count change wall-clock time, never emission order.
 
 use crate::Comparison;
 use sper_blocking::Parallelism;
@@ -33,19 +34,65 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Comparisons a run sorts at a time: the longest front segment that is
-/// sorted outright rather than split by selection first.
+/// sorted outright rather than split by a partition step first.
 const TIER: usize = 4096;
+
+/// Evenly spaced comparisons a partition step draws its pivot from.
+const SAMPLE: usize = 65;
 
 /// The canonical emission order of every best-first engine: non-increasing
 /// weight, ties broken by ascending pair id — fully deterministic.
+///
+/// Weights compare by [`f64::total_cmp`], so the order is total on any
+/// input: a NaN weight with its sign bit clear (such as [`f64::NAN`])
+/// emits before every number, one with its sign bit set (the NaN that
+/// `0.0 / 0.0` yields on x86-64) after every number, and `+0.0` before
+/// `-0.0`. Among non-negative numbers the order is `f64`'s.
 ///
 /// Returns [`Ordering::Less`] when `a` must be emitted before `b`.
 #[inline]
 pub fn emission_order(a: &Comparison, b: &Comparison) -> Ordering {
     b.weight
-        .partial_cmp(&a.weight)
-        .unwrap_or(Ordering::Equal)
+        .total_cmp(&a.weight)
         .then_with(|| a.pair.cmp(&b.pair))
+}
+
+/// One incremental-quicksort step on a segment longer than one tier:
+/// moves the segment's first `k` comparisons in emission order to its
+/// front, in no particular order, and returns `k` (`0 < k < seg.len()`).
+///
+/// The step aims at rank `target`: an eighth of a segment longer than
+/// eight tiers, so the passes before a first tier shrink fast, and half
+/// of a shorter one, so that later tiers stay at least half full and each
+/// is cut from a segment at most twice its size. The pivot is the sample
+/// comparison whose expected rank is `target`, and one partition pass
+/// splits the segment around it. When the pivot splits badly — a front
+/// under a quarter of `target`, or over twice `target` or three quarters
+/// of the segment — the guard, an exact selection at `target`, replaces
+/// the split. Either way the front keeps at most three quarters of the
+/// segment (a quarter above eight tiers), so a tier takes a bounded
+/// number of steps on any input order, each no dearer than a partition
+/// pass plus that selection.
+fn split_front(seg: &mut [Comparison]) -> usize {
+    let n = seg.len();
+    let target = if n > 8 * TIER { n / 8 } else { n / 2 };
+    let stride = n / SAMPLE;
+    let mut sample: [Comparison; SAMPLE] = std::array::from_fn(|s| seg[s * stride + stride / 2]);
+    let q = (target * (SAMPLE + 1) / n).max(1) - 1;
+    let (_, &mut pivot, _) = sample.select_nth_unstable_by(q, emission_order);
+    let mut k = 0;
+    for i in 0..n {
+        if emission_order(&seg[i], &pivot) == Ordering::Less {
+            seg.swap(i, k);
+            k += 1;
+        }
+    }
+    if target / 4 <= k && k <= (2 * target).min(n - n / 4) {
+        k
+    } else {
+        seg.select_nth_unstable_by(target, emission_order);
+        target
+    }
 }
 
 /// One run of a refill, sorted lazily from the front.
@@ -86,17 +133,15 @@ impl Run {
         self.items.get(self.cursor).copied()
     }
 
-    /// One incremental-quicksort step: halves the next unsorted segment by
-    /// selection until it fits one tier, stacking the end of each upper
-    /// half, then sorts it.
+    /// Splits the front off the next unsorted segment until it fits one
+    /// tier, stacking the end of each remainder, then sorts it.
     fn sort_next_tier(&mut self) {
         let start = self.sorted;
         let mut end = self.splits.pop().unwrap_or(self.items.len());
         while end - start > TIER {
-            let mid = start + (end - start) / 2;
-            self.items[start..end].select_nth_unstable_by(mid - start, emission_order);
+            let front = split_front(&mut self.items[start..end]);
             self.splits.push(end);
-            end = mid;
+            end = start + front;
         }
         self.items[start..end].sort_unstable_by(emission_order);
         self.sorted = end;
@@ -194,8 +239,8 @@ impl EmissionList {
         sper_obs::count!("emitter.refills");
         sper_obs::count!("emitter.refill_comparisons", total as u64);
         // Every run's first tier now, on the workers: the first emission
-        // then waits for one parallel pass, not for each run's selection
-        // cascade in turn.
+        // then waits for one parallel pass, not for each run's partition
+        // steps in turn.
         self.par
             .break_even(total)
             .for_each_mut(&mut self.runs, |run| {
@@ -302,10 +347,46 @@ mod tests {
 
     #[test]
     fn nan_weights_do_not_panic() {
-        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
-        list.refill([vec![cmp(0, 1, f64::NAN), cmp(2, 3, 1.0)]]);
-        // Order with NaN is unspecified but draining must be total.
-        assert_eq!(drain(&mut list).len(), 2);
+        for n in [2u32, 100, 5_000, 50_000, 200_000] {
+            // One NaN in three weights, alternately of either sign; the
+            // rest tie-heavy numbers.
+            let batch: Vec<Comparison> = tie_heavy_batch(n, 7, 3)
+                .into_iter()
+                .enumerate()
+                .map(|(i, c)| match i % 6 {
+                    1 => Comparison {
+                        weight: f64::NAN,
+                        ..c
+                    },
+                    4 => Comparison {
+                        weight: -f64::NAN,
+                        ..c
+                    },
+                    _ => c,
+                })
+                .collect();
+            // NaNs with the sign bit clear first, then every number, then
+            // NaNs with the sign bit set; within each group by
+            // non-increasing weight, then pair.
+            let group = |c: &Comparison| match (c.weight.is_nan(), c.weight.is_sign_negative()) {
+                (true, false) => 0,
+                (false, _) => 1,
+                (true, true) => 2,
+            };
+            let mut expected = batch.clone();
+            expected.sort_by(|a, b| {
+                group(a)
+                    .cmp(&group(b))
+                    .then(b.weight.partial_cmp(&a.weight).unwrap_or(Ordering::Equal))
+                    .then(a.pair.cmp(&b.pair))
+            });
+            let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
+            list.refill(batch.chunks(batch.len().div_ceil(3)).map(<[_]>::to_vec));
+            let bits = |cs: &[Comparison]| -> Vec<(Pair, u64)> {
+                cs.iter().map(|c| (c.pair, c.weight.to_bits())).collect()
+            };
+            assert_eq!(bits(&drain(&mut list)), bits(&expected), "n = {n}");
+        }
     }
 
     /// A deterministic pseudo-random batch of `n` distinct pairs with
@@ -393,8 +474,74 @@ mod tests {
         list.refill([batch]);
         // Only the first tier is sorted; the rest waits behind the splits.
         let run = &list.runs[0];
-        assert!(run.sorted <= TIER && run.splits.len() >= 2, "{run:?}");
+        assert!(run.sorted <= TIER && !run.splits.is_empty(), "{run:?}");
         assert_eq!(drain(&mut list), expected);
+    }
+
+    /// Drains `run` tier by tier, returning the drained sequence and the
+    /// most partition steps one tier took.
+    fn drain_counting_steps(mut run: Run) -> (Vec<Comparison>, usize) {
+        let mut out = Vec::with_capacity(run.items.len());
+        let mut most = 0;
+        loop {
+            let stacked = run.splits.len();
+            let Some(c) = run.front() else { break };
+            // A tier pops one stacked end (none from the fresh run's empty
+            // stack) and pushes one per step.
+            most = most.max(run.splits.len() + usize::from(stacked > 0) - stacked);
+            out.push(c);
+            run.cursor += 1;
+        }
+        (out, most)
+    }
+
+    /// Runs of 64 tiers in orders that defeat a sampled pivot or test its
+    /// extremes: already in emission order, reversed, all weights equal
+    /// (pair tie-break only), and a sawtooth whose period is the sample's
+    /// stride, so every sampled comparison carries the same weight. Each
+    /// step of the first tier keeps the guard's bounds, no tier takes more
+    /// steps than the guard allows, and every run drains in full-sort
+    /// order.
+    #[test]
+    fn adversarial_orders_keep_tier_steps_bounded() {
+        let n = 64 * TIER as u32;
+        let stride = n / SAMPLE as u32;
+        let at = |i: u32, w: f64| cmp(i % 97, 97 + i / 97, w);
+        let ordered = sorted(tie_heavy_batch(n, 1 << 20, 4));
+        let mut reversed = ordered.clone();
+        reversed.reverse();
+        let orders = [
+            ("emission order", ordered),
+            ("reversed", reversed),
+            ("equal weights", (0..n).map(|i| at(i, 1.0)).collect()),
+            (
+                "sawtooth",
+                (0..n).map(|i| at(i, f64::from(i % stride))).collect(),
+            ),
+        ];
+        // Steps above eight tiers keep at most a quarter of their segment,
+        // the others at most three quarters.
+        let max_steps = (n as usize / TIER).ilog2() as usize / 2 + 8;
+        for (name, batch) in orders {
+            let expected = sorted(batch.clone());
+            let mut run = Run::new(batch);
+            run.front();
+            let mut ends = run.splits.clone();
+            ends.push(run.sorted);
+            for step in ends.windows(2) {
+                let (seg, front) = (step[0], step[1]);
+                let target = if seg > 8 * TIER { seg / 8 } else { seg / 2 };
+                assert!(
+                    target / 4 <= front && front <= (2 * target).min(seg - seg / 4),
+                    "{name}: a step kept {front} of {seg}"
+                );
+            }
+            assert!(run.sorted <= TIER, "{name}: {} sorted", run.sorted);
+            let (drained, later) = drain_counting_steps(run);
+            let most = later.max(ends.len() - 1);
+            assert!(most <= max_steps, "{name}: a tier took {most} steps");
+            assert_eq!(drained, expected, "{name}");
+        }
     }
 
     proptest! {

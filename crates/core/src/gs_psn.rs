@@ -13,34 +13,89 @@ use crate::scratch::CooccurrenceScratch;
 use crate::{Comparison, ProgressiveEr};
 use sper_blocking::neighbor_list::NeighborList;
 use sper_blocking::Parallelism;
-use sper_model::{Pair, ProfileCollection, ProfileId};
+use sper_model::{ErKind, Pair, ProfileCollection, ProfileId};
+use std::borrow::Cow;
+use std::ops::Range;
+
+/// The Neighbor List placements a window pass may count, in list order:
+/// every placement for Dirty ER, only the `P2` placements for
+/// Clean-clean ER, where a `P1` profile is never compared with its own
+/// source.
+struct Candidates<'a> {
+    /// Profile id of each candidate placement.
+    ids: Cow<'a, [ProfileId]>,
+    /// `before[pos]`: the candidates at list positions below `pos`, for
+    /// every `pos` in `0..=len`. Empty when every placement is a candidate.
+    before: Vec<u32>,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(profiles: &ProfileCollection, list: &'a [ProfileId]) -> Self {
+        match profiles.kind() {
+            ErKind::Dirty => Self {
+                ids: Cow::Borrowed(list),
+                before: Vec::new(),
+            },
+            ErKind::CleanClean => {
+                let second = profiles.len_first() as u32;
+                let mut ids = Vec::new();
+                let mut before = Vec::with_capacity(list.len() + 1);
+                for &p in list {
+                    before.push(ids.len() as u32);
+                    if p.0 >= second {
+                        ids.push(p);
+                    }
+                }
+                before.push(ids.len() as u32);
+                Self {
+                    ids: Cow::Owned(ids),
+                    before,
+                }
+            }
+        }
+    }
+
+    /// The candidates at list positions `window`, in list order.
+    #[inline]
+    fn within(&self, window: Range<usize>) -> &[ProfileId] {
+        if self.before.is_empty() {
+            &self.ids[window]
+        } else {
+            &self.ids[self.before[window.start] as usize..self.before[window.end] as usize]
+        }
+    }
+}
 
 /// Accumulates co-occurrence frequencies over every window in `[1, wmax]`
 /// for the profiles of `range` — the unit of work of the initialization
 /// fan-out, on the dense scratch of the worker running it (touched-list
 /// reset). The windows `1..=wmax` around a placement are exactly the
-/// `wmax` positions on each side of it, so each placement scans two slices
-/// of the Neighbor List; frequencies are counts, hence independent of the
-/// scan order.
+/// `wmax` positions on each side of it, so each placement scans the
+/// candidates among them in ascending position order; frequencies are
+/// counts, hence independent of the scan order. Returns the batch and the
+/// number of candidate slots scanned.
 fn weight_all_windows_range(
     profiles: &ProfileCollection,
     nl: &NeighborList,
+    candidates: &Candidates<'_>,
     wmax: usize,
     weighting: NeighborWeighting,
-    range: std::ops::Range<u32>,
+    range: Range<u32>,
     scratch: &mut CooccurrenceScratch,
-) -> Vec<Comparison> {
+) -> (Vec<Comparison>, usize) {
     let pi = nl.position_index();
-    let list = nl.as_slice();
+    let len = nl.len();
     let mut batch: Vec<Comparison> = Vec::new();
+    let mut slots = 0;
     for i in range {
         let i = ProfileId(i);
         let valid = crate::similarity_neighbor_ids(profiles, i);
         for &pos in pi.positions_of(i) {
             let pos = pos as usize;
-            let before = &list[pos.saturating_sub(wmax)..pos];
-            let after = &list[pos + 1..(pos + 1 + wmax).min(list.len())];
-            for &j in before.iter().chain(after) {
+            // The slot at `pos` itself holds `i`, which `valid` excludes.
+            let window = candidates.within(pos.saturating_sub(wmax)..(pos + 1 + wmax).min(len));
+            slots += window.len();
+            for &j in window {
                 if valid.contains(&j.0) {
                     scratch.bump(j);
                 }
@@ -51,7 +106,7 @@ fn weight_all_windows_range(
             batch.push(Comparison::new(Pair::new(i, j), weight));
         });
     }
-    batch
+    (batch, slots)
 }
 
 /// The advanced similarity-based method with a global execution order.
@@ -117,7 +172,8 @@ impl GsPsn {
     /// window weights on up to `par` workers (work-stealing profile
     /// ranges, per-worker frequency scratch) and preparing the first tier
     /// of each range's run on them. Emission order is identical at every
-    /// worker count.
+    /// worker count. The two phases run under the `core.gs_psn.window_pass`
+    /// and `core.gs_psn.first_tier` spans.
     pub fn from_neighbor_list_par(
         profiles: &ProfileCollection,
         nl: NeighborList,
@@ -134,7 +190,16 @@ impl GsPsn {
         let wmax = wmax.min(nl.len().saturating_sub(1).max(1));
 
         let iterated = crate::iterated_profile_range(profiles);
-        let nl_ref = &nl;
+        let nl_len = nl.len();
+        let mut span = sper_obs::span!(
+            "core.gs_psn.window_pass",
+            placements = iterated
+                .clone()
+                .map(|i| nl.position_index().num_positions(ProfileId(i)))
+                .sum::<usize>(),
+            wmax = wmax,
+        );
+        let candidates = Candidates::new(profiles, nl.as_slice());
         // Work-stealing chunks with a per-worker frequency scratch; each
         // chunk's batch is a pure function of its profile range and becomes
         // one run of the Comparison List, which emits the union of the runs
@@ -146,7 +211,8 @@ impl GsPsn {
             |scratch, range, _chunk| {
                 weight_all_windows_range(
                     profiles,
-                    nl_ref,
+                    &nl,
+                    &candidates,
                     wmax,
                     weighting,
                     range.start as u32..range.end as u32,
@@ -154,10 +220,20 @@ impl GsPsn {
                 )
             },
         );
+        span.record("slots", chunks.iter().map(|c| c.1).sum::<usize>());
+        span.record(
+            "comparisons",
+            chunks.iter().map(|c| c.0.len()).sum::<usize>(),
+        );
+        // The Neighbor List is spent: freeing it inside the span keeps the
+        // whole build under the init spans.
+        drop(candidates);
+        drop(nl);
+        drop(span);
 
+        let _span = sper_obs::span!("core.gs_psn.first_tier", runs = chunks.len());
         let mut list = EmissionList::new(par);
-        let nl_len = nl.len();
-        list.refill(chunks);
+        list.refill(chunks.into_iter().map(|(batch, _)| batch));
         Self { list, wmax, nl_len }
     }
 
@@ -199,6 +275,7 @@ impl ProgressiveEr for GsPsn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sper_blocking::fixtures::{fig3_ground_truth, fig3_profiles};
     use sper_model::ProfileCollectionBuilder;
     use std::collections::{HashMap, HashSet};
@@ -273,59 +350,95 @@ mod tests {
         }
     }
 
-    #[test]
-    fn window_scan_counts_what_window_probes_count() {
-        // Reference: Algorithm 1's probes at distances 1..=wmax on both
-        // sides of every placement, validity read from the profile sources.
-        let clean = {
-            let mut b = ProfileCollectionBuilder::clean_clean();
-            for v in ["alpha beta", "beta gamma", "gamma alpha beta"] {
-                b.add_profile([("t", v)]);
-            }
-            b.start_second_source();
-            for v in ["alpha gamma", "beta", "alpha beta gamma delta"] {
-                b.add_profile([("t", v)]);
-            }
-            b.build()
-        };
-        for coll in [fig3_profiles(), clean] {
-            let nl = NeighborList::build(&coll, 7);
-            let pi = nl.position_index();
-            let iterated = crate::iterated_profile_range(&coll);
-            for wmax in [1usize, 2, 3, 5, 40] {
-                let mut expected: HashMap<Pair, f64> = HashMap::new();
-                for i in iterated.clone().map(ProfileId) {
-                    for &pos in pi.positions_of(i) {
-                        for w in 1..=wmax as isize {
-                            for probe in [pos as isize + w, pos as isize - w] {
-                                let Some(j) = nl.get(probe) else { continue };
-                                let valid = match coll.kind() {
-                                    sper_model::ErKind::Dirty => j < i,
-                                    sper_model::ErKind::CleanClean => {
-                                        coll.source_of(j) == sper_model::SourceId::SECOND
-                                    }
-                                };
-                                if valid {
-                                    *expected.entry(Pair::new(i, j)).or_default() += 1.0;
-                                }
-                            }
+    /// Algorithm 1's probes at distances `1..=wmax` on both sides of
+    /// every placement of every iterated profile, validity read from the
+    /// profile sources: the co-occurrence count of each pair.
+    fn probe_counts(
+        coll: &ProfileCollection,
+        nl: &NeighborList,
+        wmax: usize,
+    ) -> HashMap<Pair, f64> {
+        let mut counts: HashMap<Pair, f64> = HashMap::new();
+        for i in crate::iterated_profile_range(coll).map(ProfileId) {
+            for &pos in nl.position_index().positions_of(i) {
+                for w in 1..=wmax as isize {
+                    for probe in [pos as isize + w, pos as isize - w] {
+                        let Some(j) = nl.get(probe) else { continue };
+                        let valid = match coll.kind() {
+                            ErKind::Dirty => j < i,
+                            ErKind::CleanClean => coll.source_of(j) == sper_model::SourceId::SECOND,
+                        };
+                        if valid {
+                            *counts.entry(Pair::new(i, j)).or_default() += 1.0;
                         }
                     }
                 }
-                let mut scratch = CooccurrenceScratch::new(coll.len());
-                let batch = weight_all_windows_range(
-                    &coll,
-                    &nl,
-                    wmax,
-                    NeighborWeighting::Frequency,
-                    iterated.clone(),
-                    &mut scratch,
-                );
-                let scanned: HashMap<Pair, f64> =
-                    batch.iter().map(|c| (c.pair, c.weight)).collect();
-                assert_eq!(scanned.len(), batch.len(), "one comparison per pair");
-                assert_eq!(scanned, expected, "wmax = {wmax}");
             }
+        }
+        counts
+    }
+
+    const WORDS: [&str; 8] = [
+        "amber", "birch", "cedar", "delta", "ember", "fjord", "grove", "heath",
+    ];
+
+    proptest! {
+        /// The window pass over the candidate placements counts exactly
+        /// what the probes count, one comparison per pair: Dirty and
+        /// Clean-clean collections with sources skewed either way, `P2`
+        /// sometimes without a placement, `P1` placements sometimes at
+        /// both ends of the list (`aaaa` sorts first, `zzzz` last), and
+        /// `wmax` from 1 to past the list length.
+        #[test]
+        fn window_scan_counts_what_window_probes_count(
+            kind in 0u8..2,
+            first in collection::vec(collection::vec(0..WORDS.len(), 0..5), 0..14),
+            second in collection::vec(collection::vec(0..WORDS.len(), 0..5), 0..14),
+            mute_second in 0u8..4,
+            ends in (0u8..2, 0u8..2),
+            seed in 0u64..u64::MAX,
+            wmax in 0usize..60,
+        ) {
+            let (clean, mute_second) = (kind == 1, mute_second == 0);
+            let text = |ids: &[usize]| ids.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" ");
+            let mut b = if clean {
+                ProfileCollectionBuilder::clean_clean()
+            } else {
+                ProfileCollectionBuilder::dirty()
+            };
+            for (k, ids) in first.iter().enumerate() {
+                let mut value = text(ids);
+                if ends.0 == 1 && k == 0 {
+                    value.push_str(" aaaa");
+                }
+                if ends.1 == 1 && k + 1 == first.len() {
+                    value.push_str(" zzzz");
+                }
+                b.add_profile([("t", value)]);
+            }
+            if clean {
+                b.start_second_source();
+            }
+            for ids in &second {
+                b.add_profile([("t", if mute_second { String::new() } else { text(ids) })]);
+            }
+            let coll = b.build();
+            let nl = NeighborList::build(&coll, seed);
+            // A third of the cases reach past the list on both sides.
+            let wmax = if wmax >= 40 { nl.len() + wmax - 39 } else { wmax + 1 };
+            let mut scratch = CooccurrenceScratch::new(coll.len());
+            let (batch, _) = weight_all_windows_range(
+                &coll,
+                &nl,
+                &Candidates::new(&coll, nl.as_slice()),
+                wmax,
+                NeighborWeighting::Frequency,
+                crate::iterated_profile_range(&coll),
+                &mut scratch,
+            );
+            let scanned: HashMap<Pair, f64> = batch.iter().map(|c| (c.pair, c.weight)).collect();
+            prop_assert_eq!(scanned.len(), batch.len(), "one comparison per pair");
+            prop_assert_eq!(scanned, probe_counts(&coll, &nl, wmax));
         }
     }
 

@@ -16,7 +16,6 @@ pub mod interner;
 pub mod jaccard;
 pub mod levenshtein;
 pub mod normalize;
-pub mod qgrams;
 pub mod soundex;
 pub mod suffixes;
 pub mod tokenize;
@@ -28,7 +27,6 @@ pub use levenshtein::{
     damerau_levenshtein, levenshtein, levenshtein_bounded, normalized_levenshtein,
 };
 pub use normalize::normalize_token;
-pub use qgrams::{qgram_similarity, qgrams};
 pub use soundex::soundex;
 pub use suffixes::{suffixes_of, SuffixIter};
 pub use tokenize::{tokenize_value, tokenize_value_into, Tokenizer, TokenizerConfig};

@@ -98,6 +98,14 @@ fn tracing_is_a_pure_observer() {
         "tracing changed streamed epoch emissions"
     );
 
+    // GS-PSN's builds again, under a capture of their own: the profile
+    // of `core.build_method` then holds GS-PSN's initialization alone.
+    let gs_capture = Arc::new(obs::CaptureSink::new());
+    obs::trace::install_sink(gs_capture.clone(), obs::Level::Debug);
+    for threads in [1, 2] {
+        drain(ProgressiveMethod::GsPsn, profiles, schema_keys, threads);
+    }
+
     obs::metrics::set_enabled(false);
     obs::trace::clear_sink();
 
@@ -138,6 +146,31 @@ fn tracing_is_a_pure_observer() {
     assert!(
         parent.self_ns <= tolerance,
         "child spans leave {} of {} ns of the epoch snapshot uncovered",
+        parent.self_ns,
+        parent.total_ns
+    );
+
+    // GS-PSN's build is the Neighbor List build, the window pass and the
+    // first tier of each run, each under its own span, and together they
+    // cover it within the same tolerance.
+    let records: Vec<obs::ProfileRecord> = gs_capture.records().iter().map(Into::into).collect();
+    let profile = obs::SpanProfile::from_records(&records);
+    let build = "core.build_method";
+    for step in [
+        "blocking.nl_build",
+        "core.gs_psn.window_pass",
+        "core.gs_psn.first_tier",
+    ] {
+        assert!(
+            profile.stacks().contains_key(&format!("{build};{step}")),
+            "no {step:?} span inside GS-PSN's build"
+        );
+    }
+    let parent = profile.stacks()[build];
+    let tolerance = (parent.total_ns / 50).max(2_000_000);
+    assert!(
+        parent.self_ns <= tolerance,
+        "child spans leave {} of {} ns of GS-PSN's build uncovered",
         parent.self_ns,
         parent.total_ns
     );
