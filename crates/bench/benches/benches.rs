@@ -5,8 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sper_bench::paper_config;
 use sper_blocking::{
-    legacy, BlockFilter, BlockPurger, IncrementalProfileIndex, NeighborList, ProfileIndex,
-    TokenBlocking, WeightingScheme,
+    legacy, BlockFilter, BlockPurger, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme,
 };
 use sper_core::{build_method, ProgressiveMethod};
 use sper_datagen::{DatasetKind, DatasetSpec, GeneratedDataset};
@@ -159,10 +158,7 @@ fn bench_interning(c: &mut Criterion) {
     let mut blocks = TokenBlocking::default().build(&data.profiles);
     blocks.sort_by_cardinality();
     let csr = ProfileIndex::build(&blocks);
-    let mut vec_of_vec = IncrementalProfileIndex::new_empty(blocks.n_profiles());
-    for blk in blocks.iter() {
-        vec_of_vec.push_block(blk.profiles(), blk.cardinality(blocks.kind()));
-    }
+    let vec_of_vec = legacy::VecOfVecIndex::build(&blocks);
     let n = data.profiles.len() as u32;
     let pairs: Vec<(ProfileId, ProfileId)> = (0..4_000)
         .map(|i| (ProfileId(i % n), ProfileId((i * 7 + 1) % n)))

@@ -16,9 +16,7 @@
 //! ≥ 1.5× on token-blocking build or meta-blocking weighting.
 
 use serde::Serialize;
-use sper_blocking::{
-    legacy, IncrementalProfileIndex, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme,
-};
+use sper_blocking::{legacy, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme};
 use sper_datagen::{DatasetKind, DatasetSpec};
 use sper_model::ProfileId;
 use sper_obs::{event, Level};
@@ -109,10 +107,7 @@ fn main() {
     let mut blocks = TokenBlocking::default().build(profiles);
     blocks.sort_by_cardinality();
     let csr = ProfileIndex::build(&blocks);
-    let mut vec_of_vec = IncrementalProfileIndex::new_empty(blocks.n_profiles());
-    for blk in blocks.iter() {
-        vec_of_vec.push_block(blk.profiles(), blk.cardinality(blocks.kind()));
-    }
+    let vec_of_vec = legacy::VecOfVecIndex::build(&blocks);
     let n = profiles.len() as u32;
     let pairs: Vec<(ProfileId, ProfileId)> = (0..50_000u32)
         .map(|i| (ProfileId(i % n), ProfileId((i.wrapping_mul(7) + 1) % n)))

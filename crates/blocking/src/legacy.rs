@@ -126,6 +126,46 @@ pub fn string_weight(
     scheme.finalize(acc, a.len(), b.len(), blocks.len())
 }
 
+/// The seed's profile-index layout: one growable `Vec` of ascending block
+/// ids per profile, plus the cardinality table. It weights pairs with the
+/// CSR [`ProfileIndex`]'s own merge, so the two differ only in memory
+/// layout — the `interning` benches' layout baseline.
+#[derive(Debug, Clone)]
+pub struct VecOfVecIndex {
+    lists: Vec<Vec<u32>>,
+    cardinalities: Vec<u64>,
+}
+
+impl VecOfVecIndex {
+    /// Indexes `blocks` in their current order, like [`ProfileIndex::build`].
+    pub fn build(blocks: &BlockCollection) -> Self {
+        let mut lists = vec![Vec::new(); blocks.n_profiles()];
+        let mut cardinalities = Vec::with_capacity(blocks.len());
+        for (bid, block) in blocks.iter().enumerate() {
+            cardinalities.push(block.cardinality(blocks.kind()));
+            for &p in block.profiles() {
+                lists[p.index()].push(bid as u32);
+            }
+        }
+        Self {
+            lists,
+            cardinalities,
+        }
+    }
+
+    /// Edge weight of `(i, j)` under `scheme` — bit-identical to
+    /// [`ProfileIndex::weight`].
+    pub fn weight(&self, i: ProfileId, j: ProfileId, scheme: WeightingScheme) -> f64 {
+        crate::profile_index::weight_from_lists(
+            &self.lists[i.index()],
+            &self.lists[j.index()],
+            &self.cardinalities,
+            self.cardinalities.len(),
+            scheme,
+        )
+    }
+}
+
 /// The pre-kernel edge-list builder: visit every comparison of every
 /// block, dedup repeats through a hashed `seen` set, and merge-intersect
 /// the two profiles' block lists per new pair (`O(|B_i| + |B_j|)` each).
@@ -195,6 +235,22 @@ mod tests {
         let blocks = string_token_blocking(&fig3_profiles());
         let keys: Vec<&str> = blocks.iter().map(|b| b.key.as_str()).collect();
         assert_eq!(keys, vec!["carl", "ml", "ny", "tailor", "teacher", "white"]);
+    }
+
+    #[test]
+    fn vec_of_vec_weights_equal_csr_weights() {
+        let mut blocks = crate::TokenBlocking::default().build(&fig3_profiles());
+        blocks.sort_by_cardinality();
+        let (csr, vov) = (ProfileIndex::build(&blocks), VecOfVecIndex::build(&blocks));
+        for scheme in WeightingScheme::ALL {
+            for (i, j) in [(0, 1), (1, 2), (3, 4), (3, 5)] {
+                let (i, j) = (ProfileId(i), ProfileId(j));
+                assert_eq!(
+                    vov.weight(i, j, scheme).to_bits(),
+                    csr.weight(i, j, scheme).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

@@ -51,10 +51,10 @@ pub use parallel::{
     take_last_fanout_stats, FanoutStats, Parallelism, WorkerStats, ZeroThreads, MIN_PARALLEL_BATCH,
     STEAL_MIN_CHUNK, STEAL_OVERSUBSCRIPTION,
 };
-pub use profile_index::{IncrementalProfileIndex, IntersectStats, ProfileIndex};
+pub use profile_index::{IntersectStats, ProfileIndex};
 pub use purging::BlockPurger;
 pub use simd::KernelPath;
-pub use spacc::{BlockIndex, BlockMembers, WeightAccumulator};
+pub use spacc::WeightAccumulator;
 pub use suffix_forest::{SuffixForest, SuffixNode};
 pub use token_blocking::TokenBlocking;
 // The string ↔ id boundary of the columnar core, re-exported so consumers

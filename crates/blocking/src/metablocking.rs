@@ -186,7 +186,7 @@ fn keep_for_node_streaming(
     neighborhood: &mut Vec<(ProfileId, f64)>,
     keep: &mut FxHashMap<Pair, f64>,
 ) {
-    acc.sweep(blocks.kind(), blocks, index, weighting, node, None);
+    acc.sweep(blocks, index, weighting, node, None);
     if acc.is_empty() {
         return;
     }

@@ -12,15 +12,10 @@
 //!
 //! Both operations are fused into a single merge pass ([`ProfileIndex::intersect`]).
 //!
-//! Two layouts share one set of merge kernels:
-//!
-//! * [`ProfileIndex`] — the frozen **CSR** batch index (`offsets` +
-//!   one packed `block_ids` array): one allocation instead of `|P|`,
-//!   sequential memory for the weighting sweeps.
-//! * [`IncrementalProfileIndex`] — the growable per-profile-`Vec` index of
-//!   the streaming ingest path (`sper-stream`), supporting amortized
-//!   `O(|b|)` appends, and [`freeze`](IncrementalProfileIndex::freeze)-able
-//!   into the CSR form.
+//! The layout is **CSR** (`offsets` + one packed `block_ids` array): one
+//! allocation instead of `|P|`, sequential memory for the weighting
+//! sweeps. Batch builds and every stream epoch build it the same way,
+//! from the block collection the methods schedule.
 
 use crate::block::{BlockCollection, BlockId};
 use crate::weights::WeightingScheme;
@@ -38,7 +33,7 @@ pub struct IntersectStats {
 }
 
 /// Single-pass merge of two sorted block-id lists against the cardinality
-/// table — the kernel behind both index layouts.
+/// table.
 fn merge_intersect(a: &[u32], b: &[u32], cardinalities: &[u64]) -> IntersectStats {
     let mut ai = 0;
     let mut bi = 0;
@@ -66,24 +61,9 @@ fn merge_intersect(a: &[u32], b: &[u32], cardinalities: &[u64]) -> IntersectStat
     stats
 }
 
-/// The LeCoBI early-exit: is `current` the first shared id of the two
-/// sorted lists? (True also when nothing is shared — see
-/// [`ProfileIndex::is_new_comparison`].)
-fn lecobi_is_new(a: &[u32], b: &[u32], current: u32) -> bool {
-    let mut ai = 0;
-    let mut bi = 0;
-    while ai < a.len() && bi < b.len() {
-        match a[ai].cmp(&b[bi]) {
-            std::cmp::Ordering::Less => ai += 1,
-            std::cmp::Ordering::Greater => bi += 1,
-            std::cmp::Ordering::Equal => return a[ai] == current,
-        }
-    }
-    true
-}
-
-/// Edge weight from two block lists (Algorithm 3 line 10).
-fn weight_from_lists(
+/// Edge weight from two block lists (Algorithm 3 line 10) — shared with
+/// the seed's Vec-of-Vec layout kept in [`crate::legacy`].
+pub(crate) fn weight_from_lists(
     a: &[u32],
     b: &[u32],
     cardinalities: &[u64],
@@ -188,7 +168,16 @@ impl ProfileIndex {
     /// comparison is treated as new so the caller's iteration stays total.
     #[inline]
     pub fn is_new_comparison(&self, i: ProfileId, j: ProfileId, current: BlockId) -> bool {
-        lecobi_is_new(self.blocks_of(i), self.blocks_of(j), current.0)
+        let (a, b) = (self.blocks_of(i), self.blocks_of(j));
+        let (mut ai, mut bi) = (0, 0);
+        while ai < a.len() && bi < b.len() {
+            match a[ai].cmp(&b[bi]) {
+                std::cmp::Ordering::Less => ai += 1,
+                std::cmp::Ordering::Greater => bi += 1,
+                std::cmp::Ordering::Equal => return a[ai] == current.0,
+            }
+        }
+        true
     }
 
     /// Edge weight of the comparison `(i, j)` under `scheme`, derived purely
@@ -229,209 +218,6 @@ impl ProfileIndex {
             block_ids,
             cardinalities,
             total_blocks,
-        }
-    }
-}
-
-/// Growable inverted index for streaming ingest: per-profile `Vec`s that
-/// support amortized-`O(|b|)` block appends and member additions, with the
-/// same query semantics as the frozen [`ProfileIndex`].
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalProfileIndex {
-    /// Second dimension sorted ascending.
-    block_lists: Vec<Vec<u32>>,
-    /// `‖b‖` per block id.
-    cardinalities: Vec<u64>,
-    total_blocks: usize,
-    /// Tombstone set of the mutation model: `true` for profiles retired by
-    /// [`Self::retire`]. Retired profiles keep their (now empty) slot so
-    /// ids stay dense; they never re-enter a block list.
-    retired: Vec<bool>,
-}
-
-impl IncrementalProfileIndex {
-    /// An empty index over `n_profiles` profiles — the starting point of
-    /// the streaming ingest path (`sper-stream`), grown with
-    /// [`Self::push_block`] / [`Self::add_member`] / [`Self::add_profiles`]
-    /// instead of full rebuilds.
-    pub fn new_empty(n_profiles: usize) -> Self {
-        Self {
-            block_lists: vec![Vec::new(); n_profiles],
-            cardinalities: Vec::new(),
-            total_blocks: 0,
-            retired: vec![false; n_profiles],
-        }
-    }
-
-    /// Registers `additional` new profiles (appearing in no block yet).
-    pub fn add_profiles(&mut self, additional: usize) {
-        self.block_lists
-            .extend(std::iter::repeat_with(Vec::new).take(additional));
-        self.retired.extend(std::iter::repeat_n(false, additional));
-    }
-
-    /// Retires a profile: clears its block list and marks it tombstoned, so
-    /// [`Self::blocks_of`] answers "in no block" from then on. The slot is
-    /// kept (dense ids are load-bearing) and the id never re-enters a list.
-    /// Block membership on the *block* side stays stale until the owner of
-    /// the blocks compacts them — per-block cardinalities here are
-    /// likewise stale until that compaction re-pushes the filtered blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id is out of range.
-    pub fn retire(&mut self, p: ProfileId) {
-        self.block_lists[p.index()] = Vec::new();
-        self.retired[p.index()] = true;
-    }
-
-    /// True when [`Self::retire`] tombstoned this profile.
-    #[inline]
-    pub fn is_retired(&self, p: ProfileId) -> bool {
-        self.retired[p.index()]
-    }
-
-    /// Number of tombstoned profiles.
-    pub fn retired_count(&self) -> usize {
-        self.retired.iter().filter(|&&r| r).count()
-    }
-
-    /// Appends a new block with the given members and cardinality,
-    /// returning its id. Per-profile block lists stay sorted because the
-    /// new id is the largest so far — the amortized-O(|b|) append that
-    /// replaces an O(‖B‖) rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a member id is out of range.
-    pub fn push_block(&mut self, members: &[ProfileId], cardinality: u64) -> BlockId {
-        let id = self.total_blocks as u32;
-        self.cardinalities.push(cardinality);
-        self.total_blocks += 1;
-        for &p in members {
-            debug_assert!(!self.retired[p.index()], "retired profile joined a block");
-            self.block_lists[p.index()].push(id);
-        }
-        BlockId(id)
-    }
-
-    /// Adds one member to an existing block, updating its cardinality.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the block or profile id is out of range, or when the
-    /// profile already lists a block id beyond `block` (appends must come
-    /// in non-decreasing block-id order to keep the lists sorted).
-    pub fn add_member(&mut self, block: BlockId, p: ProfileId, cardinality: u64) {
-        debug_assert!(!self.retired[p.index()], "retired profile joined a block");
-        let list = &mut self.block_lists[p.index()];
-        match list.last() {
-            Some(&last) if last == block.0 => {}
-            Some(&last) => {
-                assert!(
-                    last < block.0,
-                    "streaming appends must use non-decreasing block ids"
-                );
-                list.push(block.0);
-            }
-            None => list.push(block.0),
-        }
-        self.cardinalities[block.index()] = cardinality;
-    }
-
-    /// `|B|`: number of blocks indexed.
-    pub fn total_blocks(&self) -> usize {
-        self.total_blocks
-    }
-
-    /// Number of profiles indexed (including ones in no block).
-    pub fn n_profiles(&self) -> usize {
-        self.block_lists.len()
-    }
-
-    /// `|B_i|`: the ids of the blocks containing `p`, ascending.
-    #[inline]
-    pub fn blocks_of(&self, p: ProfileId) -> &[u32] {
-        &self.block_lists[p.index()]
-    }
-
-    /// `‖b‖` for a block id.
-    #[inline]
-    pub fn cardinality(&self, b: BlockId) -> u64 {
-        self.cardinalities[b.index()]
-    }
-
-    /// See [`ProfileIndex::intersect`].
-    pub fn intersect(&self, i: ProfileId, j: ProfileId) -> IntersectStats {
-        merge_intersect(self.blocks_of(i), self.blocks_of(j), &self.cardinalities)
-    }
-
-    /// See [`ProfileIndex::is_new_comparison`].
-    #[inline]
-    pub fn is_new_comparison(&self, i: ProfileId, j: ProfileId, current: BlockId) -> bool {
-        lecobi_is_new(self.blocks_of(i), self.blocks_of(j), current.0)
-    }
-
-    /// See [`ProfileIndex::weight`].
-    pub fn weight(&self, i: ProfileId, j: ProfileId, scheme: WeightingScheme) -> f64 {
-        weight_from_lists(
-            self.blocks_of(i),
-            self.blocks_of(j),
-            &self.cardinalities,
-            self.total_blocks,
-            scheme,
-        )
-    }
-
-    /// The per-profile block lists, in profile-id order — the persistence
-    /// boundary (`sper-store`) serializes these (packed as CSR) plus the
-    /// cardinality table.
-    pub fn block_lists(&self) -> &[Vec<u32>] {
-        &self.block_lists
-    }
-
-    /// Reassembles a growable index from its parts — the inverse of
-    /// [`block_lists`](Self::block_lists) +
-    /// [`cardinality`](Self::cardinality). Callers (the persistence layer)
-    /// must validate untrusted input first; invariants are only
-    /// debug-asserted here.
-    pub fn from_parts(
-        block_lists: Vec<Vec<u32>>,
-        cardinalities: Vec<u64>,
-        total_blocks: usize,
-    ) -> Self {
-        debug_assert_eq!(cardinalities.len(), total_blocks);
-        debug_assert!(block_lists
-            .iter()
-            .all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        debug_assert!(block_lists
-            .iter()
-            .all(|l| l.iter().all(|&b| (b as usize) < total_blocks)));
-        let retired = vec![false; block_lists.len()];
-        Self {
-            block_lists,
-            cardinalities,
-            total_blocks,
-            retired,
-        }
-    }
-
-    /// Freezes the growable index into the packed CSR [`ProfileIndex`]
-    /// (identical query results, sequential memory).
-    pub fn freeze(&self) -> ProfileIndex {
-        let mut offsets = Vec::with_capacity(self.block_lists.len() + 1);
-        offsets.push(0u32);
-        let total: usize = self.block_lists.iter().map(Vec::len).sum();
-        let mut block_ids = Vec::with_capacity(total);
-        for list in &self.block_lists {
-            block_ids.extend_from_slice(list);
-            offsets.push(crate::block::csr_offset(block_ids.len()));
-        }
-        ProfileIndex {
-            offsets,
-            block_ids,
-            cardinalities: self.cardinalities.clone(),
-            total_blocks: self.total_blocks,
         }
     }
 }
@@ -531,75 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_append_matches_batch_build() {
-        // Grow an index block by block / member by member; it must agree
-        // with the batch `build` on the same final collection — and so must
-        // its frozen CSR form.
-        let (blocks, batch) = fig3_index();
-        let it = blocks.interner();
-        let mut inc = IncrementalProfileIndex::new_empty(0);
-        inc.add_profiles(blocks.n_profiles());
-        let kind = sper_model::ErKind::Dirty;
-        for block in blocks.iter() {
-            // Simulate streaming: first member arrives with the block, the
-            // rest join one at a time.
-            let members = block.profiles();
-            let id = inc.push_block(&members[..1], 0);
-            let mut so_far = vec![members[0]];
-            for &p in &members[1..] {
-                so_far.push(p);
-                let tmp = Block::new_dirty(it.intern("k"), so_far.clone());
-                inc.add_member(id, p, tmp.cardinality(kind));
-            }
-        }
-        assert_eq!(inc.total_blocks(), batch.total_blocks());
-        let frozen = inc.freeze();
-        assert_eq!(frozen.total_blocks(), batch.total_blocks());
-        for p in 0..blocks.n_profiles() {
-            assert_eq!(inc.blocks_of(pid(p as u32)), batch.blocks_of(pid(p as u32)));
-            assert_eq!(
-                frozen.blocks_of(pid(p as u32)),
-                batch.blocks_of(pid(p as u32))
-            );
-        }
-        for b in 0..blocks.len() as u32 {
-            assert_eq!(inc.cardinality(BlockId(b)), batch.cardinality(BlockId(b)));
-        }
-        // Derived queries agree too.
-        let a = inc.intersect(pid(0), pid(1));
-        let b = batch.intersect(pid(0), pid(1));
-        let f = frozen.intersect(pid(0), pid(1));
-        assert_eq!(a, b);
-        assert_eq!(f, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn out_of_order_append_panics() {
-        let mut inc = IncrementalProfileIndex::new_empty(2);
-        let b0 = inc.push_block(&[pid(0)], 0);
-        inc.push_block(&[pid(0)], 0);
-        inc.add_member(b0, pid(0), 1);
-    }
-
-    #[test]
-    fn retire_clears_block_list_and_marks_tombstone() {
-        let mut inc = IncrementalProfileIndex::new_empty(3);
-        inc.push_block(&[pid(0), pid(1), pid(2)], 3);
-        inc.push_block(&[pid(1), pid(2)], 1);
-        assert_eq!(inc.blocks_of(pid(1)), &[0, 1]);
-        inc.retire(pid(1));
-        assert!(inc.is_retired(pid(1)));
-        assert!(inc.blocks_of(pid(1)).is_empty());
-        assert_eq!(inc.retired_count(), 1);
-        // Untouched profiles keep their lists; ids stay addressable.
-        assert_eq!(inc.blocks_of(pid(2)), &[0, 1]);
-        assert_eq!(inc.n_profiles(), 3);
-        // Intersection queries see the retired profile as sharing nothing.
-        assert_eq!(inc.intersect(pid(0), pid(1)).common, 0);
-    }
-
-    #[test]
     fn block_lists_sorted_ascending() {
         let (_, index) = fig3_index();
         for p in 0..index.n_profiles() {
@@ -674,26 +391,6 @@ mod proptests {
                 let w2 = index.weight(ProfileId(j), ProfileId(i), scheme);
                 prop_assert!((w1 - w2).abs() < 1e-12);
                 prop_assert!(w1 >= 0.0);
-            }
-        }
-
-        /// The frozen CSR index and the growable index agree on every
-        /// query for every collection.
-        #[test]
-        fn freeze_preserves_queries(blocks in arbitrary_blocks(), i in 0u32..12, j in 0u32..12) {
-            prop_assume!(i != j);
-            let batch = ProfileIndex::build(&blocks);
-            let mut inc = IncrementalProfileIndex::new_empty(blocks.n_profiles());
-            for block in blocks.iter() {
-                inc.push_block(block.profiles(), block.cardinality(ErKind::Dirty));
-            }
-            let frozen = inc.freeze();
-            let (i, j) = (ProfileId(i), ProfileId(j));
-            prop_assert_eq!(batch.blocks_of(i), frozen.blocks_of(i));
-            prop_assert_eq!(batch.intersect(i, j), inc.intersect(i, j));
-            prop_assert_eq!(batch.intersect(i, j), frozen.intersect(i, j));
-            for scheme in WeightingScheme::ALL {
-                prop_assert!((batch.weight(i, j, scheme) - frozen.weight(i, j, scheme)).abs() < 1e-12);
             }
         }
     }

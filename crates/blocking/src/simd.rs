@@ -125,8 +125,9 @@ impl KernelPath {
             #[cfg(target_arch = "x86_64")]
             KernelPath::Avx2 => {
                 // SAFETY: `active()`/the caller only selects Avx2 when the
-                // CPU reports the feature; `debug_assert`s and the
-                // BlockMembers contract bound every id by `acc.len()`.
+                // CPU reports the feature; every id is a member of the swept
+                // collection, whose profile count the sweep asserts is at
+                // most `acc.len()`.
                 unsafe { accumulate_avx2(ids, contribution, bid, acc, lcb, touched) }
             }
             #[cfg(target_arch = "x86_64")]
@@ -335,8 +336,8 @@ pub(crate) fn accumulate_scalar(
 ///
 /// # Safety
 ///
-/// Caller must guarantee every id in `ids` is `< acc.len()` (the
-/// [`crate::spacc::BlockMembers`] contract).
+/// Caller must guarantee every id in `ids` is `< acc.len()` (a swept
+/// block's members are ids of its collection, which the scratch covers).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn accumulate_sse2(
@@ -378,7 +379,8 @@ unsafe fn accumulate_sse2(
 /// # Safety
 ///
 /// Caller must guarantee the CPU supports AVX2 and every id in `ids` is
-/// `< acc.len()` (the [`crate::spacc::BlockMembers`] contract).
+/// `< acc.len()` (a swept block's members are ids of its collection,
+/// which the scratch covers).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn accumulate_avx2(

@@ -30,14 +30,12 @@
 //! materialized graph (node-centric pruning, PBS block refills, PPS
 //! scheduling) drain the scratch directly.
 //!
-//! The kernel is substrate-agnostic: both the frozen CSR [`ProfileIndex`]
-//! and the growable [`IncrementalProfileIndex`] of the streaming ingest
-//! path implement [`BlockIndex`], and both [`BlockCollection`] and the
-//! live `[Block]` slice of `sper-stream` implement [`BlockMembers`], so
-//! batch and incremental epochs run the same sweep.
+//! The kernel sweeps one substrate pair: a [`BlockCollection`] and the
+//! CSR [`ProfileIndex`] built over it. Batch builds and stream epochs both
+//! hand it that pair, since every epoch snapshots its blocks first.
 
-use crate::block::{Block, BlockCollection, BlockId};
-use crate::profile_index::{IncrementalProfileIndex, ProfileIndex};
+use crate::block::{BlockCollection, BlockId};
+use crate::profile_index::ProfileIndex;
 use crate::simd::KernelPath;
 use crate::weights::{FinalizeTable, WeightingScheme};
 use sper_model::{ErKind, Pair, ProfileId};
@@ -49,85 +47,6 @@ fn raw_ids(partition: &[ProfileId]) -> &[u32] {
     // SAFETY: `ProfileId` is `#[repr(transparent)]` over `u32`, so the two
     // slice types have identical layout, alignment, and validity.
     unsafe { std::slice::from_raw_parts(partition.as_ptr().cast::<u32>(), partition.len()) }
-}
-
-/// Read-only view of a profile→blocks inverted index, as the kernel needs
-/// it: the sorted block list of a profile, cached block cardinalities, and
-/// the total block count for finalization.
-pub trait BlockIndex {
-    /// `|B_i|`: the ids of the blocks containing `p`, ascending.
-    fn blocks_of(&self, p: ProfileId) -> &[u32];
-    /// `‖b‖` for a block id.
-    fn block_cardinality(&self, b: u32) -> u64;
-    /// `|B|`: number of blocks indexed.
-    fn total_blocks(&self) -> usize;
-}
-
-impl BlockIndex for ProfileIndex {
-    #[inline]
-    fn blocks_of(&self, p: ProfileId) -> &[u32] {
-        ProfileIndex::blocks_of(self, p)
-    }
-
-    #[inline]
-    fn block_cardinality(&self, b: u32) -> u64 {
-        ProfileIndex::cardinality(self, BlockId(b))
-    }
-
-    fn total_blocks(&self) -> usize {
-        ProfileIndex::total_blocks(self)
-    }
-}
-
-impl BlockIndex for IncrementalProfileIndex {
-    #[inline]
-    fn blocks_of(&self, p: ProfileId) -> &[u32] {
-        IncrementalProfileIndex::blocks_of(self, p)
-    }
-
-    #[inline]
-    fn block_cardinality(&self, b: u32) -> u64 {
-        IncrementalProfileIndex::cardinality(self, BlockId(b))
-    }
-
-    fn total_blocks(&self) -> usize {
-        IncrementalProfileIndex::total_blocks(self)
-    }
-}
-
-/// Read-only view of block membership, as the kernel needs it: the sorted
-/// member slice of a block and its `P1` partition size.
-pub trait BlockMembers {
-    /// Members of block `b`, `P1` partition first, each partition sorted
-    /// ascending.
-    fn members(&self, b: u32) -> &[ProfileId];
-    /// `|b ∩ P1|` for block `b`.
-    fn n_first(&self, b: u32) -> u32;
-}
-
-impl BlockMembers for BlockCollection {
-    #[inline]
-    fn members(&self, b: u32) -> &[ProfileId] {
-        self.get(BlockId(b)).profiles()
-    }
-
-    #[inline]
-    fn n_first(&self, b: u32) -> u32 {
-        self.get(BlockId(b)).first_source().len() as u32
-    }
-}
-
-/// The live insertion-order block array of the streaming substrates.
-impl BlockMembers for [Block] {
-    #[inline]
-    fn members(&self, b: u32) -> &[ProfileId] {
-        self[b as usize].profiles()
-    }
-
-    #[inline]
-    fn n_first(&self, b: u32) -> u32 {
-        self[b as usize].first_source().len() as u32
-    }
 }
 
 /// Which neighbors a sweep visits.
@@ -235,28 +154,12 @@ impl WeightAccumulator {
         self.acc.len()
     }
 
-    /// Grows the scratch to cover `n_profiles` profiles — the streaming
-    /// ingest path (`sper-stream`) keeps **one** accumulator alive across
-    /// epochs and lets it follow the growing substrate instead of
-    /// re-allocating per epoch. Existing entries are untouched; new slots
-    /// start untouched.
-    pub fn ensure_profiles(&mut self, n_profiles: usize) {
-        if n_profiles > self.acc.len() {
-            self.acc.resize(n_profiles, 0.0);
-            self.lcb.resize(n_profiles, 0);
-            self.mask.resize(n_profiles.div_ceil(64), 0);
-        }
-    }
-
     // Private kernel core — the two public wrappers (`sweep`,
-    // `sweep_forward`) are the real API, so the long parameter list never
-    // reaches callers.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_impl<M: BlockMembers + ?Sized, I: BlockIndex>(
+    // `sweep_forward`) are the real API.
+    fn sweep_impl(
         &mut self,
-        kind: ErKind,
-        members: &M,
-        index: &I,
+        blocks: &BlockCollection,
+        index: &ProfileIndex,
         scheme: WeightingScheme,
         i: ProfileId,
         dir: SweepDir,
@@ -269,11 +172,21 @@ impl WeightAccumulator {
              between sweeps",
             self.touched.len()
         );
+        // The vector accumulate kernels index the scratch unchecked; every
+        // id they see is a member of `blocks`, hence below its profile count.
+        assert!(
+            blocks.n_profiles() <= self.acc.len(),
+            "scratch covers {} profiles, the swept collection {}",
+            self.acc.len(),
+            blocks.n_profiles()
+        );
         let path = self.path;
+        let kind = blocks.kind();
         for &bid in index.blocks_of(i) {
-            let contribution = scheme.per_block(index.block_cardinality(bid));
-            let mem = members.members(bid);
-            let n_first = members.n_first(bid) as usize;
+            let contribution = scheme.per_block(index.cardinality(BlockId(bid)));
+            let block = blocks.get(BlockId(bid));
+            let mem = block.profiles();
+            let n_first = block.first_source().len();
             // Valid co-occurrences: Dirty — everyone else in the block;
             // Clean-clean — the opposite source partition. The forward
             // sweep keeps only ids beyond `i`, exploiting the sorted
@@ -353,16 +266,15 @@ impl WeightAccumulator {
     /// touched entries from a previous sweep: accumulating on top of stale
     /// sums silently corrupts every weight, so the contract violation is a
     /// hard error rather than a `debug_assert!` that release builds skip.
-    pub fn sweep<M: BlockMembers + ?Sized, I: BlockIndex>(
+    pub fn sweep(
         &mut self,
-        kind: ErKind,
-        members: &M,
-        index: &I,
+        blocks: &BlockCollection,
+        index: &ProfileIndex,
         scheme: WeightingScheme,
         i: ProfileId,
         checked: Option<&[bool]>,
     ) {
-        self.sweep_impl(kind, members, index, scheme, i, SweepDir::Full, checked);
+        self.sweep_impl(blocks, index, scheme, i, SweepDir::Full, checked);
     }
 
     /// Accumulates only the neighbors of `i` with a **larger id** — the
@@ -374,15 +286,14 @@ impl WeightAccumulator {
     /// # Panics
     ///
     /// Panics when the scratch is not reset — see [`Self::sweep`].
-    pub fn sweep_forward<M: BlockMembers + ?Sized, I: BlockIndex>(
+    pub fn sweep_forward(
         &mut self,
-        kind: ErKind,
-        members: &M,
-        index: &I,
+        blocks: &BlockCollection,
+        index: &ProfileIndex,
         scheme: WeightingScheme,
         i: ProfileId,
     ) {
-        self.sweep_impl(kind, members, index, scheme, i, SweepDir::Forward, None);
+        self.sweep_impl(blocks, index, scheme, i, SweepDir::Forward, None);
     }
 
     /// Neighbors touched by the last sweep (discovery order until sorted).
@@ -431,9 +342,9 @@ impl WeightAccumulator {
     /// Finalizes the accumulated sum of neighbor `j` into the edge weight
     /// of `(i, j)` — identical to [`ProfileIndex::weight`] bit for bit.
     #[inline]
-    pub fn finalize<I: BlockIndex>(
+    pub fn finalize(
         &self,
-        index: &I,
+        index: &ProfileIndex,
         scheme: WeightingScheme,
         i: ProfileId,
         j: ProfileId,
@@ -453,37 +364,6 @@ impl WeightAccumulator {
         crate::simd::clear_touched(&self.touched, &mut self.acc);
         self.touched.clear();
         self.stats.resets += 1;
-    }
-
-    /// Evicts every scratch entry belonging to a retired profile —
-    /// accumulated sums, least-common-block tags, touched-list slots, and
-    /// drain-mask bits — without disturbing live entries.
-    ///
-    /// A scratch that outlives a substrate **compaction** (the cross-epoch
-    /// `ensure_profiles` pattern of `sper-stream`) would otherwise carry
-    /// two kinds of stale state for compacted-away ids: an accumulated sum
-    /// a consumer could still [`Self::finalize`] against the *rebuilt*
-    /// index, and a `lcb` tag naming a pre-compaction block id that no
-    /// longer exists under the renumbered block space. Neither is reachable
-    /// through a disciplined sweep→drain cycle, but the scratch is a public
-    /// long-lived object — so compaction owners call this to make the
-    /// stale entries unobservable instead of relying on every consumer's
-    /// discipline. `retired[j] == true` marks profile `j` as
-    /// compacted-away; ids beyond the slice are treated as live.
-    ///
-    /// This does **not** replace [`Self::reset`]: live touched entries
-    /// survive, so a purged-but-undrained scratch still refuses new sweeps.
-    pub fn purge_retired(&mut self, retired: &[bool]) {
-        let n = retired.len().min(self.acc.len());
-        for (j, &dead) in retired[..n].iter().enumerate() {
-            if dead {
-                self.acc[j] = 0.0;
-                self.lcb[j] = 0;
-                self.mask[j / 64] &= !(1u64 << (j % 64));
-            }
-        }
-        self.touched
-            .retain(|&j| !retired.get(j as usize).copied().unwrap_or(false));
     }
 
     /// Emits every touched neighbor in **ascending id order** — `f(j,
@@ -558,12 +438,11 @@ pub fn for_each_weighted_edge(
     mut emit: impl FnMut(Pair, f64, BlockId),
 ) {
     let n = blocks.n_profiles();
-    let kind = blocks.kind();
     let table = FinalizeTable::build(index, scheme, n);
     let mut acc = WeightAccumulator::new(n);
     for i in 0..n {
         let i = ProfileId(i as u32);
-        acc.sweep_forward(kind, blocks, index, scheme, i);
+        acc.sweep_forward(blocks, index, scheme, i);
         acc.drain_ascending(|j, sum, lcb| {
             emit(
                 Pair::new(i, ProfileId(j)),
@@ -611,7 +490,6 @@ pub fn weighted_edge_list(
 ) -> Vec<(Pair, f64)> {
     let mut span = sper_obs::span!("blocking.weighted_edge_list", workers = par.get());
     let n = blocks.n_profiles();
-    let kind = blocks.kind();
     let n_blocks = index.total_blocks();
     let table = FinalizeTable::build(index, scheme, n);
 
@@ -625,7 +503,7 @@ pub fn weighted_edge_list(
             let mut counts = vec![0u32; n_blocks];
             for i in range {
                 let i = ProfileId(i as u32);
-                acc.sweep_forward(kind, blocks, index, scheme, i);
+                acc.sweep_forward(blocks, index, scheme, i);
                 for &j in acc.touched() {
                     counts[acc.least_common_block(ProfileId(j)).0 as usize] += 1;
                 }
@@ -688,7 +566,7 @@ pub fn weighted_edge_list(
             let mut cursor = cursors[chunk].clone();
             for i in range {
                 let i = ProfileId(i as u32);
-                acc.sweep_forward(kind, blocks, index, scheme, i);
+                acc.sweep_forward(blocks, index, scheme, i);
                 jbuf.clear();
                 sumbuf.clear();
                 lcbbuf.clear();
@@ -771,12 +649,11 @@ mod tests {
     #[test]
     fn sweep_weights_match_pairwise_merge() {
         let (blocks, index) = fig3_setup();
-        let kind = blocks.kind();
         let mut acc = WeightAccumulator::new(blocks.n_profiles());
         for scheme in WeightingScheme::ALL {
             for i in 0..blocks.n_profiles() as u32 {
                 let i = pid(i);
-                acc.sweep(kind, &blocks, &index, scheme, i, None);
+                acc.sweep(&blocks, &index, scheme, i, None);
                 for t in 0..acc.touched().len() {
                     let j = pid(acc.touched()[t]);
                     let sweep_w = acc.finalize(&index, scheme, i, j);
@@ -795,11 +672,10 @@ mod tests {
     #[test]
     fn lcb_matches_intersect_witness() {
         let (blocks, index) = fig3_setup();
-        let kind = blocks.kind();
         let mut acc = WeightAccumulator::new(blocks.n_profiles());
         for i in 0..blocks.n_profiles() as u32 {
             let i = pid(i);
-            acc.sweep(kind, &blocks, &index, WeightingScheme::Arcs, i, None);
+            acc.sweep(&blocks, &index, WeightingScheme::Arcs, i, None);
             for t in 0..acc.touched().len() {
                 let j = pid(acc.touched()[t]);
                 let expected = index.intersect(i, j).least_common.unwrap();
@@ -812,11 +688,10 @@ mod tests {
     #[test]
     fn forward_sweep_sees_only_larger_ids() {
         let (blocks, index) = fig3_setup();
-        let kind = blocks.kind();
         let mut acc = WeightAccumulator::new(blocks.n_profiles());
         for i in 0..blocks.n_profiles() as u32 {
             let i = pid(i);
-            acc.sweep_forward(kind, &blocks, &index, WeightingScheme::Cbs, i);
+            acc.sweep_forward(&blocks, &index, WeightingScheme::Cbs, i);
             for &j in acc.touched() {
                 assert!(j > i.0, "forward sweep of {i:?} touched {j}");
                 // Forward and full sweeps agree on the shared neighbors.
@@ -833,14 +708,7 @@ mod tests {
     fn reset_clears_scratch() {
         let (blocks, index) = fig3_setup();
         let mut acc = WeightAccumulator::new(blocks.n_profiles());
-        acc.sweep(
-            blocks.kind(),
-            &blocks,
-            &index,
-            WeightingScheme::Arcs,
-            pid(0),
-            None,
-        );
+        acc.sweep(&blocks, &index, WeightingScheme::Arcs, pid(0), None);
         assert!(!acc.is_empty());
         acc.reset();
         assert!(acc.is_empty());
@@ -850,53 +718,12 @@ mod tests {
     }
 
     #[test]
-    fn purge_retired_evicts_only_dead_entries() {
-        let (blocks, index) = fig3_setup();
-        let kind = blocks.kind();
-        let mut acc = WeightAccumulator::new(blocks.n_profiles());
-        acc.sweep(kind, &blocks, &index, WeightingScheme::Arcs, pid(0), None);
-        assert!(acc.touched().contains(&1));
-        // Profile 1 is compacted away while the scratch still carries its
-        // accumulated sum and LCB tag from the pre-compaction sweep.
-        let mut retired = vec![false; blocks.n_profiles()];
-        retired[1] = true;
-        let live_before: Vec<u32> = acc.touched().iter().copied().filter(|&j| j != 1).collect();
-        acc.purge_retired(&retired);
-        assert!(!acc.touched().contains(&1));
-        assert_eq!(acc.raw(pid(1)), 0.0);
-        // Live entries are untouched by the purge...
-        assert_eq!(acc.touched(), live_before.as_slice());
-        for &j in &live_before {
-            assert_eq!(
-                acc.raw(pid(j)).to_bits(),
-                index
-                    .weight(pid(0), pid(j), WeightingScheme::Arcs)
-                    .to_bits()
-            );
-        }
-        // ...and a drain sees only live neighbors (in ascending order, as
-        // always) and restores the all-zero scratch invariant, so the
-        // next sweep is accepted.
-        let mut drained = Vec::new();
-        acc.drain_ascending(|j, _, _| drained.push(j));
-        let mut live_sorted = live_before.clone();
-        live_sorted.sort_unstable();
-        assert_eq!(drained, live_sorted);
-        for j in 0..acc.n_profiles() as u32 {
-            assert_eq!(acc.raw(pid(j)), 0.0);
-        }
-        acc.sweep(kind, &blocks, &index, WeightingScheme::Arcs, pid(2), None);
-        acc.reset();
-    }
-
-    #[test]
     fn checked_filter_suppresses_neighbors() {
         let (blocks, index) = fig3_setup();
         let mut checked = vec![false; blocks.n_profiles()];
         checked[1] = true;
         let mut acc = WeightAccumulator::new(blocks.n_profiles());
         acc.sweep(
-            blocks.kind(),
             &blocks,
             &index,
             WeightingScheme::Arcs,
@@ -930,34 +757,5 @@ mod tests {
             v
         };
         assert_eq!(sort(streamed), sort(edges.clone()));
-    }
-
-    #[test]
-    fn incremental_index_runs_the_same_kernel() {
-        // The growable streaming index and the live block array drive the
-        // sweep to the same weights as the frozen CSR pair.
-        let (blocks, index) = fig3_setup();
-        let kind = blocks.kind();
-        let mut inc = IncrementalProfileIndex::new_empty(blocks.n_profiles());
-        for block in blocks.iter() {
-            inc.push_block(block.profiles(), block.cardinality(kind));
-        }
-        let owned: Vec<Block> = blocks.clone().into_blocks();
-        let mut a = WeightAccumulator::new(blocks.n_profiles());
-        let mut b = WeightAccumulator::new(blocks.n_profiles());
-        for i in 0..blocks.n_profiles() as u32 {
-            let i = pid(i);
-            a.sweep(kind, &blocks, &index, WeightingScheme::Js, i, None);
-            b.sweep(kind, owned.as_slice(), &inc, WeightingScheme::Js, i, None);
-            assert_eq!(a.touched(), b.touched());
-            for &j in a.touched() {
-                assert_eq!(
-                    a.finalize(&index, WeightingScheme::Js, i, pid(j)).to_bits(),
-                    b.finalize(&inc, WeightingScheme::Js, i, pid(j)).to_bits()
-                );
-            }
-            a.reset();
-            b.reset();
-        }
     }
 }

@@ -146,8 +146,8 @@ pub struct FinalizeTable {
 
 impl FinalizeTable {
     /// Builds the table for `scheme` over the profiles of `index`.
-    pub fn build<I: crate::spacc::BlockIndex + ?Sized>(
-        index: &I,
+    pub fn build(
+        index: &crate::profile_index::ProfileIndex,
         scheme: WeightingScheme,
         n_profiles: usize,
     ) -> Self {

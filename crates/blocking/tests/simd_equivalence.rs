@@ -88,7 +88,6 @@ proptest! {
         blocks.sort_by_cardinality();
         let index = ProfileIndex::build(&blocks);
         let n = blocks.n_profiles();
-        let kind = blocks.kind();
         let mut reference = WeightAccumulator::with_path(n, KernelPath::Scalar);
         for path in runnable_paths() {
             let mut acc = WeightAccumulator::with_path(n, path);
@@ -96,8 +95,8 @@ proptest! {
             for scheme in WeightingScheme::ALL {
                 for i in 0..n as u32 {
                     let i = ProfileId(i);
-                    reference.sweep(kind, &blocks, &index, scheme, i, None);
-                    acc.sweep(kind, &blocks, &index, scheme, i, None);
+                    reference.sweep(&blocks, &index, scheme, i, None);
+                    acc.sweep(&blocks, &index, scheme, i, None);
                     reference.sort_touched();
                     acc.sort_touched();
                     prop_assert_eq!(
@@ -205,13 +204,12 @@ proptest! {
         blocks.sort_by_cardinality();
         let index = ProfileIndex::build(&blocks);
         let n = blocks.n_profiles();
-        let kind = blocks.kind();
         let mut probe = WeightAccumulator::new(n);
         let mut drained = WeightAccumulator::new(n);
         for i in 0..n as u32 {
             let i = ProfileId(i);
-            probe.sweep_forward(kind, &blocks, &index, WeightingScheme::Cbs, i);
-            drained.sweep_forward(kind, &blocks, &index, WeightingScheme::Cbs, i);
+            probe.sweep_forward(&blocks, &index, WeightingScheme::Cbs, i);
+            drained.sweep_forward(&blocks, &index, WeightingScheme::Cbs, i);
             probe.sort_touched();
             let expected: Vec<(u32, u64, u32)> = probe
                 .touched()
@@ -249,13 +247,7 @@ fn drain_sparse_branch_sorts() {
     let blocks = TokenBlocking::default().build(&coll);
     let index = ProfileIndex::build(&blocks);
     let mut acc = WeightAccumulator::new(blocks.n_profiles());
-    acc.sweep_forward(
-        blocks.kind(),
-        &blocks,
-        &index,
-        WeightingScheme::Cbs,
-        ProfileId(0),
-    );
+    acc.sweep_forward(&blocks, &index, WeightingScheme::Cbs, ProfileId(0));
     assert_eq!(acc.touched().len(), 2, "0 sees exactly 777 and 3999");
     let mut got = Vec::new();
     acc.drain_ascending(|j, sum, _| got.push((j, sum)));
@@ -297,25 +289,10 @@ fn sweep_on_dirty_scratch_panics() {
     let blocks = TokenBlocking::default().build(&coll);
     let index = ProfileIndex::build(&blocks);
     let mut acc = WeightAccumulator::new(blocks.n_profiles());
-    let kind = blocks.kind();
-    acc.sweep(
-        kind,
-        &blocks,
-        &index,
-        WeightingScheme::Cbs,
-        ProfileId(0),
-        None,
-    );
+    acc.sweep(&blocks, &index, WeightingScheme::Cbs, ProfileId(0), None);
     assert!(!acc.is_empty(), "first sweep must touch profile 1");
     // No reset: the second sweep must panic, not corrupt.
-    acc.sweep(
-        kind,
-        &blocks,
-        &index,
-        WeightingScheme::Cbs,
-        ProfileId(1),
-        None,
-    );
+    acc.sweep(&blocks, &index, WeightingScheme::Cbs, ProfileId(1), None);
 }
 
 /// Degenerate inputs take every path without panicking, whatever the
@@ -333,13 +310,7 @@ fn empty_and_single_profile_per_path() {
         for path in runnable_paths() {
             let mut acc = WeightAccumulator::with_path(n, path);
             for i in 0..n as u32 {
-                acc.sweep_forward(
-                    blocks.kind(),
-                    &blocks,
-                    &index,
-                    WeightingScheme::Ecbs,
-                    ProfileId(i),
-                );
+                acc.sweep_forward(&blocks, &index, WeightingScheme::Ecbs, ProfileId(i));
                 acc.drain_ascending(|_, _, _| panic!("no neighbors exist"));
             }
         }

@@ -18,8 +18,6 @@
 //! * **Pruning** — `prune_blocks` (node-centric sweeps, no materialized
 //!   graph) equals `prune` over the kernel-built graph for every pruning
 //!   scheme, at every requested worker count.
-//! * **Incremental substrates** — the growable `IncrementalProfileIndex` +
-//!   live `[Block]` array drive the kernel to the frozen CSR results.
 //! * **Degenerate inputs** — empty and single-profile collections take
 //!   every path without panicking.
 
@@ -29,10 +27,10 @@ use sper_blocking::legacy::{
 };
 use sper_blocking::spacc::{for_each_weighted_edge, weighted_edge_list};
 use sper_blocking::{
-    prune, prune_blocks, Block, BlockingGraph, IncrementalProfileIndex, Parallelism, ProfileIndex,
-    PruningScheme, TokenBlocking, WeightAccumulator, WeightingScheme,
+    prune, prune_blocks, BlockingGraph, Parallelism, ProfileIndex, PruningScheme, TokenBlocking,
+    WeightingScheme,
 };
-use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder, ProfileId};
+use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder};
 
 /// Random collections over a tiny alphabet — small vocabularies maximize
 /// token collisions, which is where blocking behavior lives. Half the
@@ -161,38 +159,6 @@ proptest! {
         }
     }
 
-    /// The growable streaming index + live block array drive the kernel to
-    /// the frozen CSR pair's results: same touched sets, same weight bits.
-    #[test]
-    fn incremental_substrates_run_the_same_kernel(coll in any_collection()) {
-        let blocks = TokenBlocking::default().build(&coll);
-        let index = ProfileIndex::build(&blocks);
-        let kind = blocks.kind();
-        let mut inc = IncrementalProfileIndex::new_empty(blocks.n_profiles());
-        for block in blocks.iter() {
-            inc.push_block(block.profiles(), block.cardinality(kind));
-        }
-        let owned: Vec<Block> = blocks.clone().into_blocks();
-        let mut frozen = WeightAccumulator::new(blocks.n_profiles());
-        let mut live = WeightAccumulator::new(blocks.n_profiles());
-        for scheme in WeightingScheme::ALL {
-            for i in 0..blocks.n_profiles() as u32 {
-                let i = ProfileId(i);
-                frozen.sweep(kind, &blocks, &index, scheme, i, None);
-                live.sweep(kind, owned.as_slice(), &inc, scheme, i, None);
-                prop_assert_eq!(frozen.touched(), live.touched());
-                for t in 0..frozen.touched().len() {
-                    let j = ProfileId(frozen.touched()[t]);
-                    prop_assert_eq!(
-                        frozen.finalize(&index, scheme, i, j).to_bits(),
-                        live.finalize(&inc, scheme, i, j).to_bits()
-                    );
-                }
-                frozen.reset();
-                live.reset();
-            }
-        }
-    }
 }
 
 #[test]

@@ -185,7 +185,7 @@ impl Pbs {
             let merge_est =
                 (partners.len() as u64).saturating_mul(2 * index.blocks_of(i).len() as u64);
             if forward_volume[i.index()] <= merge_est {
-                acc.sweep_forward(kind, blocks, index, scheme, i);
+                acc.sweep_forward(blocks, index, scheme, i);
                 for &j in partners {
                     // LeCoBI: keep the pair only where the sweep first saw
                     // it — its least common block.

@@ -44,7 +44,7 @@ fn init_range(
     let mut tops: Vec<Comparison> = Vec::new();
     for i in range {
         let i = ProfileId(i);
-        acc.sweep(blocks.kind(), blocks, index, scheme, i, None);
+        acc.sweep(blocks, index, scheme, i, None);
         if acc.is_empty() {
             continue;
         }
@@ -235,7 +235,6 @@ impl Pps {
             self.checked[i.index()] = true;
 
             self.acc.sweep(
-                self.blocks.kind(),
                 &self.blocks,
                 &self.index,
                 self.scheme,

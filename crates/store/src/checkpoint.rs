@@ -21,6 +21,13 @@
 //! `TOMB`; the reader treats that as "no mutations ever happened", which
 //! is exactly what a v1 writer could express.
 //!
+//! **The one derived structure stored:** `ITBK` follows its live blocks
+//! with an index segment — each profile's block positions and each
+//! block's cardinality — that v1 and v2 files carry although it is a pure
+//! function of the blocks and the `TOMB` ids. A save derives it from the
+//! blocks; a load derives it again and refuses the file unless the stored
+//! segment is byte-equal (see `substrates::append_live_index`).
+//!
 //! **What is deliberately absent:** the sparse-accumulator kernel's
 //! scratch state (`sper_blocking::WeightAccumulator` inside PBS/PPS, the
 //! dense co-occurrence scratch inside LS-PSN/GS-PSN). The scratch is a
@@ -36,9 +43,8 @@
 use crate::container::{Store, Tag};
 use crate::error::StoreError;
 use crate::substrates::{
-    decode_incremental_index, decode_interner, decode_live_blocks, decode_profiles,
-    encode_incremental_index, encode_interner, encode_live_blocks, encode_profiles, TAG_INTERNER,
-    TAG_PROFILES,
+    append_live_index, check_member, decode_interner, decode_live_blocks, decode_profiles,
+    encode_interner, encode_live_blocks, encode_profiles, Tomb, TAG_INTERNER, TAG_PROFILES,
 };
 use crate::wire::{Decoder, Encoder};
 use sper_blocking::{TokenBlockingWorkflow, WeightingScheme};
@@ -156,6 +162,7 @@ impl SessionCheckpoint {
             None => (CompactionPolicy::default(), Vec::new(), Vec::new()),
             Some(bytes) => decode_tombstones(bytes, n_profiles, &profiles)?,
         };
+        let marks = tomb_marks(n_profiles, &retracted, &pending_tombstones);
 
         let mut blocks: Option<IncrementalTokenBlocking> = None;
         let mut nl: Option<IncrementalNeighborList> = None;
@@ -168,39 +175,23 @@ impl SessionCheckpoint {
             if live_len > rest.len() {
                 return Err(d.corrupt("live-block segment length exceeds payload"));
             }
-            let live = decode_live_blocks(&rest[..live_len], n_profiles, &interner)?;
-            let index = decode_incremental_index(&rest[live_len..])?;
-            if index.total_blocks() != live.len() {
-                return Err(StoreError::Corrupt {
-                    section: "ITBK".into(),
-                    detail: format!(
-                        "index covers {} blocks, {} stored",
-                        index.total_blocks(),
-                        live.len()
-                    ),
-                });
-            }
-            if index.n_profiles() != n_profiles {
-                return Err(StoreError::Corrupt {
-                    section: "ITBK".into(),
-                    detail: format!(
-                        "index covers {} profiles, collection has {n_profiles}",
-                        index.n_profiles()
-                    ),
-                });
+            let live = decode_live_blocks(&rest[..live_len], &marks, &interner)?;
+            let mut derived = Vec::new();
+            append_live_index(&mut derived, profiles.kind(), &live, &marks);
+            if derived != rest[live_len..] {
+                return Err(d.corrupt("index segment disagrees with the live blocks"));
             }
             blocks = Some(IncrementalTokenBlocking::from_parts(
                 profiles.kind(),
                 n_profiles,
                 interner,
                 live,
-                index,
             ));
         } else if has_nl {
             let interner = Arc::new(decode_interner(store.require(TAG_INTERNER, "INTR")?)?);
             nl = Some(decode_nl_runs(
                 store.require(TAG_NL_RUNS, "INLR")?,
-                n_profiles,
+                &marks,
                 interner,
             )?);
         }
@@ -215,10 +206,6 @@ impl SessionCheckpoint {
         if let Some(n) = nl.as_mut() {
             n.restore_tombstones(retracted.iter().copied(), pending_tombstones.len());
         }
-        let mut dead = vec![false; n_profiles];
-        for &id in &retracted {
-            dead[id.index()] = true;
-        }
 
         let mut d = Decoder::new(store.require(TAG_EMITTED, "EMIT")?, "EMIT");
         let count = d.len()?;
@@ -232,7 +219,7 @@ impl SessionCheckpoint {
             if second as usize >= n_profiles {
                 return Err(d.corrupt("pair endpoint out of profile range"));
             }
-            if dead[first as usize] || dead[second as usize] {
+            if marks[first as usize] != Tomb::Live || marks[second as usize] != Tomb::Live {
                 // Sessions invalidate dedup entries eagerly on retract; a
                 // surviving entry means the two sections disagree.
                 return Err(d.corrupt("emitted pair touches a retracted profile"));
@@ -352,7 +339,12 @@ pub(crate) fn encode_checkpoint(view: &SessionView<'_>) -> Store {
         e.u64(live.len() as u64);
         let mut payload = e.into_bytes();
         payload.extend_from_slice(&live);
-        payload.extend_from_slice(&encode_incremental_index(blocks.profile_index()));
+        let marks = tomb_marks(
+            view.profiles.len(),
+            &view.retracted,
+            &view.pending_tombstones,
+        );
+        append_live_index(&mut payload, blocks.kind(), blocks.blocks(), &marks);
         store.push(TAG_LIVE_BLOCKS, payload);
     } else if let Some(nl) = view.nl {
         store.push(TAG_INTERNER, encode_interner(nl.interner()));
@@ -515,6 +507,19 @@ fn decode_tombstones(
     Ok((CompactionPolicy { tombstone_ratio }, retracted, pending))
 }
 
+/// Every profile's tombstone state from the two canonical `TOMB` id lists
+/// (ids in range, `pending` ⊆ `retracted`).
+fn tomb_marks(n_profiles: usize, retracted: &[ProfileId], pending: &[ProfileId]) -> Vec<Tomb> {
+    let mut marks = vec![Tomb::Live; n_profiles];
+    for id in retracted {
+        marks[id.index()] = Tomb::Compacted;
+    }
+    for id in pending {
+        marks[id.index()] = Tomb::Pending;
+    }
+    marks
+}
+
 /// Encodes the incremental neighbor list as its per-token runs, in token-id
 /// order (canonical bytes for the hash-map-backed structure).
 fn encode_nl_runs(nl: &IncrementalNeighborList) -> Vec<u8> {
@@ -533,9 +538,11 @@ fn encode_nl_runs(nl: &IncrementalNeighborList) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Decodes the neighbor-list runs, validating every member against its
+/// tombstone state in `marks` (one per profile).
 fn decode_nl_runs(
     bytes: &[u8],
-    n_profiles: usize,
+    marks: &[Tomb],
     interner: Arc<sper_text::TokenInterner>,
 ) -> Result<IncrementalNeighborList, StoreError> {
     let mut d = Decoder::new(bytes, "INLR");
@@ -560,13 +567,16 @@ fn decode_nl_runs(
         if !members.windows(2).all(|w| w[0] < w[1]) {
             return Err(d.corrupt("run members not strictly ascending"));
         }
-        if members.iter().any(|&m| m as usize >= n_profiles) {
-            return Err(d.corrupt("run member out of profile range"));
+        for &m in &members {
+            check_member(&d, marks, m)?;
         }
         runs.push((TokenId(token), members.into_iter().map(ProfileId).collect()));
     }
     d.finish()?;
     Ok(IncrementalNeighborList::from_parts(
-        seed, n_profiles, interner, runs,
+        seed,
+        marks.len(),
+        interner,
+        runs,
     ))
 }

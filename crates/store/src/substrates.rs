@@ -16,9 +16,7 @@
 use crate::container::Tag;
 use crate::error::StoreError;
 use crate::wire::{Decoder, Encoder};
-use sper_blocking::{
-    Block, BlockCollection, BlockingGraph, IncrementalProfileIndex, NeighborList, ProfileIndex,
-};
+use sper_blocking::{Block, BlockCollection, BlockingGraph, NeighborList, ProfileIndex};
 use sper_model::{Attribute, ErKind, Pair, ProfileCollection, ProfileCollectionBuilder, ProfileId};
 use sper_text::{TokenId, TokenInterner};
 use std::sync::Arc;
@@ -29,8 +27,6 @@ pub const TAG_INTERNER: Tag = *b"INTR";
 pub const TAG_PROFILES: Tag = *b"PROF";
 /// Section tag of a frozen CSR profile index.
 pub const TAG_PROFILE_INDEX: Tag = *b"PIDX";
-/// Section tag of a growable (incremental) profile index.
-pub const TAG_INCREMENTAL_INDEX: Tag = *b"IPIX";
 /// Section tag of a CSR block collection.
 pub const TAG_BLOCKS: Tag = *b"BLKC";
 /// Section tag of a materialized blocking graph.
@@ -156,78 +152,6 @@ pub fn decode_profile_index(bytes: &[u8]) -> Result<ProfileIndex, StoreError> {
     Ok(ProfileIndex::from_raw_parts(
         offsets,
         block_ids,
-        cardinalities,
-        total_blocks,
-    ))
-}
-
-/// Encodes a growable profile index (per-profile lists packed as CSR;
-/// offsets are `u64` because the live index has no `u32` packing ceiling).
-pub fn encode_incremental_index(index: &IncrementalProfileIndex) -> Vec<u8> {
-    let lists = index.block_lists();
-    let mut e = Encoder::new();
-    e.u64(index.total_blocks() as u64);
-    let mut offsets: Vec<u64> = Vec::with_capacity(lists.len() + 1);
-    offsets.push(0);
-    let mut acc = 0u64;
-    for l in lists {
-        acc += l.len() as u64;
-        offsets.push(acc);
-    }
-    e.slice_u64(&offsets);
-    e.u64(acc);
-    for l in lists {
-        for &b in l {
-            e.u32(b);
-        }
-    }
-    let cardinalities: Vec<u64> = (0..index.total_blocks())
-        .map(|i| index.cardinality(sper_blocking::BlockId(i as u32)))
-        .collect();
-    e.slice_u64(&cardinalities);
-    e.into_bytes()
-}
-
-/// Decodes a growable profile index, validating its invariants.
-pub fn decode_incremental_index(bytes: &[u8]) -> Result<IncrementalProfileIndex, StoreError> {
-    let mut d = Decoder::new(bytes, "IPIX");
-    let total_blocks = d.len()?;
-    let offsets = d.vec_u64()?;
-    if offsets.is_empty() || offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(d.corrupt("offsets are not a monotone prefix-sum table"));
-    }
-    let total_entries = d.len()?;
-    if *offsets.last().expect("non-empty") != total_entries as u64 {
-        return Err(d.corrupt("offset table disagrees with entry count"));
-    }
-    let mut block_lists: Vec<Vec<u32>> = Vec::with_capacity(offsets.len() - 1);
-    for w in offsets.windows(2) {
-        let n = (w[1] - w[0]) as usize;
-        // Clamped like every other untrusted count: a crafted offset
-        // table must fail on the missing bytes, not on a huge
-        // reservation.
-        let mut list = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            list.push(d.u32()?);
-        }
-        if !list.windows(2).all(|p| p[0] < p[1]) {
-            return Err(d.corrupt("a profile's block list is not strictly ascending"));
-        }
-        if list.iter().any(|&b| b as usize >= total_blocks) {
-            return Err(d.corrupt("block id out of range"));
-        }
-        block_lists.push(list);
-    }
-    let cardinalities = d.vec_u64()?;
-    if cardinalities.len() != total_blocks {
-        return Err(d.corrupt(format!(
-            "{} cardinalities for {total_blocks} blocks",
-            cardinalities.len()
-        )));
-    }
-    d.finish()?;
-    Ok(IncrementalProfileIndex::from_parts(
-        block_lists,
         cardinalities,
         total_blocks,
     ))
@@ -395,10 +319,23 @@ pub(crate) fn encode_live_blocks(blocks: &[Block]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decodes live blocks, validating the one-block-per-token invariant.
+/// A profile's tombstone state, as a checkpoint's `TOMB` section records
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tomb {
+    /// Never retracted.
+    Live,
+    /// Retracted; its substrate rows may still be physically present.
+    Pending,
+    /// Retracted and compacted away: no substrate row may hold it.
+    Compacted,
+}
+
+/// Decodes live blocks, validating the one-block-per-token invariant and
+/// every member against its tombstone state in `marks` (one per profile).
 pub(crate) fn decode_live_blocks(
     bytes: &[u8],
-    n_profiles: usize,
+    marks: &[Tomb],
     interner: &TokenInterner,
 ) -> Result<Vec<Block>, StoreError> {
     let mut d = Decoder::new(bytes, "ITBK");
@@ -418,8 +355,8 @@ pub(crate) fn decode_live_blocks(
         if n_first > members.len() {
             return Err(d.corrupt(format!("block {i}: |b ∩ P1| exceeds |b|")));
         }
-        if members.iter().any(|&m| m as usize >= n_profiles) {
-            return Err(d.corrupt(format!("block {i}: member out of profile range")));
+        for &m in &members {
+            check_member(&d, marks, m)?;
         }
         let (firsts, seconds) = members.split_at(n_first);
         if !firsts.windows(2).all(|p| p[0] < p[1]) || !seconds.windows(2).all(|p| p[0] < p[1]) {
@@ -435,6 +372,65 @@ pub(crate) fn decode_live_blocks(
     }
     d.finish()?;
     Ok(blocks)
+}
+
+/// Checks one substrate member against `marks`: a profile of the
+/// collection, and not one the `TOMB` section says was compacted away.
+pub(crate) fn check_member(d: &Decoder<'_>, marks: &[Tomb], m: u32) -> Result<(), StoreError> {
+    match marks.get(m as usize) {
+        None => Err(d.corrupt(format!("member {m} out of profile range"))),
+        Some(Tomb::Compacted) => Err(d.corrupt(format!(
+            "member {m} is retracted but not a pending tombstone"
+        ))),
+        Some(Tomb::Live | Tomb::Pending) => Ok(()),
+    }
+}
+
+/// Appends the `ITBK` index segment of the live `blocks` to `out`: per
+/// profile, the ascending insertion-order positions of the blocks that
+/// hold it, and per block, its cardinality over its physical members. A
+/// retracted profile (any mark but `Live`) lists no block, even while its
+/// rows are pending. The segment is a pure function of the blocks and
+/// the marks, so a save writes it and a load re-derives it to check the
+/// stored bytes. One counting pass sizes it; one scatter fills it.
+///
+/// Layout: `|B|`, `|P| + 1`, the `u64` offsets, the entry count, the
+/// `u32` block positions, `|B|`, the `u64` cardinalities.
+pub(crate) fn append_live_index(out: &mut Vec<u8>, kind: ErKind, blocks: &[Block], marks: &[Tomb]) {
+    let listed = |p: &&ProfileId| marks[p.index()] == Tomb::Live;
+    let mut cursor = vec![0u64; marks.len()];
+    for b in blocks {
+        for p in b.profiles().iter().filter(listed) {
+            cursor[p.index()] += 1;
+        }
+    }
+    let entries: u64 = cursor.iter().sum();
+    let put =
+        |out: &mut Vec<u8>, at: usize, v: u64| out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    let start = out.len();
+    let offsets_at = start + 16;
+    let entries_at = offsets_at + 8 * (marks.len() + 1) + 8;
+    let cards_at = entries_at + 4 * entries as usize + 8;
+    out.resize(cards_at + 8 * blocks.len(), 0);
+    put(out, start, blocks.len() as u64);
+    put(out, start + 8, marks.len() as u64 + 1);
+    let mut end = 0u64;
+    for (p, c) in cursor.iter_mut().enumerate() {
+        let count = *c;
+        *c = end;
+        end += count;
+        put(out, offsets_at + 8 * (p + 1), end);
+    }
+    put(out, entries_at - 8, entries);
+    put(out, cards_at - 8, blocks.len() as u64);
+    for (bid, b) in blocks.iter().enumerate() {
+        for p in b.profiles().iter().filter(listed) {
+            let at = entries_at + 4 * cursor[p.index()] as usize;
+            out[at..at + 4].copy_from_slice(&(bid as u32).to_le_bytes());
+            cursor[p.index()] += 1;
+        }
+        put(out, cards_at + 8 * bid, b.cardinality(kind));
+    }
 }
 
 /// Shared offset-table validation for the `u32` CSR columns.

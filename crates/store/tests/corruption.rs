@@ -9,7 +9,7 @@ use sper_blocking::{
 };
 use sper_core::ProgressiveMethod;
 use sper_model::{Attribute, ProfileCollectionBuilder};
-use sper_store::{SessionCheckpoint, Snapshot, Store, StoreError};
+use sper_store::{SessionCheckpoint, Snapshot, Store, StoreError, Tag};
 use sper_stream::{ProgressiveSession, SessionConfig};
 use std::sync::Arc;
 
@@ -53,14 +53,14 @@ fn sample_checkpoint_bytes() -> Vec<u8> {
     SessionCheckpoint::of(&session).to_store().to_bytes()
 }
 
-/// A checkpoint of a session with live mutation state: retracted rows
-/// whose tombstones are still physically pending in the substrate — the
-/// `TOMB` section is non-trivial.
-fn mutated_checkpoint_bytes() -> Vec<u8> {
+/// A checkpoint of a `method` session with live mutation state: retracted
+/// rows whose tombstones are still physically pending in the substrate
+/// (live blocks for PPS, neighbor-list runs for LS-PSN) — the `TOMB`
+/// section is non-trivial.
+fn mutated_checkpoint_bytes(method: ProgressiveMethod) -> Vec<u8> {
     let mut session = ProgressiveSession::new(
         ProfileCollectionBuilder::dirty().build(),
-        SessionConfig::exhaustive(ProgressiveMethod::Pps)
-            .with_compaction(sper_stream::CompactionPolicy::manual()),
+        SessionConfig::exhaustive(method).with_compaction(sper_stream::CompactionPolicy::manual()),
     );
     session.ingest_batch(
         ["carl white", "karl white", "emma white", "frank black"]
@@ -87,6 +87,23 @@ fn load_snapshot(bytes: &[u8]) -> Result<(), StoreError> {
 
 fn load_checkpoint(bytes: &[u8]) -> Result<(), StoreError> {
     SessionCheckpoint::from_store(&Store::from_bytes(bytes)?).map(|_| ())
+}
+
+/// The store of `bytes` with section `tag`'s payload replaced. Every
+/// section keeps a valid CRC, so only the checkpoint's own cross-checks
+/// can refuse it.
+fn with_section(bytes: &[u8], tag: Tag, payload: &[u8]) -> Store {
+    let clean = Store::from_bytes(bytes).unwrap();
+    let mut store = Store::new();
+    for t in clean.tags() {
+        let p = if t == tag {
+            payload
+        } else {
+            clean.get(t).unwrap()
+        };
+        store.push(t, p.to_vec());
+    }
+    store
 }
 
 #[test]
@@ -262,7 +279,7 @@ fn tombstone_section_corruption_is_typed() {
     // base fixtures: truncation at every byte and every single-byte flip
     // are typed errors (or harmless prologue reinterpretations) — never a
     // panic.
-    let bytes = mutated_checkpoint_bytes();
+    let bytes = mutated_checkpoint_bytes(ProgressiveMethod::Pps);
     assert!(load_checkpoint(&bytes).is_ok(), "clean file loads");
     for cut in 0..bytes.len() {
         assert!(load_checkpoint(&bytes[..cut]).is_err(), "cut at {cut}");
@@ -278,7 +295,7 @@ fn tombstone_section_corruption_is_typed() {
 fn tombstone_crc_flip_is_checksum_mismatch() {
     // Flip one payload byte of the TOMB section specifically; the
     // per-section CRC must attribute the damage to it.
-    let bytes = mutated_checkpoint_bytes();
+    let bytes = mutated_checkpoint_bytes(ProgressiveMethod::Pps);
     let store = Store::from_bytes(&bytes).unwrap();
     // Locate the TOMB payload in the raw file: walk the section layout.
     let mut at = 12usize;
@@ -310,80 +327,137 @@ fn tombstone_crc_flip_is_checksum_mismatch() {
 #[test]
 fn semantically_corrupt_tombstones_are_typed() {
     use sper_store::TAG_TOMBSTONES;
-    let bytes = mutated_checkpoint_bytes();
-    let clean = Store::from_bytes(&bytes).unwrap();
-    let tomb = clean.get(TAG_TOMBSTONES).unwrap().to_vec();
+    for method in [ProgressiveMethod::Pps, ProgressiveMethod::LsPsn] {
+        let bytes = mutated_checkpoint_bytes(method);
+        let tomb = Store::from_bytes(&bytes)
+            .unwrap()
+            .get(TAG_TOMBSTONES)
+            .unwrap()
+            .to_vec();
+        let assert_corrupt = |tomb_bytes: Vec<u8>, what: &str| {
+            assert!(
+                matches!(
+                    SessionCheckpoint::from_store(&with_section(
+                        &bytes,
+                        TAG_TOMBSTONES,
+                        &tomb_bytes
+                    )),
+                    Err(StoreError::Corrupt { .. })
+                ),
+                "{method}: {what} went unnoticed"
+            );
+        };
 
-    // Rebuild the store with one section swapped out.
-    let rebuild = |tomb_bytes: Vec<u8>| -> Store {
-        let mut s = Store::new();
-        for tag in clean.tags() {
-            if tag == TAG_TOMBSTONES {
-                s.push(tag, tomb_bytes.clone());
-            } else {
-                s.push(tag, clean.get(tag).unwrap().to_vec());
-            }
+        // NaN compaction ratio.
+        let mut t = tomb.clone();
+        t[0..8].copy_from_slice(&f64::NAN.to_le_bytes());
+        assert_corrupt(t, "NaN compaction ratio");
+
+        // Negative compaction ratio.
+        let mut t = tomb.clone();
+        t[0..8].copy_from_slice(&(-1.0f64).to_le_bytes());
+        assert_corrupt(t, "negative compaction ratio");
+
+        // Retracted id out of profile range. Layout after the ratio: count
+        // u64, then u32 ids.
+        let mut t = tomb.clone();
+        t[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_corrupt(t, "retracted id out of range");
+
+        // Ids not strictly ascending: duplicate the first retracted id.
+        let n_retracted = u64::from_le_bytes(tomb[8..16].try_into().unwrap()) as usize;
+        assert!(n_retracted >= 2, "fixture retracts at least two profiles");
+        let first = tomb[16..20].to_vec();
+        let mut t = tomb.clone();
+        t[20..24].copy_from_slice(&first);
+        assert_corrupt(t, "non-ascending retracted ids");
+
+        // A pending tombstone that was never retracted: point the pending
+        // list at a live profile (id 0 is never retracted by the fixture).
+        let pending_at = 16 + 4 * n_retracted + 8;
+        let mut t = tomb.clone();
+        t[pending_at..pending_at + 4].copy_from_slice(&0u32.to_le_bytes());
+        assert_corrupt(t, "pending tombstone never retracted");
+
+        // Retracted ids left out of the pending list while the substrate
+        // still holds their rows: the first pending id (1, "karl white", in
+        // the `white` block and run), or all of them, which would also stop
+        // the resumed snapshots from filtering tombstones at all.
+        let n_pending = u64::from_le_bytes(tomb[pending_at - 8..pending_at].try_into().unwrap());
+        for dropped in [1, n_pending] {
+            let mut t = tomb[..pending_at - 8].to_vec();
+            t.extend_from_slice(&(n_pending - dropped).to_le_bytes());
+            t.extend_from_slice(&tomb[pending_at + 4 * dropped as usize..]);
+            assert_corrupt(t, "held tombstone missing from the pending list");
         }
-        s
-    };
-    let assert_corrupt = |tomb_bytes: Vec<u8>, what: &str| {
+
+        // Cross-section lie: a retracted profile that still has attributes in
+        // PROF. Claim profile 0 (live, non-empty) is retracted.
+        let mut t = tomb.clone();
+        t[16..20].copy_from_slice(&0u32.to_le_bytes());
+        // Keep ascending order: id 0 < previous first id, so this stays valid
+        // structurally as long as the old first id was > 0 — it is 1, so
+        // overwrite the *second* entry too, making the list [0, 3].
+        assert_corrupt(t, "retracted profile still has attributes");
+
+        // Truncated mid-list (decoder-level, inside a checksummed payload).
+        let t = tomb[..tomb.len() - 2].to_vec();
+        assert_corrupt(t, "short tombstone payload");
+
+        // Trailing garbage after the pending list.
+        let mut t = tomb.clone();
+        t.extend_from_slice(&[0xAB, 0xCD]);
+        assert_corrupt(t, "trailing bytes");
+    }
+}
+
+/// `ITBK` stores an index segment that is a pure function of its live
+/// blocks and the `TOMB` ids; a CRC-valid segment that disagrees with
+/// them is refused, whatever else in it still looks well-formed.
+#[test]
+fn index_segment_disagreeing_with_its_blocks_is_corrupt() {
+    use sper_store::TAG_LIVE_BLOCKS;
+    let bytes = mutated_checkpoint_bytes(ProgressiveMethod::Pps);
+    let itbk = Store::from_bytes(&bytes)
+        .unwrap()
+        .get(TAG_LIVE_BLOCKS)
+        .unwrap()
+        .to_vec();
+    let u64_at = |at: usize| u64::from_le_bytes(itbk[at..at + 8].try_into().unwrap()) as usize;
+    let u32_at = |at: usize| u32::from_le_bytes(itbk[at..at + 4].try_into().unwrap());
+    // Segment: |B|, |P| + 1, u64 offsets, entry count, u32 block ids, |B|,
+    // u64 cardinalities.
+    let seg = 8 + u64_at(0);
+    let n_blocks = u64_at(seg);
+    let n_offsets = u64_at(seg + 8);
+    let offset = |p: usize| u64_at(seg + 16 + 8 * p);
+    let ids_at = seg + 16 + 8 * n_offsets + 8;
+    let cards_at = ids_at + 4 * u64_at(ids_at - 8) + 8;
+    assert_eq!(itbk.len(), cards_at + 8 * n_blocks, "segment layout");
+    let assert_itbk_corrupt = |payload: Vec<u8>, what: &str| {
+        let out = SessionCheckpoint::from_store(&with_section(&bytes, TAG_LIVE_BLOCKS, &payload));
         assert!(
-            matches!(
-                SessionCheckpoint::from_store(&rebuild(tomb_bytes)),
-                Err(StoreError::Corrupt { .. })
-            ),
-            "{what} went unnoticed"
+            matches!(&out, Err(StoreError::Corrupt { section, .. }) if section == "ITBK"),
+            "{what}: {out:?}"
         );
     };
 
-    // NaN compaction ratio.
-    let mut t = tomb.clone();
-    t[0..8].copy_from_slice(&f64::NAN.to_le_bytes());
-    assert_corrupt(t, "NaN compaction ratio");
+    let mut t = itbk.clone();
+    let last = cards_at + 8 * (n_blocks - 1);
+    let bumped = u64_at(last) as u64 + 1;
+    t[last..last + 8].copy_from_slice(&bumped.to_le_bytes());
+    assert_itbk_corrupt(t, "bumped cardinality");
 
-    // Negative compaction ratio.
-    let mut t = tomb.clone();
-    t[0..8].copy_from_slice(&(-1.0f64).to_le_bytes());
-    assert_corrupt(t, "negative compaction ratio");
-
-    // Retracted id out of profile range. Layout after the ratio: count
-    // u64, then u32 ids.
-    let mut t = tomb.clone();
-    t[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert_corrupt(t, "retracted id out of range");
-
-    // Ids not strictly ascending: duplicate the first retracted id.
-    let n_retracted = u64::from_le_bytes(tomb[8..16].try_into().unwrap()) as usize;
-    assert!(n_retracted >= 2, "fixture retracts at least two profiles");
-    let first = tomb[16..20].to_vec();
-    let mut t = tomb.clone();
-    t[20..24].copy_from_slice(&first);
-    assert_corrupt(t, "non-ascending retracted ids");
-
-    // A pending tombstone that was never retracted: point the pending
-    // list at a live profile (id 0 is never retracted by the fixture).
-    let pending_at = 16 + 4 * n_retracted + 8;
-    let mut t = tomb.clone();
-    t[pending_at..pending_at + 4].copy_from_slice(&0u32.to_le_bytes());
-    assert_corrupt(t, "pending tombstone never retracted");
-
-    // Cross-section lie: a retracted profile that still has attributes in
-    // PROF. Claim profile 0 (live, non-empty) is retracted.
-    let mut t = tomb.clone();
-    t[16..20].copy_from_slice(&0u32.to_le_bytes());
-    // Keep ascending order: id 0 < previous first id, so this stays valid
-    // structurally as long as the old first id was > 0 — it is 1, so
-    // overwrite the *second* entry too, making the list [0, 3].
-    assert_corrupt(t, "retracted profile still has attributes");
-
-    // Truncated mid-list (decoder-level, inside a checksummed payload).
-    let t = tomb[..tomb.len() - 2].to_vec();
-    assert_corrupt(t, "short tombstone payload");
-
-    // Trailing garbage after the pending list.
-    let mut t = tomb.clone();
-    t.extend_from_slice(&[0xAB, 0xCD]);
-    assert_corrupt(t, "trailing bytes");
+    // The last block id of the first profile whose list can move it one
+    // block on and stay ascending and in range.
+    let at = (0..n_offsets - 1)
+        .filter(|&p| offset(p + 1) > offset(p))
+        .map(|p| ids_at + 4 * (offset(p + 1) - 1))
+        .find(|&at| (u32_at(at) as usize) + 1 < n_blocks)
+        .expect("a movable block id");
+    let mut t = itbk.clone();
+    t[at..at + 4].copy_from_slice(&(u32_at(at) + 1).to_le_bytes());
+    assert_itbk_corrupt(t, "changed block id");
 }
 
 #[test]

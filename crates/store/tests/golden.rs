@@ -3,7 +3,7 @@
 //! regression gate for accidental format drift. CI runs this on every
 //! push.
 //!
-//! Two fixtures are committed:
+//! Three fixtures are committed:
 //!
 //! * `golden-v1.sper` — written by the format's first release
 //!   (`FORMAT_VERSION` 1, no `TOMB` section). **Frozen**: this build
@@ -13,6 +13,10 @@
 //! * `golden-v2.sper` — a version-2 store whose checkpoint carries live
 //!   mutation state (retracted profiles with tombstones still physically
 //!   pending in the substrate).
+//! * `golden-v2-clean.sper` — a version-2 checkpoint of a Clean-clean PBS
+//!   session whose live blocks were compacted and then given one more
+//!   pending tombstone, so the `ITBK` bytes of both ER kinds and of a
+//!   compacted substrate are pinned.
 //!
 //! The v1 fixture bundles a snapshot *and* a session checkpoint in one
 //! store (their section tags are disjoint and their `PROF`/`INTR`
@@ -50,6 +54,10 @@ fn golden_v1_path() -> PathBuf {
 
 fn golden_v2_path() -> PathBuf {
     golden_dir().join("golden-v2.sper")
+}
+
+fn golden_v2_clean_path() -> PathBuf {
+    golden_dir().join("golden-v2-clean.sper")
 }
 
 /// The fixed collection the fixture is built from. Changing this breaks
@@ -143,20 +151,61 @@ fn build_golden_v2_session() -> ProgressiveSession {
     session
 }
 
-/// Regenerates the committed v2 fixture. Run explicitly (`--ignored`)
+/// The session of the Clean-clean fixture: PBS over `P1` = the first
+/// three golden rows with the rest streamed into `P2`. One epoch, then a
+/// retract and an amend compacted away, a second epoch, and a retract of
+/// a `P1` profile left pending.
+fn build_golden_v2_clean_session() -> ProgressiveSession {
+    let rows: Vec<Vec<Attribute>> = golden_profiles()
+        .iter()
+        .map(|p| p.attributes.clone())
+        .collect();
+    let mut base = ProfileCollectionBuilder::clean_clean();
+    for row in &rows[..3] {
+        base.add_attributes(row.clone());
+    }
+    base.start_second_source();
+    let mut session = ProgressiveSession::new(
+        base.build(),
+        SessionConfig::exhaustive(ProgressiveMethod::Pbs)
+            .with_compaction(CompactionPolicy::manual()),
+    );
+    session.ingest_batch(rows[3..].to_vec());
+    session.emit_epoch(Some(GOLDEN_EPOCH_BUDGET));
+    session.retract(ProfileId(5));
+    session.amend(
+        ProfileId(4),
+        vec![Attribute::new("text", "emma white wi taylor")],
+    );
+    assert_eq!(session.compact(), 2);
+    session.emit_epoch(Some(GOLDEN_EPOCH_BUDGET));
+    session.retract(ProfileId(1));
+    assert_eq!(
+        session.pending_tombstones(),
+        1,
+        "fixture carries a tombstone"
+    );
+    session
+}
+
+/// Regenerates the committed v2 fixtures. Run explicitly (`--ignored`)
 /// after a deliberate format-version bump — never as part of a normal
 /// test run. The v1 fixture is frozen and cannot be regenerated by this
 /// build (it writes version 2).
 #[test]
-#[ignore = "writes the committed fixture; run only on deliberate format changes"]
+#[ignore = "writes the committed fixtures; run only on deliberate format changes"]
 fn regenerate() {
-    let path = golden_v2_path();
-    std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-    SessionCheckpoint::of(&build_golden_v2_session())
-        .to_store()
-        .write_to_path(&path)
-        .expect("fixture writes");
-    eprintln!("regenerated {}", path.display());
+    for (path, session) in [
+        (golden_v2_path(), build_golden_v2_session()),
+        (golden_v2_clean_path(), build_golden_v2_clean_session()),
+    ] {
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
+        SessionCheckpoint::of(&session)
+            .to_store()
+            .write_to_path(&path)
+            .expect("fixture writes");
+        eprintln!("regenerated {}", path.display());
+    }
 }
 
 /// The committed fixture still parses, validates, and reproduces the
@@ -323,6 +372,40 @@ fn golden_v2_session_saved_by_the_writer_is_the_fixture() {
     assert!(
         std::fs::read(writer.path()).expect("saved file")
             == std::fs::read(golden_v2_path()).expect("fixture read"),
+        "the writer's file diverged from the committed fixture"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed Clean-clean fixture loads with its tombstone state,
+/// re-encodes to its own bytes, and is what a [`CheckpointWriter`] saves
+/// for the same session.
+#[test]
+fn golden_v2_clean_fixture_is_reproduced() {
+    let path = golden_v2_clean_path();
+    let bytes = std::fs::read(&path).expect("fixture read");
+    let restored = SessionCheckpoint::from_store(&Store::from_bytes(&bytes).expect("store parses"))
+        .expect("checkpoint validates");
+    assert_eq!(
+        restored.state.retracted,
+        vec![ProfileId(1), ProfileId(4), ProfileId(5)]
+    );
+    assert_eq!(restored.state.pending_tombstones, vec![ProfileId(1)]);
+    assert!(
+        restored.to_store().to_bytes() == bytes,
+        "re-encoded checkpoint diverged from the committed bytes"
+    );
+
+    let dir = std::env::temp_dir().join(format!("sper-golden-clean-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut writer = CheckpointWriter::new(dir.join("golden-v2-clean.sper"));
+    assert_eq!(
+        writer.save(&build_golden_v2_clean_session()).expect("save"),
+        CheckpointOutcome::Saved
+    );
+    assert!(
+        std::fs::read(writer.path()).expect("saved file") == bytes,
         "the writer's file diverged from the committed fixture"
     );
     let _ = std::fs::remove_dir_all(&dir);

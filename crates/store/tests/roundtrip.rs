@@ -4,11 +4,13 @@
 
 use proptest::prelude::*;
 use sper_blocking::{
-    BlockId, BlockingGraph, NeighborList, Parallelism, ProfileIndex, TokenBlocking, WeightingScheme,
+    BlockCollection, BlockingGraph, NeighborList, Parallelism, ProfileIndex, TokenBlocking,
+    WeightingScheme,
 };
+use sper_core::ProgressiveMethod;
 use sper_model::{ErKind, ProfileCollection, ProfileCollectionBuilder, ProfileId};
-use sper_store::{substrates, Snapshot, Store};
-use sper_stream::IncrementalTokenBlocking;
+use sper_store::{substrates, SessionCheckpoint, Snapshot, Store, TAG_LIVE_BLOCKS};
+use sper_stream::{CompactionPolicy, ProgressiveSession, SessionConfig};
 use std::sync::Arc;
 
 fn dirty_collection(values: Vec<String>) -> ProfileCollection {
@@ -110,19 +112,68 @@ proptest! {
         prop_assert_eq!(ac, bc);
     }
 
-    /// Growable (incremental) profile indexes round-trip list for list.
+    /// A checkpoint's `ITBK` index segment is `ProfileIndex::build` over
+    /// its live blocks in insertion order, with every retracted profile
+    /// listing no block — tombstones pending, compacted, or both — and the
+    /// reader, deriving it again, accepts the file.
     #[test]
-    fn incremental_index_round_trips(coll in arbitrary_collection()) {
-        let inc = IncrementalTokenBlocking::from_collection(&coll);
-        let index = inc.profile_index();
-        let bytes = substrates::encode_incremental_index(index);
-        let back = substrates::decode_incremental_index(&bytes).unwrap();
-        prop_assert_eq!(back.total_blocks(), index.total_blocks());
-        prop_assert_eq!(back.n_profiles(), index.n_profiles());
-        prop_assert_eq!(back.block_lists(), index.block_lists());
-        for i in 0..index.total_blocks() {
-            prop_assert_eq!(back.cardinality(BlockId(i as u32)), index.cardinality(BlockId(i as u32)));
+    fn itbk_index_segment_is_the_live_blocks_profile_index(
+        coll in arbitrary_collection(),
+        retract in proptest::collection::vec(0u32..20, 0..6),
+        compact in 0u8..2,
+    ) {
+        let n = coll.len();
+        let mut session = ProgressiveSession::new(
+            coll,
+            SessionConfig::exhaustive(ProgressiveMethod::Pbs)
+                .with_compaction(CompactionPolicy::manual()),
+        );
+        let mut retract: Vec<u32> = retract.into_iter().filter(|&id| (id as usize) < n).collect();
+        retract.sort_unstable();
+        retract.dedup();
+        let (before, after) = retract.split_at(retract.len() / 2);
+        for &id in before {
+            session.retract(ProfileId(id));
         }
+        if compact == 1 {
+            session.compact();
+        }
+        for &id in after {
+            session.retract(ProfileId(id));
+        }
+        let checkpoint = SessionCheckpoint::of(&session);
+        let store = checkpoint.to_store();
+        prop_assert!(SessionCheckpoint::from_store(&store).is_ok());
+
+        let live = checkpoint.state.blocks.as_ref().expect("PBS keeps blocks");
+        let index = ProfileIndex::build(&BlockCollection::new(
+            live.kind(),
+            n,
+            Arc::clone(live.interner()),
+            live.blocks().to_vec(),
+        ));
+        let mut offsets = vec![0u64];
+        let mut ids: Vec<u32> = Vec::new();
+        for p in (0..n as u32).map(ProfileId) {
+            if !session.is_retracted(p) {
+                ids.extend_from_slice(index.blocks_of(p));
+            }
+            offsets.push(ids.len() as u64);
+        }
+        let (_, _, cardinalities) = index.raw_parts();
+        let mut want: Vec<u8> = Vec::new();
+        let mut put = |v: u64| want.extend_from_slice(&v.to_le_bytes());
+        put(cardinalities.len() as u64);
+        put(offsets.len() as u64);
+        offsets.iter().for_each(|&o| put(o));
+        put(ids.len() as u64);
+        ids.iter().for_each(|&b| want.extend_from_slice(&b.to_le_bytes()));
+        want.extend_from_slice(&(cardinalities.len() as u64).to_le_bytes());
+        cardinalities.iter().for_each(|&c| want.extend_from_slice(&c.to_le_bytes()));
+
+        let itbk = store.get(TAG_LIVE_BLOCKS).expect("ITBK written");
+        let live_len = u64::from_le_bytes(itbk[..8].try_into().unwrap()) as usize;
+        prop_assert_eq!(&itbk[8 + live_len..], want.as_slice());
     }
 
     /// Blocking graphs round-trip edge for edge (weights bit-exact) with

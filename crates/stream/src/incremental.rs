@@ -1,8 +1,9 @@
-//! Incremental blocking substrates: the batch indexes of `sper-blocking`
-//! (Token Blocking's block collection, the Profile Index, the Neighbor
-//! List) rebuilt as *updatable* structures supporting `add_profile` /
-//! `add_batch` with amortized index updates instead of full
-//! re-tokenization and re-sorting per epoch.
+//! Incremental blocking substrates: the batch substrates of
+//! `sper-blocking` (Token Blocking's block collection, the Neighbor List)
+//! rebuilt as *updatable* structures supporting `add_profile` /
+//! `add_batch` with amortized updates instead of full re-tokenization and
+//! re-sorting per epoch. The Profile Index is not among them: PBS and PPS
+//! read one built over each epoch's purged and filtered snapshot (§5.2).
 //!
 //! Both substrates guarantee **batching invariance**: the state after
 //! ingesting a collection is a pure function of the final profile set,
@@ -13,11 +14,11 @@
 //! Since PR 8 both substrates also carry the **mutation model**: a
 //! tombstone set marks retracted profiles, read paths ([`snapshot`]s)
 //! filter tombstoned members lazily, and an explicit [`compact`] pass
-//! physically drops them and rebuilds the affected index segments. The
-//! headline invariant (property-tested in `tests/mutation_equivalence.rs`)
-//! is that a snapshot taken with tombstones — before *or* after
-//! compaction — equals the snapshot of a substrate that never ingested
-//! the retracted profiles, modulo the monotone survivor-id bijection.
+//! physically drops them. The headline invariant (property-tested in
+//! `tests/mutation_equivalence.rs`) is that a snapshot taken with
+//! tombstones — before *or* after compaction — equals the snapshot of a
+//! substrate that never ingested the retracted profiles, modulo the
+//! monotone survivor-id bijection.
 //! Ids are never renumbered or recycled: a retracted profile keeps its
 //! dense id forever as an empty husk.
 //!
@@ -31,9 +32,7 @@
 //! ingest and snapshotting move to different threads.
 
 use sper_blocking::block::cardinality_of;
-use sper_blocking::{
-    Block, BlockCollection, BlockId, IncrementalProfileIndex, NeighborList, TokenId, TokenInterner,
-};
+use sper_blocking::{Block, BlockCollection, NeighborList, TokenId, TokenInterner};
 use sper_model::{ErKind, Profile, ProfileCollection, ProfileId};
 use sper_text::{FxHashMap, Tokenizer};
 use std::sync::Arc;
@@ -57,16 +56,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// attribute-value token, maintained under profile appends.
 ///
 /// * [`Self::add_profile`] tokenizes one new profile straight into interned
-///   ids and updates the id-indexed block map and the live
-///   [`IncrementalProfileIndex`] in `O(|tokens| · log)` amortized — no
-///   other profile is touched, no `String` is allocated.
+///   ids and updates the id-indexed block map in `O(|tokens| · log)`
+///   amortized — no other profile is touched, no `String` is allocated.
 /// * [`Self::snapshot`] materializes a [`BlockCollection`] identical to
 ///   `TokenBlocking::default().build(..)` on the current collection (same
 ///   keys, same members, same key-sorted order), so every downstream
 ///   consumer (`Pbs::from_blocks`, `Pps::from_blocks`, purging, filtering)
 ///   works unchanged.
 ///
-/// The live index uses *insertion-order* block ids (stable as blocks are
+/// The live blocks keep *insertion order* (positions stable as blocks are
 /// appended); the snapshot re-keys to the batch key-sorted order.
 #[derive(Debug, Clone)]
 pub struct IncrementalTokenBlocking {
@@ -80,8 +78,6 @@ pub struct IncrementalTokenBlocking {
     block_of_token: Vec<u32>,
     /// Blocks in insertion order (including not-yet-comparable singletons).
     blocks: Vec<Block>,
-    /// Live profile → block-ids index over insertion-order ids.
-    index: IncrementalProfileIndex,
     /// All-time tombstone marks, indexed by profile id (`true` =
     /// retracted). Never cleared: ids are not recycled.
     tombstones: Vec<bool>,
@@ -108,7 +104,6 @@ impl IncrementalTokenBlocking {
             interner,
             block_of_token: Vec::new(),
             blocks: Vec::new(),
-            index: IncrementalProfileIndex::new_empty(0),
             tombstones: Vec::new(),
             pending: 0,
         }
@@ -144,11 +139,6 @@ impl IncrementalTokenBlocking {
         self.blocks.len()
     }
 
-    /// The live profile → blocks index (insertion-order block ids).
-    pub fn profile_index(&self) -> &IncrementalProfileIndex {
-        &self.index
-    }
-
     /// The live blocks in insertion order (inspection/tests).
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
@@ -167,7 +157,6 @@ impl IncrementalTokenBlocking {
             "profiles must be ingested in dense id order"
         );
         self.n_profiles += 1;
-        self.index.add_profiles(1);
         self.tombstones.push(false);
 
         let mut tokens: Vec<TokenId> = Vec::new();
@@ -183,31 +172,16 @@ impl IncrementalTokenBlocking {
             }
         }
 
-        // Existing blocks must be updated in ascending insertion id so the
-        // new profile's block list stays sorted; new keys then append with
-        // ever-larger ids.
-        let mut existing: Vec<u32> = Vec::new();
-        let mut fresh: Vec<TokenId> = Vec::new();
         for tok in tokens {
             match self.block_of_token[tok.index()] {
-                NO_BLOCK => fresh.push(tok),
-                id => existing.push(id),
+                NO_BLOCK => {
+                    self.block_of_token[tok.index()] = self.blocks.len() as u32;
+                    let mut block = Block::new(tok, Vec::new());
+                    block.push_member(profile.id, profile.source);
+                    self.blocks.push(block);
+                }
+                id => self.blocks[id as usize].push_member(profile.id, profile.source),
             }
-        }
-        existing.sort_unstable();
-        for id in existing {
-            let block = &mut self.blocks[id as usize];
-            block.push_member(profile.id, profile.source);
-            let cardinality = block.cardinality(self.kind);
-            self.index.add_member(BlockId(id), profile.id, cardinality);
-        }
-        for tok in fresh {
-            let id = self.blocks.len() as u32;
-            let mut block = Block::new(tok, Vec::new());
-            block.push_member(profile.id, profile.source);
-            self.block_of_token[tok.index()] = id;
-            self.index.push_block(&[profile.id], 0);
-            self.blocks.push(block);
         }
     }
 
@@ -218,22 +192,18 @@ impl IncrementalTokenBlocking {
         }
     }
 
-    /// Reassembles a substrate from its live blocks and index — the
-    /// inverse of [`blocks`](Self::blocks) +
-    /// [`profile_index`](Self::profile_index), used by the persistence
-    /// layer (`sper-store`) to restore checkpoints. The token → block map
-    /// is rebuilt from the blocks' keys. Callers must validate untrusted
-    /// input first (block keys resolvable by `interner`, index consistent
-    /// with `blocks`); invariants are only debug-asserted here.
+    /// Reassembles a substrate from its live blocks — the inverse of
+    /// [`blocks`](Self::blocks), used by the persistence layer
+    /// (`sper-store`) to restore checkpoints. The token → block map is
+    /// rebuilt from the blocks' keys. Callers must validate untrusted input
+    /// first (block keys resolvable by `interner`, members below
+    /// `n_profiles`); invariants are only debug-asserted here.
     pub fn from_parts(
         kind: ErKind,
         n_profiles: usize,
         interner: Arc<TokenInterner>,
         blocks: Vec<Block>,
-        index: IncrementalProfileIndex,
     ) -> Self {
-        debug_assert_eq!(index.total_blocks(), blocks.len());
-        debug_assert_eq!(index.n_profiles(), n_profiles);
         let max_token = blocks.iter().map(|b| b.key.index()).max();
         let mut block_of_token = vec![NO_BLOCK; max_token.map_or(0, |m| m + 1)];
         for (i, b) in blocks.iter().enumerate() {
@@ -251,16 +221,13 @@ impl IncrementalTokenBlocking {
             interner,
             block_of_token,
             blocks,
-            index,
             tombstones: vec![false; n_profiles],
             pending: 0,
         }
     }
 
-    /// Retracts a profile: marks it tombstoned and retires it from the
-    /// live profile → blocks index. Its memberships on the *block* side
-    /// stay physically present (per-block cardinalities in the live index
-    /// are stale to the same extent) until [`Self::compact`]; every
+    /// Retracts a profile: marks it tombstoned. Its block memberships stay
+    /// physically present until [`Self::compact`]; every
     /// [`Self::snapshot`] filters them out in the meantime, so read paths
     /// never see the profile again.
     ///
@@ -272,7 +239,6 @@ impl IncrementalTokenBlocking {
         assert!(!self.tombstones[id.index()], "double retract of {id}");
         self.tombstones[id.index()] = true;
         self.pending += 1;
-        self.index.retire(id);
     }
 
     /// True when the profile was retracted.
@@ -309,22 +275,21 @@ impl IncrementalTokenBlocking {
         for id in tombstoned {
             debug_assert!(id.index() < self.n_profiles);
             self.tombstones[id.index()] = true;
-            self.index.retire(id);
         }
         self.pending = pending;
     }
 
     /// Physically drops every tombstoned member: filters the blocks,
-    /// drops the ones left empty, renumbers the insertion-order block ids
-    /// (relative order preserved), and rebuilds the token → block map and
-    /// the live profile → blocks index over the new ids. Returns the
-    /// number of tombstones that had pending memberships.
+    /// drops the ones left empty, renumbers the insertion-order block
+    /// positions (relative order preserved), and rebuilds the token →
+    /// block map over them. Returns the number of tombstones that had
+    /// pending memberships.
     ///
     /// Renumbering is invisible to every read path: snapshots re-key to
-    /// key-sorted order anyway, and the live index is rebuilt in lockstep.
-    /// Post-compaction, the substrate is member-for-member identical to
-    /// one that never ingested the retracted profiles (the husk ids keep
-    /// their — now empty — index slots so dense ids stay addressable).
+    /// key-sorted order anyway. Post-compaction, the substrate is
+    /// member-for-member identical to one that never ingested the
+    /// retracted profiles (the husk ids keep their tombstone marks, so
+    /// dense ids stay addressable).
     pub fn compact(&mut self) -> usize {
         if self.pending == 0 {
             return 0;
@@ -332,12 +297,6 @@ impl IncrementalTokenBlocking {
         let old_blocks = std::mem::take(&mut self.blocks);
         for slot in &mut self.block_of_token {
             *slot = NO_BLOCK;
-        }
-        let mut index = IncrementalProfileIndex::new_empty(self.n_profiles);
-        for (p, &dead) in self.tombstones.iter().enumerate() {
-            if dead {
-                index.retire(ProfileId(p as u32));
-            }
         }
         let mut blocks = Vec::with_capacity(old_blocks.len());
         for mut block in old_blocks {
@@ -347,13 +306,10 @@ impl IncrementalTokenBlocking {
                 };
                 block = filtered;
             }
-            let id = blocks.len() as u32;
-            self.block_of_token[block.key.index()] = id;
-            index.push_block(block.profiles(), block.cardinality(self.kind));
+            self.block_of_token[block.key.index()] = blocks.len() as u32;
             blocks.push(block);
         }
         self.blocks = blocks;
-        self.index = index;
         std::mem::take(&mut self.pending)
     }
 
@@ -757,7 +713,7 @@ impl IncrementalNeighborList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sper_blocking::{ProfileIndex, TokenBlocking};
+    use sper_blocking::TokenBlocking;
     use sper_model::{Attribute, ProfileCollectionBuilder};
 
     fn collection(n: u32) -> ProfileCollection {
@@ -801,38 +757,6 @@ mod tests {
                 keys_and_members(&all_at_once.snapshot()),
                 "split = {split}"
             );
-        }
-    }
-
-    #[test]
-    fn live_index_tracks_snapshot_membership() {
-        let coll = collection(24);
-        let inc = IncrementalTokenBlocking::from_collection(&coll);
-        let index = inc.profile_index();
-        // Every profile's live block list names blocks that do contain it.
-        for p in coll.iter() {
-            for &bid in index.blocks_of(p.id) {
-                // Insertion-order ids address `blocks` directly.
-                assert!(
-                    inc.blocks()[bid as usize].profiles().contains(&p.id),
-                    "block {bid} should contain {}",
-                    p.id
-                );
-            }
-        }
-        // Intersections over the live index match a rebuilt batch index on
-        // the same (insertion-ordered) blocks.
-        let rebuilt = ProfileIndex::build(&BlockCollection::new(
-            ErKind::Dirty,
-            coll.len(),
-            Arc::clone(inc.interner()),
-            inc.blocks().to_vec(),
-        ));
-        for a in 0..coll.len() as u32 {
-            for b in (a + 1)..coll.len() as u32 {
-                let (a, b) = (ProfileId(a), ProfileId(b));
-                assert_eq!(index.intersect(a, b), rebuilt.intersect(a, b));
-            }
         }
     }
 
@@ -934,8 +858,11 @@ mod tests {
         assert_eq!(inc.compact(), 3);
         assert_eq!(inc.pending_tombstones(), 0);
         assert_eq!(keys_and_members(&inc.snapshot()), lazy);
-        // The live index retired the ids alongside.
-        assert!(inc.profile_index().blocks_of(ProfileId(3)).is_empty());
+        // Compaction dropped the retracted rows physically.
+        assert!(inc
+            .blocks()
+            .iter()
+            .all(|b| !b.profiles().contains(&ProfileId(3))));
         assert!(inc.is_tombstoned(ProfileId(3)));
         assert_eq!(inc.tombstoned_ids().count(), 3);
     }

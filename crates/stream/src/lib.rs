@@ -9,10 +9,11 @@
 //! construction. This crate removes that constraint with three layers:
 //!
 //! 1. **Incremental substrates** ([`incremental`]) —
-//!    [`IncrementalTokenBlocking`] and [`IncrementalNeighborList`] keep the
-//!    blocking indexes of `sper-blocking` up to date under `add_profile` /
-//!    `add_batch`, with amortized per-profile updates instead of full
-//!    rebuilds, and materialize batch-identical snapshots on demand.
+//!    [`IncrementalTokenBlocking`] and [`IncrementalNeighborList`] keep
+//!    Token Blocking's blocks and the Neighbor List up to date under
+//!    `add_profile` / `add_batch`, with amortized per-profile updates
+//!    instead of full rebuilds, and materialize batch-identical snapshots
+//!    on demand.
 //!    Deletion is tombstone-based: `retract` marks a row, snapshots
 //!    filter it lazily, and a periodic `compact` pass physically drops
 //!    the dead rows — emission is bit-identical throughout.

@@ -177,47 +177,3 @@ fn budgeted_epochs_still_converge_to_batch_set() {
     cumulative.extend(outcome.comparisons.iter().map(|c| c.pair));
     assert_eq!(cumulative, batch);
 }
-
-/// The sparse-accumulator kernel is substrate-agnostic across epochs: one
-/// `WeightAccumulator`, grown with the substrate via `ensure_profiles`,
-/// sweeps the *live* incremental index + block array after every ingest
-/// batch and reproduces the merge-based weights bit for bit — no frozen
-/// snapshot, no per-epoch scratch reallocation.
-#[test]
-fn kernel_follows_incremental_substrate_across_epochs() {
-    use sper_blocking::{WeightAccumulator, WeightingScheme};
-    use sper_model::ProfileId;
-    use sper_stream::IncrementalTokenBlocking;
-
-    let data = twin();
-    let all: Vec<Vec<Attribute>> = data.profiles.iter().map(|p| p.attributes.clone()).collect();
-    let mut live = ProfileCollectionBuilder::dirty().build();
-    let mut substrate = IncrementalTokenBlocking::new(sper_model::ErKind::Dirty);
-    let mut acc = WeightAccumulator::new(0);
-    let chunk = all.len().div_ceil(4);
-    for batch in all.chunks(chunk) {
-        for attrs in batch {
-            let id = live.append_profile(attrs.clone());
-            substrate.add_profile(live.get(id));
-        }
-        let n = substrate.n_profiles();
-        acc.ensure_profiles(n);
-        let index = substrate.profile_index();
-        let blocks = substrate.blocks();
-        for i in 0..n as u32 {
-            let i = ProfileId(i);
-            for scheme in [WeightingScheme::Arcs, WeightingScheme::Ecbs] {
-                acc.sweep(substrate.kind(), blocks, index, scheme, i, None);
-                for t in 0..acc.touched().len() {
-                    let j = ProfileId(acc.touched()[t]);
-                    assert_eq!(
-                        acc.finalize(index, scheme, i, j).to_bits(),
-                        index.weight(i, j, scheme).to_bits(),
-                        "epoch weight diverged at ({i:?}, {j:?})"
-                    );
-                }
-                acc.reset();
-            }
-        }
-    }
-}

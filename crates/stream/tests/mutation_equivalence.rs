@@ -388,116 +388,3 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
-
-/// Satellite regression for the sparse-accumulator kernel: a long-lived
-/// `WeightAccumulator` (the cross-epoch pattern PBS/PPS use) must keep
-/// reproducing the merge-based weights bit for bit when the substrate it
-/// sweeps is *compacted* between epochs — provided the scratch entries of
-/// compacted-away ids are purged. Stale accumulator sums and
-/// least-common-block tags for dead ids are exactly what
-/// `WeightAccumulator::purge_retired` evicts.
-#[test]
-fn kernel_scratch_survives_substrate_compaction() {
-    use sper_blocking::{WeightAccumulator, WeightingScheme};
-    use sper_stream::IncrementalTokenBlocking;
-
-    let all = rows(12);
-    let mut live = ProfileCollectionBuilder::dirty().build();
-    let mut substrate = IncrementalTokenBlocking::new(ErKind::Dirty);
-    let mut acc = WeightAccumulator::new(0);
-
-    let sweep_all = |substrate: &IncrementalTokenBlocking, acc: &mut WeightAccumulator| {
-        let n = substrate.n_profiles();
-        acc.ensure_profiles(n);
-        let index = substrate.profile_index();
-        let blocks = substrate.blocks();
-        for i in 0..n as u32 {
-            let i = ProfileId(i);
-            if substrate.is_tombstoned(i) {
-                continue;
-            }
-            for scheme in [WeightingScheme::Arcs, WeightingScheme::Ecbs] {
-                acc.sweep(substrate.kind(), blocks, index, scheme, i, None);
-                for t in 0..acc.touched().len() {
-                    let j = ProfileId(acc.touched()[t]);
-                    assert_eq!(
-                        acc.finalize(index, scheme, i, j).to_bits(),
-                        index.weight(i, j, scheme).to_bits(),
-                        "weight diverged at ({i:?}, {j:?}) under {scheme:?}"
-                    );
-                }
-                acc.reset();
-            }
-        }
-    };
-
-    // Epoch 1: ingest and sweep — the scratch is now warm with sums and
-    // least-common-block tags for every profile, including the two about
-    // to die.
-    for attrs in &all[..8] {
-        let id = live.append_profile(attrs.clone());
-        substrate.add_profile(live.get(id));
-    }
-    sweep_all(&substrate, &mut acc);
-
-    // Retract two profiles and compact: block ids renumber, and ids 2
-    // and 5 vanish from every CSR segment while their scratch entries
-    // linger.
-    for id in [ProfileId(2), ProfileId(5)] {
-        live.retract_profile(id);
-        substrate.retract(id);
-    }
-    assert_eq!(substrate.compact(), 2);
-    let retired: Vec<bool> = (0..substrate.n_profiles())
-        .map(|i| substrate.is_tombstoned(ProfileId(i as u32)))
-        .collect();
-    acc.purge_retired(&retired);
-
-    // Epoch 2: grow past the compaction and sweep the live substrate —
-    // every surviving weight still bit-matches the merge kernels.
-    for attrs in &all[8..] {
-        let id = live.append_profile(attrs.clone());
-        substrate.add_profile(live.get(id));
-    }
-    sweep_all(&substrate, &mut acc);
-
-    // Control: a fresh accumulator over the same compacted substrate
-    // agrees with the long-lived one on every pair (the purge left no
-    // live-entry damage behind).
-    let mut fresh = WeightAccumulator::new(substrate.n_profiles());
-    let index = substrate.profile_index();
-    let blocks = substrate.blocks();
-    for i in 0..substrate.n_profiles() as u32 {
-        let i = ProfileId(i);
-        if substrate.is_tombstoned(i) {
-            continue;
-        }
-        fresh.sweep(
-            substrate.kind(),
-            blocks,
-            index,
-            WeightingScheme::Ecbs,
-            i,
-            None,
-        );
-        acc.sweep(
-            substrate.kind(),
-            blocks,
-            index,
-            WeightingScheme::Ecbs,
-            i,
-            None,
-        );
-        let a: Vec<(u32, u64)> = {
-            let mut v = Vec::new();
-            acc.drain_ascending(|j, sum, _| v.push((j, sum.to_bits())));
-            v
-        };
-        let b: Vec<(u32, u64)> = {
-            let mut v = Vec::new();
-            fresh.drain_ascending(|j, sum, _| v.push((j, sum.to_bits())));
-            v
-        };
-        assert_eq!(a, b, "long-lived vs fresh scratch diverged sweeping {i:?}");
-    }
-}
