@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sper_bench::paper_config;
 use sper_blocking::{
-    legacy, BlockFilter, BlockPurger, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme,
+    BlockFilter, BlockPurger, NeighborList, ProfileIndex, TokenBlocking, WeightingScheme,
 };
 use sper_core::{build_method, ProgressiveMethod};
 use sper_datagen::{DatasetKind, DatasetSpec, GeneratedDataset};
@@ -137,63 +137,6 @@ fn bench_blocking(c: &mut Criterion) {
     group.finish();
 }
 
-/// The interned columnar core against the string-keyed seed paths kept in
-/// [`sper_blocking::legacy`] — the PR-2 speedup this repo tracks in
-/// `BENCH_interning.json`.
-fn bench_interning(c: &mut Criterion) {
-    let data = small_twin();
-    let mut group = c.benchmark_group("interning");
-
-    // Token Blocking build: interned ids + flat buckets vs
-    // HashMap<String, Vec<_>> with per-token owned strings.
-    group.bench_function("token_blocking/interned", |b| {
-        b.iter(|| black_box(TokenBlocking::default().build(&data.profiles)))
-    });
-    group.bench_function("token_blocking/string_keyed", |b| {
-        b.iter(|| black_box(legacy::string_token_blocking(&data.profiles)))
-    });
-
-    // Edge weighting: CSR block lists vs the seed's Vec-of-Vec layout
-    // (identical merge semantics, different memory).
-    let mut blocks = TokenBlocking::default().build(&data.profiles);
-    blocks.sort_by_cardinality();
-    let csr = ProfileIndex::build(&blocks);
-    let vec_of_vec = legacy::VecOfVecIndex::build(&blocks);
-    let n = data.profiles.len() as u32;
-    let pairs: Vec<(ProfileId, ProfileId)> = (0..4_000)
-        .map(|i| (ProfileId(i % n), ProfileId((i * 7 + 1) % n)))
-        .filter(|(a, b)| a != b)
-        .collect();
-    group.bench_function("weighting/csr", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &(i, j) in &pairs {
-                acc += csr.weight(i, j, WeightingScheme::Arcs);
-            }
-            black_box(acc)
-        });
-    });
-    group.bench_function("weighting/vec_of_vec", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &(i, j) in &pairs {
-                acc += vec_of_vec.weight(i, j, WeightingScheme::Arcs);
-            }
-            black_box(acc)
-        });
-    });
-
-    // Neighbor List: rank-sorted interned placements vs string-sorted
-    // owned placements.
-    group.bench_function("neighbor_list/interned", |b| {
-        b.iter(|| black_box(NeighborList::build(&data.profiles, 42)))
-    });
-    group.bench_function("neighbor_list/string_keyed", |b| {
-        b.iter(|| black_box(legacy::string_neighbor_list(&data.profiles, 42)))
-    });
-    group.finish();
-}
-
 /// Match-function costs: the expensive vs cheap functions of §7.3.
 fn bench_match_functions(c: &mut Criterion) {
     let a = "the quick brown fox jumps over the lazy dog";
@@ -232,7 +175,6 @@ criterion_group! {
         bench_emission,
         bench_weighting,
         bench_blocking,
-        bench_interning,
         bench_match_functions
 }
 criterion_main!(benches);

@@ -7,9 +7,9 @@
 //! cargo run -p sper-bench --release --bin export_curves -- --json > curves.json
 //! ```
 //!
-//! The JSON form is machine-readable for `BENCH_*.json` trajectory
-//! tracking: an array of series, each carrying its summary statistics
-//! (`auc_at_10`, `final_recall`, timing) next to the sampled curve.
+//! The JSON form is machine-readable for trajectory tracking: an array of
+//! series, each carrying its summary statistics (`auc_at_10`,
+//! `final_recall`, timing) next to the sampled curve.
 
 use serde::Serialize;
 use sper_bench::{dataset, methods_for, paper_config, run_on};

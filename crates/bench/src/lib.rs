@@ -19,43 +19,23 @@ use sper_core::{build_method, MethodConfig, ProgressiveMethod};
 use sper_datagen::{DatasetKind, DatasetSpec, GeneratedDataset};
 use sper_eval::runner::{run_progressive, RunOptions, RunResult};
 
-/// The counting allocator every bench binary measures through: two
-/// relaxed atomic ops per allocation, shared here so each harness reads
-/// peaks from one place instead of hand-rolling its own wrapper.
+/// The counting allocator of every binary linking this crate: two relaxed
+/// atomic ops per allocation, so the end-to-end benchmark
+/// (`pipeline_bench/`) reads its run and per-layer heap peaks from one
+/// place.
 #[global_allocator]
 pub static ALLOC: sper_obs::PeakAllocTracker = sper_obs::PeakAllocTracker::new();
 
-/// Runs `f` once and returns its result plus its peak allocation delta in
-/// bytes: the high-water mark above the bytes already live at entry.
-pub fn peak_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOC.live_bytes();
-    ALLOC.reset_peak();
-    let out = f();
-    (out, ALLOC.peak_bytes().saturating_sub(before))
-}
-
-/// Probes the measuring machine for the `host` section of a BENCH report,
-/// stamped into every committed `BENCH_*.json` so baselines are
-/// self-describing.
+/// Probes the measuring machine for the `host` section of a benchmark
+/// report, so every result line says what hardware produced it.
 pub fn host_info() -> sper_obs::HostInfo {
     sper_obs::HostInfo::probe()
 }
 
-/// Captures the timestamp + git revision stamped into every BENCH report,
-/// so a committed `BENCH_*.json` can be matched to the commit that
-/// produced it without trusting git history.
+/// Captures the timestamp + git revision stamped into every benchmark
+/// report, so a result can be matched to the commit that produced it.
 pub fn run_stamp() -> sper_obs::RunStamp {
     sper_obs::RunStamp::capture()
-}
-
-/// Installs the human-readable stderr sink the bench binaries report
-/// progress through (Info level) — their old `eprintln!` status lines,
-/// now flowing through the same pipeline the CLI's `-v` uses.
-pub fn init_obs() {
-    sper_obs::trace::install_sink(
-        std::sync::Arc::new(sper_obs::StderrSink::new(sper_obs::Level::Info)),
-        sper_obs::Level::Info,
-    );
 }
 
 /// The `ec*` sampling grid used by the recall-progressiveness figures.

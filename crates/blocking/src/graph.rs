@@ -162,15 +162,12 @@ impl BlockingGraph {
     }
 
     /// All edges sorted by non-increasing weight (ties by pair id for
-    /// determinism) — the "ideal" exhaustive comparison order the
-    /// progressive methods approximate without materialization.
+    /// determinism; [`crate::weight_desc`]) — the "ideal" exhaustive
+    /// comparison order the progressive methods approximate without
+    /// materialization.
     pub fn sorted_edges(&self) -> Vec<(Pair, f64)> {
         let mut out = self.edges.clone();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        out.sort_by(crate::weight_desc);
         out
     }
 }

@@ -1,17 +1,14 @@
 //! The string-keyed reference implementations that the interned columnar
 //! core replaced.
 //!
-//! Kept (not dead code) for two purposes:
-//!
-//! 1. **Equivalence testing** — the property tests in
-//!    `tests/interned_equivalence.rs` assert that the interned/CSR pipeline
-//!    is observationally identical to these seed semantics: same blocks,
-//!    same edge weights, same Neighbor List.
-//! 2. **Benchmarking** — the criterion group `interning` and the
-//!    `bench_interning` / `bench_weighting` harnesses measure the interned
-//!    and sparse-accumulator paths against these baselines, giving the repo
-//!    a tracked perf trajectory (`BENCH_interning.json`,
-//!    `BENCH_weighting.json`).
+//! Kept (not dead code) as the oracle of the equivalence suites: the
+//! property tests and walls of `sper-blocking` (`interned_equivalence.rs`,
+//! `parallel_equivalence.rs`, `simd_equivalence.rs`,
+//! `weighting_equivalence.rs`) and `sper-core` (`emission_equivalence.rs`)
+//! assert that the interned/CSR pipeline, the sparse-accumulator kernel
+//! and the progressive methods are observationally identical to these
+//! seed semantics: same blocks, same edge weights and order, same
+//! Neighbor List.
 //!
 //! Nothing in the production pipeline calls into this module.
 
@@ -126,54 +123,13 @@ pub fn string_weight(
     scheme.finalize(acc, a.len(), b.len(), blocks.len())
 }
 
-/// The seed's profile-index layout: one growable `Vec` of ascending block
-/// ids per profile, plus the cardinality table. It weights pairs with the
-/// CSR [`ProfileIndex`]'s own merge, so the two differ only in memory
-/// layout — the `interning` benches' layout baseline.
-#[derive(Debug, Clone)]
-pub struct VecOfVecIndex {
-    lists: Vec<Vec<u32>>,
-    cardinalities: Vec<u64>,
-}
-
-impl VecOfVecIndex {
-    /// Indexes `blocks` in their current order, like [`ProfileIndex::build`].
-    pub fn build(blocks: &BlockCollection) -> Self {
-        let mut lists = vec![Vec::new(); blocks.n_profiles()];
-        let mut cardinalities = Vec::with_capacity(blocks.len());
-        for (bid, block) in blocks.iter().enumerate() {
-            cardinalities.push(block.cardinality(blocks.kind()));
-            for &p in block.profiles() {
-                lists[p.index()].push(bid as u32);
-            }
-        }
-        Self {
-            lists,
-            cardinalities,
-        }
-    }
-
-    /// Edge weight of `(i, j)` under `scheme` — bit-identical to
-    /// [`ProfileIndex::weight`].
-    pub fn weight(&self, i: ProfileId, j: ProfileId, scheme: WeightingScheme) -> f64 {
-        crate::profile_index::weight_from_lists(
-            &self.lists[i.index()],
-            &self.lists[j.index()],
-            &self.cardinalities,
-            self.cardinalities.len(),
-            scheme,
-        )
-    }
-}
-
 /// The pre-kernel edge-list builder: visit every comparison of every
 /// block, dedup repeats through a hashed `seen` set, and merge-intersect
 /// the two profiles' block lists per new pair (`O(|B_i| + |B_j|)` each).
 ///
 /// This was `BlockingGraph::build` until the sparse-accumulator kernel
 /// ([`crate::spacc`]) replaced it; it is kept as the order-and-weight
-/// reference the kernel is property-tested against, and as the baseline of
-/// the `bench_weighting` harness.
+/// reference the kernel is property-tested against.
 pub fn legacy_graph_edges(blocks: &BlockCollection, scheme: WeightingScheme) -> Vec<(Pair, f64)> {
     let index = ProfileIndex::build(blocks);
     let kind = blocks.kind();
@@ -235,22 +191,6 @@ mod tests {
         let blocks = string_token_blocking(&fig3_profiles());
         let keys: Vec<&str> = blocks.iter().map(|b| b.key.as_str()).collect();
         assert_eq!(keys, vec!["carl", "ml", "ny", "tailor", "teacher", "white"]);
-    }
-
-    #[test]
-    fn vec_of_vec_weights_equal_csr_weights() {
-        let mut blocks = crate::TokenBlocking::default().build(&fig3_profiles());
-        blocks.sort_by_cardinality();
-        let (csr, vov) = (ProfileIndex::build(&blocks), VecOfVecIndex::build(&blocks));
-        for scheme in WeightingScheme::ALL {
-            for (i, j) in [(0, 1), (1, 2), (3, 4), (3, 5)] {
-                let (i, j) = (ProfileId(i), ProfileId(j));
-                assert_eq!(
-                    vov.weight(i, j, scheme).to_bits(),
-                    csr.weight(i, j, scheme).to_bits()
-                );
-            }
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod weights;
 pub use block::{Block, BlockCollection, BlockCsrParts, BlockId, BlockRef};
 pub use filtering::BlockFilter;
 pub use graph::BlockingGraph;
-pub use metablocking::{prune, prune_blocks, PruningScheme};
+pub use metablocking::{prune, prune_blocks, weight_desc, PruningScheme};
 pub use neighbor_list::{NeighborList, PositionIndex};
 pub use parallel::{
     take_last_fanout_stats, FanoutStats, Parallelism, WorkerStats, ZeroThreads, MIN_PARALLEL_BATCH,

@@ -66,14 +66,21 @@ impl PruningScheme {
 }
 
 /// Non-increasing weight, ties by ascending id — the single comparator
-/// behind every pruning order (global output sort, CNP's per-node top-`k`,
-/// both the graph-based and the streaming path). The graph and streaming
-/// routes must tie-break identically for their equivalence to hold, so
-/// there is exactly one definition.
-fn weight_desc<T: Ord>(a: &(T, f64), b: &(T, f64)) -> std::cmp::Ordering {
-    b.1.partial_cmp(&a.1)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.0.cmp(&b.0))
+/// behind every weight-descending order: pruning (global output sort,
+/// CNP's per-node top-`k`, both the graph-based and the streaming path),
+/// [`BlockingGraph::sorted_edges`], PPS's duplication-likelihood order and
+/// the progressive methods' emission order. The routes must tie-break
+/// identically for their equivalences to hold, so there is exactly one
+/// definition.
+///
+/// Weights compare by [`f64::total_cmp`], so the order is total on any
+/// input and a sort never panics: a NaN with its sign bit clear (such as
+/// [`f64::NAN`]) ranks before every number, one with its sign bit set
+/// after every number, and `+0.0` before `-0.0`. Among non-negative
+/// numbers, the only weights the schemes produce, it is `f64`'s order.
+#[inline]
+pub fn weight_desc<T: Ord>(a: &(T, f64), b: &(T, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
 }
 
 /// Applies a node-centric scheme's retention rule to one node's weighted
@@ -390,6 +397,150 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A graph of `m` distinct edges over 100 nodes, in scrambled pair
+    /// order, with tied weights and one weight in three NaN (alternating
+    /// the sign bit).
+    fn nan_graph(m: usize) -> BlockingGraph {
+        let n = 100u32;
+        let pairs: Vec<Pair> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| Pair::new(ProfileId(a), ProfileId(b))))
+            .collect();
+        assert!(m <= pairs.len());
+        let edges = (0..m)
+            .map(|i| {
+                // 7,919 is coprime to the 4,950 pairs: a permutation.
+                let pair = pairs[i * 7_919 % pairs.len()];
+                let weight = match i % 6 {
+                    0 => f64::NAN,
+                    3 => -f64::NAN,
+                    _ => (i * 31 % 13) as f64 / 4.0,
+                };
+                (pair, weight)
+            })
+            .collect();
+        BlockingGraph::from_edges(n as usize, edges)
+    }
+
+    const NAN_GRAPH_SIZES: [usize; 4] = [32, 300, 2_000, 4_781];
+
+    /// The reference order, written without `f64::total_cmp`: NaNs with
+    /// the sign bit clear, then numbers by non-increasing value, then NaNs
+    /// with the sign bit set; ties by ascending id.
+    fn reference_sorted<T: Ord>(mut v: Vec<(T, f64)>) -> Vec<(T, f64)> {
+        let group = |w: f64| match (w.is_nan(), w.is_sign_negative()) {
+            (true, false) => 0,
+            (false, _) => 1,
+            (true, true) => 2,
+        };
+        v.sort_by(|a, b| {
+            group(a.1)
+                .cmp(&group(b.1))
+                .then_with(|| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        v
+    }
+
+    fn bits<T: Copy>(v: &[(T, f64)]) -> Vec<(T, u64)> {
+        v.iter().map(|&(t, w)| (t, w.to_bits())).collect()
+    }
+
+    /// The reference of a node-centric scheme: `keep` picks the neighbors
+    /// a node retains from its neighborhood (adjacency order), and an edge
+    /// survives when either endpoint retains it.
+    fn node_reference(
+        g: &BlockingGraph,
+        keep: impl Fn(Vec<(ProfileId, f64)>) -> Vec<ProfileId>,
+    ) -> Vec<(Pair, f64)> {
+        let mut kept = std::collections::HashSet::new();
+        for node in 0..g.num_nodes() as u32 {
+            let node = ProfileId(node);
+            for other in keep(g.neighbors(node).collect()) {
+                kept.insert(Pair::new(node, other));
+            }
+        }
+        reference_sorted(g.edges().filter(|(p, _)| kept.contains(p)).collect())
+    }
+
+    #[test]
+    fn sorted_edges_orders_nan_weights_totally() {
+        for m in NAN_GRAPH_SIZES {
+            let g = nan_graph(m);
+            let expected = reference_sorted(g.edges().collect());
+            assert_eq!(bits(&g.sorted_edges()), bits(&expected), "m = {m}");
+        }
+    }
+
+    #[test]
+    fn wep_with_nan_weights_matches_the_reference() {
+        for m in NAN_GRAPH_SIZES {
+            let g = nan_graph(m);
+            let mean = g.edges().map(|(_, w)| w).sum::<f64>() / g.num_edges() as f64;
+            let expected = reference_sorted(g.edges().filter(|&(_, w)| w >= mean).collect());
+            assert_eq!(
+                bits(&prune(&g, PruningScheme::Wep)),
+                bits(&expected),
+                "m = {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn cep_with_nan_weights_matches_the_reference() {
+        for m in NAN_GRAPH_SIZES {
+            let g = nan_graph(m);
+            let k = m / 2;
+            let mut expected = reference_sorted(g.edges().collect());
+            expected.truncate(k);
+            assert_eq!(
+                bits(&prune(&g, PruningScheme::Cep { k })),
+                bits(&expected),
+                "m = {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn wnp_with_nan_weights_matches_the_reference() {
+        for m in NAN_GRAPH_SIZES {
+            let g = nan_graph(m);
+            let expected = node_reference(&g, |neighborhood| {
+                let mean =
+                    neighborhood.iter().map(|&(_, w)| w).sum::<f64>() / neighborhood.len() as f64;
+                neighborhood
+                    .into_iter()
+                    .filter(|&(_, w)| w >= mean)
+                    .map(|(other, _)| other)
+                    .collect()
+            });
+            assert_eq!(
+                bits(&prune(&g, PruningScheme::Wnp)),
+                bits(&expected),
+                "m = {m}"
+            );
+        }
+    }
+
+    #[test]
+    fn cnp_with_nan_weights_matches_the_reference() {
+        for m in NAN_GRAPH_SIZES {
+            let g = nan_graph(m);
+            let k = 3;
+            let expected = node_reference(&g, |neighborhood| {
+                reference_sorted(neighborhood)
+                    .into_iter()
+                    .take(k)
+                    .map(|(other, _)| other)
+                    .collect()
+            });
+            assert_eq!(
+                bits(&prune(&g, PruningScheme::Cnp { k })),
+                bits(&expected),
+                "m = {m}"
+            );
         }
     }
 }

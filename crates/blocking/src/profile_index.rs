@@ -61,23 +61,6 @@ fn merge_intersect(a: &[u32], b: &[u32], cardinalities: &[u64]) -> IntersectStat
     stats
 }
 
-/// Edge weight from two block lists (Algorithm 3 line 10) — shared with
-/// the seed's Vec-of-Vec layout kept in [`crate::legacy`].
-pub(crate) fn weight_from_lists(
-    a: &[u32],
-    b: &[u32],
-    cardinalities: &[u64],
-    total_blocks: usize,
-    scheme: WeightingScheme,
-) -> f64 {
-    let stats = merge_intersect(a, b, cardinalities);
-    let acc = match scheme {
-        WeightingScheme::Arcs => stats.arcs,
-        _ => f64::from(stats.common),
-    };
-    scheme.finalize(acc, a.len(), b.len(), total_blocks)
-}
-
 /// Frozen CSR inverted index: profile id → ascending block ids in one
 /// packed array, plus cached block cardinalities.
 #[derive(Debug, Clone)]
@@ -183,13 +166,13 @@ impl ProfileIndex {
     /// Edge weight of the comparison `(i, j)` under `scheme`, derived purely
     /// from the Profile Index (Algorithm 3 line 10).
     pub fn weight(&self, i: ProfileId, j: ProfileId, scheme: WeightingScheme) -> f64 {
-        weight_from_lists(
-            self.blocks_of(i),
-            self.blocks_of(j),
-            &self.cardinalities,
-            self.total_blocks,
-            scheme,
-        )
+        let (a, b) = (self.blocks_of(i), self.blocks_of(j));
+        let stats = merge_intersect(a, b, &self.cardinalities);
+        let acc = match scheme {
+            WeightingScheme::Arcs => stats.arcs,
+            _ => f64::from(stats.common),
+        };
+        scheme.finalize(acc, a.len(), b.len(), self.total_blocks)
     }
 
     /// Borrowed views of the raw CSR arrays `(offsets, block_ids,

@@ -6,7 +6,7 @@
 //!
 //! * **Multi-worker wall** — one deterministic collection of 2,700
 //!   profiles (dirty and clean-clean), above every spawn break-even guard,
-//!   run at 1, 2 and 4 workers through Token Blocking, the Neighbor List,
+//!   run at 1, 2, 4 and 8 workers through Token Blocking, the Neighbor List,
 //!   `BlockingGraph::build` and `prune_blocks`. Each result equals the
 //!   one-worker result and the legacy reference, and on a multi-core host
 //!   the wall proves through `take_last_fanout_stats` that more than one
@@ -197,7 +197,7 @@ fn run_wall(clean_clean: bool) {
         prunings.iter().map(|&s| prune(&legacy_graph, s)).collect();
 
     let mut one = None;
-    for threads in [1, 2, 4] {
+    for threads in [1, 2, 4, 8] {
         let par = Parallelism::new(threads).expect("threads > 0");
         let label = |what: &str| format!("{what} (clean-clean {clean_clean}, {threads} threads)");
 

@@ -29,7 +29,7 @@
 //! worker count change wall-clock time, never emission order.
 
 use crate::Comparison;
-use sper_blocking::Parallelism;
+use sper_blocking::{weight_desc, Parallelism};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -43,8 +43,8 @@ const SAMPLE: usize = 65;
 /// The canonical emission order of every best-first engine: non-increasing
 /// weight, ties broken by ascending pair id — fully deterministic.
 ///
-/// Weights compare by [`f64::total_cmp`], so the order is total on any
-/// input: a NaN weight with its sign bit clear (such as [`f64::NAN`])
+/// It is [`weight_desc`] over `(pair, weight)`, so the order is total on
+/// any input: a NaN weight with its sign bit clear (such as [`f64::NAN`])
 /// emits before every number, one with its sign bit set (the NaN that
 /// `0.0 / 0.0` yields on x86-64) after every number, and `+0.0` before
 /// `-0.0`. Among non-negative numbers the order is `f64`'s.
@@ -52,9 +52,7 @@ const SAMPLE: usize = 65;
 /// Returns [`Ordering::Less`] when `a` must be emitted before `b`.
 #[inline]
 pub fn emission_order(a: &Comparison, b: &Comparison) -> Ordering {
-    b.weight
-        .total_cmp(&a.weight)
-        .then_with(|| a.pair.cmp(&b.pair))
+    weight_desc(&(a.pair, a.weight), &(b.pair, b.weight))
 }
 
 /// One incremental-quicksort step on a segment longer than one tier:

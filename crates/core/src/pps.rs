@@ -20,8 +20,8 @@
 use crate::emitter::EmissionList;
 use crate::{Comparison, ProgressiveEr};
 use sper_blocking::{
-    BlockCollection, Parallelism, ProfileIndex, TokenBlockingWorkflow, WeightAccumulator,
-    WeightingScheme,
+    weight_desc, BlockCollection, Parallelism, ProfileIndex, TokenBlockingWorkflow,
+    WeightAccumulator, WeightingScheme,
 };
 use sper_model::{Pair, ProfileCollection, ProfileId};
 use std::collections::HashMap;
@@ -208,11 +208,7 @@ impl Pps {
             tops.extend(t);
         }
 
-        likelihood.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        likelihood.sort_by(weight_desc);
         self.sorted_profiles = likelihood.into_iter().map(|(p, _)| p).collect();
 
         // Deduplicate the per-profile top comparisons (a pair can be the

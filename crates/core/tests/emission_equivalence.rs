@@ -207,7 +207,7 @@ proptest! {
     /// The parallel engine pins the sequential emission order for **all
     /// seven methods**: at any thread count in 1–8, `build_method` with
     /// `threads = t` produces the exact comparison sequence (pairs *and*
-    /// weights) of the sequential engine. This is the property that makes
+    /// weight bits) of the sequential engine. This is the property that makes
     /// `--threads` safe to default to the machine's parallelism.
     /// (These proptest collections sit below the spawn-threshold, so the
     /// per-refill fan-outs take their inline path here; the dedicated
@@ -266,8 +266,9 @@ proptest! {
             );
             for (s, p) in sequential.iter().zip(&parallel) {
                 prop_assert_eq!(s.pair, p.pair, "{} order diverged at {} threads", method, threads);
-                prop_assert!(
-                    (s.weight - p.weight).abs() < 1e-12,
+                prop_assert_eq!(
+                    s.weight.to_bits(),
+                    p.weight.to_bits(),
                     "{} weight diverged at {} threads: {} vs {}",
                     method, threads, s.weight, p.weight
                 );
@@ -327,7 +328,7 @@ fn gs_psn_full_drain_is_the_sorted_batch_at_every_worker_count() {
 /// Above the spawn break-even (`MIN_PARALLEL_BATCH`) the advanced methods
 /// genuinely shard — parallel window weighting, per-block fan-out, sharded
 /// refills — and the emission sequence must still match the sequential
-/// engine exactly. 2 600 profiles put the iterated range, the hub block's
+/// engine exactly, pairs and weight bits. 2 600 profiles put the iterated range, the hub block's
 /// pair list (C(70,2) = 2 415 pairs) and the refill batches all above the
 /// threshold.
 #[test]
@@ -355,7 +356,7 @@ fn parallel_paths_engage_above_spawn_threshold() {
         let sequential: Vec<Comparison> = build_method(method, &coll, &config_at(1), None)
             .take(budget)
             .collect();
-        for threads in [2usize, 4] {
+        for threads in [2usize, 4, 8] {
             let parallel: Vec<Comparison> = build_method(method, &coll, &config_at(threads), None)
                 .take(budget)
                 .collect();
@@ -369,7 +370,11 @@ fn parallel_paths_engage_above_spawn_threshold() {
                     s.pair, p.pair,
                     "{method} order diverged at {threads} threads"
                 );
-                assert!((s.weight - p.weight).abs() < 1e-12);
+                assert_eq!(
+                    s.weight.to_bits(),
+                    p.weight.to_bits(),
+                    "{method} weight diverged at {threads} threads"
+                );
             }
         }
     }

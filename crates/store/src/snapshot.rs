@@ -6,8 +6,8 @@
 //! keyed structure resolves through) with any subset of: the profile
 //! collection, a CSR block collection, a frozen profile index, a
 //! materialized blocking graph, and a neighbor list. Loading reproduces
-//! each structure's arrays bit for bit — `bench_store` measures the load
-//! beating the equivalent rebuild by an order of magnitude.
+//! each structure's arrays bit for bit (`tests/roundtrip.rs`) without
+//! tokenizing or sorting anything.
 
 use crate::container::Store;
 use crate::error::StoreError;

@@ -232,8 +232,10 @@ pub fn encode_graph(graph: &BlockingGraph) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decodes a blocking graph, validating endpoints and rebuilding the
-/// adjacency deterministically.
+/// Decodes a blocking graph, validating endpoints and weights and
+/// rebuilding the adjacency deterministically. Every weighting scheme
+/// yields finite non-negative weights, so a NaN, infinite or negative
+/// weight is corrupt.
 pub fn decode_graph(bytes: &[u8]) -> Result<BlockingGraph, StoreError> {
     let mut d = Decoder::new(bytes, "GRPH");
     let n_profiles = d.len()?;
@@ -248,6 +250,11 @@ pub fn decode_graph(bytes: &[u8]) -> Result<BlockingGraph, StoreError> {
         }
         if second as usize >= n_profiles {
             return Err(d.corrupt("edge endpoint out of profile range"));
+        }
+        if !(weight.is_finite() && weight >= 0.0) {
+            return Err(d.corrupt(format!(
+                "edge weight {weight} is not finite and non-negative"
+            )));
         }
         edges.push((Pair::new(ProfileId(first), ProfileId(second)), weight));
     }

@@ -183,7 +183,7 @@ fn checkpoint_corruption_is_typed() {
 #[test]
 fn semantically_corrupt_sections_are_typed() {
     use sper_store::substrates::{
-        TAG_BLOCKS, TAG_INTERNER, TAG_NEIGHBOR_LIST, TAG_PROFILES, TAG_PROFILE_INDEX,
+        TAG_BLOCKS, TAG_GRAPH, TAG_INTERNER, TAG_NEIGHBOR_LIST, TAG_PROFILES, TAG_PROFILE_INDEX,
     };
     let assert_corrupt = |store: &Store| {
         assert!(matches!(
@@ -271,6 +271,28 @@ fn semantically_corrupt_sections_are_typed() {
     );
     store.push(TAG_NEIGHBOR_LIST, bytes);
     assert_corrupt(&store);
+
+    // Graph edges weighted NaN, ±∞ or negative: no weighting scheme
+    // yields them. A zero weight is valid.
+    let pair = sper_model::Pair::new(sper_model::ProfileId(0), sper_model::ProfileId(1));
+    let graph_store = |weight: f64| {
+        let graph = BlockingGraph::from_edges(2, vec![(pair, weight)]);
+        let mut store = Store::new();
+        store.push(
+            TAG_INTERNER,
+            sper_store::substrates::encode_interner(&sper_text::TokenInterner::new()),
+        );
+        store.push(TAG_GRAPH, sper_store::substrates::encode_graph(&graph));
+        store
+    };
+    assert!(Snapshot::from_store(&graph_store(0.0)).is_ok());
+    for weight in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let err = Snapshot::from_store(&graph_store(weight)).err();
+        assert!(
+            matches!(&err, Some(StoreError::Corrupt { section, .. }) if section == "GRPH"),
+            "weight {weight}: {err:?}"
+        );
+    }
 }
 
 #[test]

@@ -156,8 +156,16 @@ fn baseline(er: Er, config: &SessionConfig, budget: u64) -> Vec<Emissions> {
 /// Runs the faulted leg and the post-kill resume leg, asserting the
 /// headline invariant. `spec` is armed for the faulted leg only (the
 /// restarted process comes up clean); `kill` is the last batch index the
-/// dying process runs.
-fn check_schedule(tag: &str, er: Er, config: &SessionConfig, budget: u64, spec: &str, kill: usize) {
+/// dying process runs. Returns how often the sites of `spec` fired in
+/// the faulted leg.
+fn check_schedule(
+    tag: &str,
+    er: Er,
+    config: &SessionConfig,
+    budget: u64,
+    spec: &str,
+    kill: usize,
+) -> u64 {
     let d = fresh_dir(tag);
     let path = d.join("ckpt.sper");
     let base = baseline(er, config, budget);
@@ -187,6 +195,11 @@ fn check_schedule(tag: &str, er: Er, config: &SessionConfig, budget: u64, spec: 
         }
     }
     drop(session); // the kill
+    let fired = spec
+        .split(';')
+        .filter_map(|entry| entry.split_once('='))
+        .map(|(site, _)| sper_obs::fault::fired(site.trim()))
+        .sum();
     sper_obs::fault::disarm();
 
     // Persistence faults never perturb what the live run emitted.
@@ -229,25 +242,44 @@ fn check_schedule(tag: &str, er: Er, config: &SessionConfig, budget: u64, spec: 
         }
     }
     let _ = std::fs::remove_dir_all(&d);
+    fired
 }
 
-/// Every streamable method × both ER kinds × lazy and eagerly-compacted
-/// tombstones, against a deliberately nasty fixed schedule mixing
+/// Runs `spec` over every streamable method × both ER kinds × lazy and
+/// eagerly-compacted tombstones, saving every epoch, and returns how
+/// often its sites fired across the grid.
+fn check_grid(spec: &str) -> u64 {
+    let mut fired = 0;
+    for method in STREAMABLE {
+        for er in [Er::Dirty, Er::CleanClean] {
+            for policy in [CompactionPolicy::manual(), CompactionPolicy::at_ratio(0.0)] {
+                let config = SessionConfig::exhaustive(method).with_compaction(policy);
+                fired += check_schedule("grid", er, &config, 3, spec, 3);
+            }
+        }
+    }
+    fired
+}
+
+/// The grid against a deliberately nasty fixed schedule mixing
 /// exhausting-retries errors, rotation failures, and torn section
 /// writes.
 #[test]
 fn every_method_er_and_tombstone_policy_survives_a_nasty_schedule() {
     let _guard = sper_obs::fault::arm_scoped("").unwrap();
-    let spec =
-        "stream.checkpoint=3*err(io);store.rename=1in4*err(full);store.write.section=2*partial(7)";
-    for method in STREAMABLE {
-        for er in [Er::Dirty, Er::CleanClean] {
-            for policy in [CompactionPolicy::manual(), CompactionPolicy::at_ratio(0.0)] {
-                let config = SessionConfig::exhaustive(method).with_compaction(policy);
-                check_schedule("grid", er, &config, 3, spec, 3);
-            }
-        }
-    }
+    check_grid(
+        "stream.checkpoint=3*err(io);store.rename=1in4*err(full);store.write.section=2*partial(7)",
+    );
+}
+
+/// The grid against an armed schedule whose only site never fires: an
+/// armed registry sends every site the run passes through its locked
+/// slow path, and that must not change a single emission either.
+#[test]
+fn an_armed_schedule_that_never_fires_changes_no_emission() {
+    let _guard = sper_obs::fault::arm_scoped("").unwrap();
+    let fired = check_grid("stream.checkpoint=1in1000000*err(io)");
+    assert_eq!(fired, 0, "the inert site fired");
 }
 
 /// A schedule that defeats every single save (first attempt + both

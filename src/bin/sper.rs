@@ -93,10 +93,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut obs = match ObsSetup::from_args(&args) {
         Ok(obs) => obs,
-        Err(err) => {
-            eprintln!("error: {err}");
-            return ExitCode::FAILURE;
-        }
+        Err(err) => return failure(err),
     };
     let result = run(&args);
     if let Err(err) = obs.finish() {
@@ -105,16 +102,20 @@ fn main() -> ExitCode {
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::FAILURE
-        }
+        Err(err) => failure(err),
+    }
+}
+
+/// Reports `err` on stderr: a usage error exits 2 with the usage text,
+/// any other error exits 1.
+fn failure(err: CliError) -> ExitCode {
+    eprintln!("error: {err}");
+    if matches!(err, CliError::Usage(_)) {
+        eprintln!();
+        eprintln!("{USAGE}");
+        ExitCode::from(2)
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -157,11 +158,12 @@ impl ObsSetup {
         // `sper report` *consumes* `--trace`/`--metrics` files; installing
         // the writer sinks would truncate its inputs. Only `-v` applies.
         let reading = args.first().map(String::as_str) == Some("report");
-        let trace_path = flag(args, "--trace").filter(|_| !reading);
-        let metrics_out = flag(args, "--metrics").filter(|_| !reading);
-        let profile_out = flag(args, "--profile").filter(|_| !reading);
-        let chrome_out = flag(args, "--chrome-trace").filter(|_| !reading);
-        let listen = flag(args, "--listen").filter(|_| !reading);
+        let output = |name: &str| if reading { Ok(None) } else { flag(args, name) };
+        let trace_path = output("--trace")?;
+        let metrics_out = output("--metrics")?;
+        let profile_out = output("--profile")?;
+        let chrome_out = output("--chrome-trace")?;
+        let listen = output("--listen")?;
         let progress_wanted = !reading && args.iter().any(|a| a == "--progress");
 
         let mut sinks: Vec<Arc<dyn sper_obs::Sink>> = Vec::new();
@@ -415,17 +417,25 @@ damaged store. --failpoints SPEC (or SPER_FAILPOINTS) arms deterministic
 fault injection, e.g. 'store.rename=1*err(io);store.fsync=1in5*delay(50)'
 (see the sper_obs::fault docs for sites, actions, and triggers).";
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value of the value flag `name`, `None` when it is absent. A flag
+/// present without a value — last on the line, or followed by another
+/// `--flag` — is a usage error: `--out --truth t.csv` must not write a
+/// file named `--truth`, and a trailing `--emit-pairs` must not vanish.
+fn flag(args: &[String], name: &str) -> Result<Option<String>, CliError> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(CliError::usage(format!("{name} needs a value"))),
+    }
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError>
 where
     T::Err: std::fmt::Display,
 {
-    flag(args, name)
+    flag(args, name)?
         .map(|s| {
             s.parse()
                 .map_err(|e| CliError::usage(format!("{name}: {e}")))
@@ -436,19 +446,9 @@ where
 /// `--threads N` (validated ≥ 1), defaulting to the machine's available
 /// parallelism. Emission order does not depend on the choice.
 fn parse_threads(args: &[String]) -> Result<Parallelism, CliError> {
-    match args.iter().position(|a| a == "--threads") {
+    match parse_flag(args, "--threads")? {
         None => Ok(Parallelism::available()),
-        Some(i) => {
-            // A present flag must have a value: silently falling back to
-            // the default would mask a misconfiguration.
-            let s = args
-                .get(i + 1)
-                .ok_or_else(|| CliError::usage("--threads needs a value"))?;
-            let n: usize = s
-                .parse()
-                .map_err(|e| CliError::usage(format!("--threads: {e}")))?;
-            Parallelism::new(n).map_err(|e| CliError::usage(format!("--threads: {e}")))
-        }
+        Some(n) => Parallelism::new(n).map_err(|e| CliError::usage(format!("--threads: {e}"))),
     }
 }
 
@@ -466,7 +466,7 @@ fn parse_method(s: &str) -> Result<ProgressiveMethod, CliError> {
 }
 
 fn method_flag(args: &[String]) -> Result<ProgressiveMethod, CliError> {
-    parse_method(&flag(args, "--method").unwrap_or_else(|| "pps".into()))
+    parse_method(&flag(args, "--method")?.unwrap_or_else(|| "pps".into()))
 }
 
 fn parse_dataset(s: &str) -> Result<DatasetKind, CliError> {
@@ -480,7 +480,7 @@ fn parse_dataset(s: &str) -> Result<DatasetKind, CliError> {
 /// `SPER_FAILPOINTS` environment variable. A malformed spec is a usage
 /// error (exit 2) — a typo must not silently run an unfaulted schedule.
 fn arm_failpoints(args: &[String]) -> Result<(), CliError> {
-    match flag(args, "--failpoints") {
+    match flag(args, "--failpoints")? {
         Some(spec) => sper_obs::fault::arm(&spec),
         None => sper_obs::fault::arm_from_env(),
     }
@@ -532,7 +532,7 @@ fn load_source(
         }
         Err(_) => {
             let profiles = load_profiles(source)?;
-            let truth = flag(args, "--truth")
+            let truth = flag(args, "--truth")?
                 .map(|p| load_truth(&p, profiles.len()))
                 .transpose()?;
             Ok((profiles, truth))
@@ -839,27 +839,31 @@ fn stream(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("--batches must be ≥ 1"));
     }
     let epoch_budget: Option<u64> = parse_flag(args, "--epoch-budget")?;
-    let checkpoint_path = flag(args, "--checkpoint");
-    let checkpoint_every: usize = parse_flag(args, "--checkpoint-every")?.unwrap_or(1);
-    if checkpoint_every == 0 {
+    let checkpoint_path = flag(args, "--checkpoint")?;
+    let checkpoint_every: Option<usize> = parse_flag(args, "--checkpoint-every")?;
+    if checkpoint_every == Some(0) {
         return Err(CliError::usage("--checkpoint-every must be ≥ 1"));
     }
-    if checkpoint_path.is_none() && flag(args, "--checkpoint-every").is_some() {
+    if checkpoint_path.is_none() && checkpoint_every.is_some() {
         return Err(CliError::usage(
             "--checkpoint-every needs --checkpoint FILE",
         ));
     }
-    let on_checkpoint_failure = match flag(args, "--on-checkpoint-failure") {
+    let checkpoint_every = checkpoint_every.unwrap_or(1);
+    let on_failure = flag(args, "--on-checkpoint-failure")?;
+    let on_checkpoint_failure = match &on_failure {
         None => OnCheckpointFailure::Abort,
-        Some(s) => OnCheckpointFailure::parse(&s).ok_or_else(|| {
+        Some(s) => OnCheckpointFailure::parse(s).ok_or_else(|| {
             CliError::usage("--on-checkpoint-failure must be `abort` or `continue`")
         })?,
     };
-    if checkpoint_path.is_none() && flag(args, "--on-checkpoint-failure").is_some() {
+    if checkpoint_path.is_none() && on_failure.is_some() {
         return Err(CliError::usage(
             "--on-checkpoint-failure needs --checkpoint FILE",
         ));
     }
+    let mutations_path = flag(args, "--mutations")?;
+    let emit_pairs_path = flag(args, "--emit-pairs")?;
 
     let (profiles, truth) = load_source(args, source)?;
 
@@ -907,10 +911,10 @@ fn stream(args: &[String]) -> Result<(), CliError> {
     let mut run_span = span!("cli.stream_run", method = method.name());
     let chunk = rows.len().div_ceil(n_batches).max(1);
     let batches: Vec<Vec<Vec<Attribute>>> = rows.chunks(chunk).map(|c| c.to_vec()).collect();
-    let mutations = flag(args, "--mutations")
+    let mutations = mutations_path
         .map(|path| Ok::<_, CliError>((load_mutations(&path, batches.len())?, path)))
         .transpose()?;
-    let mut emit_pairs = flag(args, "--emit-pairs")
+    let mut emit_pairs = emit_pairs_path
         .map(|path| {
             let f = std::fs::File::create(&path).map_err(CliError::io(path.as_str()))?;
             Ok::<_, CliError>((std::io::BufWriter::new(f), path))
@@ -1042,7 +1046,7 @@ fn snapshot(args: &[String]) -> Result<(), CliError> {
     let source = args
         .get(1)
         .ok_or_else(|| CliError::usage("snapshot needs a dataset name or CSV path"))?;
-    let out = flag(args, "--out").unwrap_or_else(|| "snapshot.sper".into());
+    let out = flag(args, "--out")?.unwrap_or_else(|| "snapshot.sper".into());
     let seed: u64 = parse_flag(args, "--seed")?.unwrap_or(42);
     let (profiles, _truth) = load_source(args, source)?;
 
@@ -1092,6 +1096,7 @@ fn salvage(args: &[String]) -> Result<(), CliError> {
     let source = args
         .get(1)
         .ok_or_else(|| CliError::usage("snapshot --salvage needs a .sper path"))?;
+    let out = flag(args, "--out")?;
     let bytes = std::fs::read(source).map_err(CliError::io(source.as_str()))?;
     let (snapshot, report) = Snapshot::salvage(&bytes).map_err(CliError::store(source.as_str()))?;
     println!("{}", report.summary());
@@ -1114,7 +1119,7 @@ fn salvage(args: &[String]) -> Result<(), CliError> {
             },
         });
     }
-    if let Some(out) = flag(args, "--out") {
+    if let Some(out) = out {
         snapshot
             .write_to_path(Path::new(&out))
             .map_err(CliError::store(&out))?;
@@ -1140,7 +1145,8 @@ fn resume(args: &[String]) -> Result<(), CliError> {
         .get(1)
         .ok_or_else(|| CliError::usage("resume needs a checkpoint path"))?;
     let epoch_budget: Option<u64> = parse_flag(args, "--epoch-budget")?;
-    let checkpoint_out = flag(args, "--checkpoint");
+    let checkpoint_out = flag(args, "--checkpoint")?;
+    let emit_pairs_path = flag(args, "--emit-pairs")?;
 
     let t0 = Instant::now();
     let (checkpoint, used_prev) =
@@ -1163,7 +1169,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
         load_us = load_time.as_micros() as u64,
     );
     let mut session = ProgressiveSession::rehydrate(state);
-    let mut emit_pairs = flag(args, "--emit-pairs")
+    let mut emit_pairs = emit_pairs_path
         .map(|path| {
             let f = std::fs::File::create(&path).map_err(CliError::io(path.as_str()))?;
             Ok::<_, CliError>((std::io::BufWriter::new(f), path))
@@ -1228,18 +1234,18 @@ fn resume(args: &[String]) -> Result<(), CliError> {
 /// external assets of any kind — it renders from an archive or a mail
 /// attachment).
 fn report(args: &[String]) -> Result<(), CliError> {
-    let trace_path = flag(args, "--trace")
+    let trace_path = flag(args, "--trace")?
         .ok_or_else(|| CliError::usage("report needs --trace FILE (a JSON-lines trace)"))?;
-    let out = flag(args, "--out").unwrap_or_else(|| "report.html".into());
+    let out = flag(args, "--out")?.unwrap_or_else(|| "report.html".into());
     let trace_text =
         std::fs::read_to_string(&trace_path).map_err(CliError::io(trace_path.as_str()))?;
-    let metrics_json = flag(args, "--metrics")
+    let metrics_json = flag(args, "--metrics")?
         .map(|p| std::fs::read_to_string(&p).map_err(CliError::io(p.as_str())))
         .transpose()?;
-    let recall_csv = flag(args, "--recall")
+    let recall_csv = flag(args, "--recall")?
         .map(|p| std::fs::read_to_string(&p).map_err(CliError::io(p.as_str())))
         .transpose()?;
-    let title = flag(args, "--title").unwrap_or_else(|| {
+    let title = flag(args, "--title")?.unwrap_or_else(|| {
         Path::new(&trace_path)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -1276,6 +1282,8 @@ fn generate(args: &[String]) -> Result<(), CliError> {
             .ok_or_else(|| CliError::usage("generate needs a dataset name"))?,
     )?;
     let scale: f64 = parse_flag(args, "--scale")?.unwrap_or(1.0);
+    let out = flag(args, "--out")?;
+    let truth = flag(args, "--truth")?;
     let data = DatasetSpec::paper(kind).with_scale(scale).generate();
     event!(
         Level::Info,
@@ -1284,7 +1292,7 @@ fn generate(args: &[String]) -> Result<(), CliError> {
         profiles = data.profiles.len(),
         matches = data.truth.num_matches(),
     );
-    match flag(args, "--out") {
+    match out {
         Some(path) => {
             let mut f = std::fs::File::create(&path).map_err(CliError::io(&path))?;
             model_io::write_csv(&data.profiles, &mut f).map_err(CliError::io(&path))?;
@@ -1296,7 +1304,7 @@ fn generate(args: &[String]) -> Result<(), CliError> {
                 .map_err(CliError::io("<stdout>"))?;
         }
     }
-    if let Some(path) = flag(args, "--truth") {
+    if let Some(path) = truth {
         let mut f = std::fs::File::create(&path).map_err(CliError::io(&path))?;
         model_io::write_matches(&data.truth, &mut f).map_err(CliError::io(&path))?;
         event!(Level::Info, "cli.wrote_truth", path = path.as_str());

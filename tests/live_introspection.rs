@@ -1,7 +1,8 @@
 //! Blackbox tests for the live-introspection surface: the `--listen`
 //! scrape endpoint, the profiler exports, the `--progress`/verbosity
-//! interplay, and the `sper report` HTML — all driven through the real
-//! `sper` binary, the way an operator would use it.
+//! interplay, the `sper report` HTML, and the kernel dispatch a trace
+//! records — all driven through the real `sper` binary, the way an
+//! operator would use it.
 //!
 //! The one invariant everything here leans on: observability is a pure
 //! observer. A run scraped mid-flight over HTTP must emit the exact
@@ -452,6 +453,62 @@ fn report_skips_pathologically_nested_inputs() {
         assert!(
             !html.contains("Latency percentiles"),
             "the deep metrics file should be skipped"
+        );
+    }
+}
+
+/// `SPER_NO_SIMD=1` reaches the built binary's kernel dispatch: a traced
+/// PPS stream records `spacc.kernel_dispatch` with `scalar` when the
+/// variable is set, and a vector kernel (on x86-64) when it is removed.
+/// The forced-scalar CI legs compare emissions across the two settings,
+/// which proves nothing if the variable were never read.
+#[test]
+fn no_simd_env_forces_the_scalar_kernel() {
+    let dispatched = |no_simd: bool| -> String {
+        let trace = tmp(if no_simd {
+            "kernel-scalar.jsonl"
+        } else {
+            "kernel-vector.jsonl"
+        });
+        let mut cmd = sper();
+        cmd.args(["stream", "census", "--scale", "0.2", "--batches", "2"])
+            .args(["--method", "pps", "--threads", "1"])
+            .args(["--trace", trace.to_str().unwrap()]);
+        if no_simd {
+            cmd.env("SPER_NO_SIMD", "1");
+        } else {
+            cmd.env_remove("SPER_NO_SIMD");
+        }
+        let out = cmd.output().expect("spawn sper stream");
+        assert!(
+            out.status.success(),
+            "sper stream failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let paths: Vec<String> = read_to_string(&trace)
+            .lines()
+            .filter_map(|line| serde::json::parse(line).ok())
+            .filter(|record| {
+                record.get("name").and_then(|n| n.as_str()) == Some("spacc.kernel_dispatch")
+            })
+            .filter_map(|record| {
+                let path = record.get("fields")?.get("path")?.as_str()?;
+                Some(path.to_string())
+            })
+            .collect();
+        assert_eq!(
+            paths.len(),
+            1,
+            "one kernel_dispatch event per run (SPER_NO_SIMD set: {no_simd}): {paths:?}"
+        );
+        paths.into_iter().next().unwrap()
+    };
+    assert_eq!(dispatched(true), "scalar");
+    let vector = dispatched(false);
+    if cfg!(target_arch = "x86_64") {
+        assert!(
+            vector == "avx2" || vector == "sse2",
+            "x86-64 without SPER_NO_SIMD dispatched {vector}"
         );
     }
 }

@@ -2,8 +2,9 @@
 //! driven through the real `sper` binary: degraded-but-recovered
 //! situations (salvage with losses, `.prev`-fallback resume, stale tmp
 //! cleanup) exit 0 with a warning; unrecoverable corruption exits 1
-//! with a typed error; a malformed failpoint spec is a usage error
-//! (exit 2). Operators script against these codes — they are contract.
+//! with a typed error; a malformed failpoint spec or a value flag
+//! without its value is a usage error (exit 2). Operators script against
+//! these codes — they are contract.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -268,4 +269,46 @@ fn malformed_failpoint_spec_is_a_usage_error() {
         "bad spec is exit 2: {}",
         stderr_of(&out)
     );
+}
+
+/// A value flag followed by another flag has no value: exit 2, and
+/// nothing is written — not the profiles to a file named `--truth`.
+#[test]
+fn value_flag_followed_by_a_flag_is_a_usage_error() {
+    let d = tmp_dir("flag-then-flag");
+    let out = sper()
+        .current_dir(&d)
+        .args(["generate", "census", "--scale", "0.1"])
+        .args(["--out", "--truth", "t.csv"])
+        .output()
+        .expect("spawn sper generate");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--out without a value is exit 2: {}",
+        stderr_of(&out)
+    );
+    assert!(!d.join("--truth").exists(), "profiles went to `--truth`");
+    assert!(!d.join("t.csv").exists(), "truth written despite the error");
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A value flag last on the line is a usage error (exit 2), not silently
+/// dropped: a stream asked for `--emit-pairs` or `--trace` must not run
+/// without writing them.
+#[test]
+fn trailing_value_flag_is_a_usage_error() {
+    for name in ["--emit-pairs", "--trace"] {
+        let out = sper()
+            .args(["stream", "census", "--scale", "0.1", "--batches", "2"])
+            .arg(name)
+            .output()
+            .expect("spawn sper stream");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "trailing {name} is exit 2: {}",
+            stderr_of(&out)
+        );
+    }
 }
