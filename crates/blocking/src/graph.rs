@@ -9,13 +9,13 @@
 //! this type — PBS and PPS derive edge weights lazily from the
 //! [`ProfileIndex`] type. `BlockingGraph` is
 //! provided for analysis, small-scale experiments, tests (it encodes
-//! Fig. 3(c) exactly) and as the reference implementation that the lazy
-//! paths are property-tested against.
+//! Fig. 3(c) exactly), `sper snapshot --with-graph`, and as the reference
+//! implementation that the lazy paths are property-tested against.
 //!
 //! Construction runs on the sparse-accumulator kernel ([`crate::spacc`]):
-//! per-profile neighborhood sweeps produce every distinct weighted edge
-//! with `O(1)` amortized work per co-occurrence, and a stable counting
-//! sort by least-common-block id restores the historical block-major
+//! per-profile forward sweeps produce every distinct weighted edge with
+//! `O(1)` amortized work per co-occurrence, and a counting pass by
+//! least-common-block id restores the seed builder's block-major
 //! first-occurrence edge order bit for bit (the seed seen-set builder is
 //! preserved as [`crate::legacy::legacy_graph_edges`] and property-tested
 //! against this one).
@@ -24,8 +24,8 @@
 //! array) — neighborhood sweeps are sequential scans over one allocation.
 
 use crate::block::BlockCollection;
-use crate::parallel::Parallelism;
 use crate::profile_index::ProfileIndex;
+use crate::spacc::WeightAccumulator;
 use crate::weights::WeightingScheme;
 use sper_model::{Pair, ProfileId};
 
@@ -33,7 +33,8 @@ use sper_model::{Pair, ProfileId};
 #[derive(Debug, Clone)]
 pub struct BlockingGraph {
     n_profiles: usize,
-    /// Distinct valid comparisons with their weights, in unspecified order.
+    /// Distinct valid comparisons with their weights: in (least common
+    /// block, pair) order when built, in the given order when assembled.
     edges: Vec<(Pair, f64)>,
     /// CSR adjacency: edge indices of node `p` are
     /// `adj_edges[adj_offsets[p]..adj_offsets[p+1]]`.
@@ -42,37 +43,56 @@ pub struct BlockingGraph {
 }
 
 impl BlockingGraph {
-    /// Materializes the graph of `blocks` under `scheme` on up to `par`
-    /// workers.
+    /// Materializes the graph of `blocks` under `scheme`.
     ///
     /// Every distinct valid comparison entailed by the blocks becomes one
     /// edge; repeated co-occurrences are merged (that is what makes the
     /// blocks *redundancy-positive*: the weight grows with the number of
     /// shared blocks, it does not duplicate edges).
     ///
-    /// The sweeps shard over contiguous profile ranges, each edge tagged
-    /// with its least common block (the LeCoBI witness, §5.2.1); the
-    /// stable counting sort by that tag restores the block-major
-    /// first-occurrence order, so the graph — including its internal edge
-    /// order — is identical at every worker count. The request passes the
-    /// spawn break-even guard ([`Parallelism::break_even`]) on the
-    /// comparison volume ‖B‖ the sweeps distribute, not on the profile
-    /// count: a small dense collection can still carry millions of
-    /// co-occurrences.
-    pub fn build(blocks: &BlockCollection, scheme: WeightingScheme, par: Parallelism) -> Self {
-        let par = par.break_even(blocks.total_comparisons().min(usize::MAX as u64) as usize);
-        let mut span = sper_obs::span!(
-            "blocking.graph_build",
-            blocks = blocks.len(),
-            threads = par.get(),
-        );
-        let index = ProfileIndex::build(blocks);
-        // Sparse-accumulator sweeps instead of per-pair merges: no hashed
-        // `seen` set, no `O(|B_i| + |B_j|)` intersection per pair — and the
-        // counting sort inside restores the seed builder's edge order.
-        let edges = crate::spacc::weighted_edge_list(blocks, &index, scheme, par);
+    /// Edges are stored in (least common block, pair) order: the order in
+    /// which the seed builder meets them, walking the blocks in id order
+    /// and each block's comparisons in pair order. Two forward sweeps over
+    /// the profiles produce it: the first counts the edges of each least
+    /// common block (the LeCoBI witness, §5.2.1), the second writes every
+    /// edge at its block's cursor, so the peak heap holds one edge list.
+    /// No sort is needed: profiles ascend, and a forward sweep touches the
+    /// neighbors whose least common block is `b` all while it walks `b`,
+    /// in ascending id order, so each block's edges land in pair order.
+    pub fn build(blocks: &BlockCollection, scheme: WeightingScheme) -> Self {
+        let mut span = sper_obs::span!("blocking.graph_build", blocks = blocks.len());
+        let n = blocks.n_profiles();
+        // The index and the scratch are dropped before the adjacency is
+        // built next to the edge list.
+        let edges = {
+            let index = ProfileIndex::build(blocks);
+            let mut acc = WeightAccumulator::new(n);
+            let mut counts = vec![0u32; index.total_blocks()];
+            for i in 0..n {
+                acc.sweep_forward(blocks, &index, scheme, ProfileId(i as u32));
+                for &j in acc.touched() {
+                    counts[acc.least_common_block(ProfileId(j)).index()] += 1;
+                }
+                acc.reset();
+            }
+            let mut cursor = crate::block::prefix_offsets(&counts);
+            let unwritten = (Pair::new(ProfileId(0), ProfileId(1)), 0.0);
+            let mut edges = vec![unwritten; cursor[counts.len()] as usize];
+            for i in 0..n {
+                let i = ProfileId(i as u32);
+                acc.sweep_forward(blocks, &index, scheme, i);
+                for &j in acc.touched() {
+                    let j = ProfileId(j);
+                    let at = &mut cursor[acc.least_common_block(j).index()];
+                    edges[*at as usize] = (Pair::new(i, j), acc.finalize(&index, scheme, i, j));
+                    *at += 1;
+                }
+                acc.reset();
+            }
+            edges
+        };
         span.record("edges", edges.len());
-        Self::from_edges(blocks.n_profiles(), edges)
+        Self::from_edges(n, edges)
     }
 
     /// Assembles a graph from pre-weighted edges. Edges must be distinct
@@ -160,16 +180,6 @@ impl BlockingGraph {
         let sum: f64 = adj.iter().map(|&i| self.edges[i as usize].1).sum();
         sum / adj.len() as f64
     }
-
-    /// All edges sorted by non-increasing weight (ties by pair id for
-    /// determinism; [`crate::weight_desc`]) — the "ideal" exhaustive
-    /// comparison order the progressive methods approximate without
-    /// materialization.
-    pub fn sorted_edges(&self) -> Vec<(Pair, f64)> {
-        let mut out = self.edges.clone();
-        out.sort_by(crate::weight_desc);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +195,7 @@ mod tests {
     fn fig3_graph() -> BlockingGraph {
         let mut blocks = TokenBlocking::default().build(&fig3_profiles());
         blocks.sort_by_cardinality();
-        BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL)
+        BlockingGraph::build(&blocks, WeightingScheme::Arcs)
     }
 
     #[test]
@@ -219,7 +229,8 @@ mod tests {
     #[test]
     fn top_edge_is_the_strongest_match() {
         let g = fig3_graph();
-        let sorted = g.sorted_edges();
+        let mut sorted: Vec<(Pair, f64)> = g.edges().collect();
+        sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         // c45 (our 3-4) has weight 2.07 — the global maximum of Fig. 3(c).
         assert_eq!(sorted[0].0, Pair::new(pid(3), pid(4)));
         assert_eq!(sorted[1].0, Pair::new(pid(0), pid(1)));

@@ -3,12 +3,12 @@
 //!
 //! Kept (not dead code) as the oracle of the equivalence suites: the
 //! property tests and walls of `sper-blocking` (`interned_equivalence.rs`,
-//! `parallel_equivalence.rs`, `simd_equivalence.rs`,
-//! `weighting_equivalence.rs`) and `sper-core` (`emission_equivalence.rs`)
-//! assert that the interned/CSR pipeline, the sparse-accumulator kernel
-//! and the progressive methods are observationally identical to these
-//! seed semantics: same blocks, same edge weights and order, same
-//! Neighbor List.
+//! `parallel_equivalence.rs`, `weighting_equivalence.rs`), `sper-core`
+//! (`emission_equivalence.rs`) and the CLI's snapshot test assert that the
+//! interned/CSR pipeline, the blocking graph built on the
+//! sparse-accumulator kernel and the progressive methods are
+//! observationally identical to these seed semantics: same blocks, same
+//! edge weights and order, same Neighbor List.
 //!
 //! Nothing in the production pipeline calls into this module.
 
@@ -129,7 +129,9 @@ pub fn string_weight(
 ///
 /// This was `BlockingGraph::build` until the sparse-accumulator kernel
 /// ([`crate::spacc`]) replaced it; it is kept as the order-and-weight
-/// reference the kernel is property-tested against.
+/// reference [`crate::BlockingGraph::build`] is property-tested against.
+/// Its edges come out in (least common block, pair) order: each pair at
+/// the first block, in id order, that both profiles share.
 pub fn legacy_graph_edges(blocks: &BlockCollection, scheme: WeightingScheme) -> Vec<(Pair, f64)> {
     let index = ProfileIndex::build(blocks);
     let kind = blocks.kind();

@@ -10,7 +10,10 @@
 //! * [`filtering`] — Block Filtering: retain each profile in its 80 %
 //!   smallest blocks (§7 workflow step 3).
 //! * [`graph`] + [`weights`] — the Blocking Graph of Meta-blocking \[12\] with
-//!   the ARCS / CBS / JS / ECBS edge-weighting schemes (§3.2).
+//!   the ARCS / CBS / JS / ECBS edge-weighting schemes (§3.2). The
+//!   progressive methods never materialize it (PBS and PPS weigh each
+//!   comparison lazily); it backs `sper snapshot --with-graph` and the
+//!   tests.
 //! * [`profile_index`] — the Profile Index of §5.2.1: profile → sorted block
 //!   ids, supporting the LeCoBI repeated-comparison test and one-pass edge
 //!   weighting.
@@ -20,8 +23,8 @@
 //!   scheduled leaves-first for SA-PSAB (§4.2).
 //! * [`spacc`] — the sparse-accumulator weighting kernel: per-profile
 //!   neighborhood sweeps over a dense reusable scratch with a touched-list
-//!   reset, producing every meta-blocking edge weight without a
-//!   materialized edge list or per-pair merge intersections.
+//!   reset, producing a profile's edge weights without per-pair merge
+//!   intersections — for PPS, PBS and the graph build.
 //! * [`parallel`] — the thread-count parameter ([`Parallelism`]) every
 //!   substrate build takes, and the fan-out primitives behind it (the §8
 //!   future-work direction); results are identical at every count.
@@ -31,7 +34,6 @@ pub mod filtering;
 pub mod fixtures;
 pub mod graph;
 pub mod legacy;
-pub mod metablocking;
 pub mod neighbor_list;
 pub mod parallel;
 pub mod profile_index;
@@ -45,7 +47,6 @@ pub mod weights;
 pub use block::{Block, BlockCollection, BlockCsrParts, BlockId, BlockRef};
 pub use filtering::BlockFilter;
 pub use graph::BlockingGraph;
-pub use metablocking::{prune, prune_blocks, weight_desc, PruningScheme};
 pub use neighbor_list::{NeighborList, PositionIndex};
 pub use parallel::{
     take_last_fanout_stats, FanoutStats, Parallelism, WorkerStats, ZeroThreads, MIN_PARALLEL_BATCH,
@@ -60,7 +61,7 @@ pub use token_blocking::TokenBlocking;
 // The string ↔ id boundary of the columnar core, re-exported so consumers
 // of block collections don't need a direct sper-text dependency.
 pub use sper_text::{TokenId, TokenInterner};
-pub use weights::{FinalizeTable, WeightingScheme};
+pub use weights::WeightingScheme;
 
 use sper_model::ProfileCollection;
 

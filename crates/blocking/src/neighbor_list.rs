@@ -200,7 +200,7 @@ impl NeighborList {
             all.len(),
             per_worker,
             || ProfileTokenizer::new(&tokenizer, &interner, par),
-            |tokens, range, _chunk| {
+            |tokens, range| {
                 let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
                 let mut ids: Vec<TokenId> = Vec::new();
                 for p in &all[range] {

@@ -4,28 +4,21 @@
 //! and Meta-blocking \[33\]"), realized as deterministic sharded execution
 //! on crossbeam scoped threads.
 //!
-//! Every substrate has **one** implementation that takes a [`Parallelism`]:
-//! Token Blocking ([`TokenBlocking::par_build`]), the Neighbor List
-//! ([`NeighborList::par_build`]), the blocking graph
-//! ([`BlockingGraph::build`]) and node pruning ([`prune_blocks`]). At one
+//! Every parallel substrate has **one** implementation that takes a
+//! [`Parallelism`]: Token Blocking ([`TokenBlocking::par_build`]) and the
+//! Neighbor List ([`NeighborList::par_build`]) here, and the progressive
+//! methods' initializations and emission lists in `sper-core`. At one
 //! worker each body runs the plain sequential loop (one chunk, no merge);
 //! at more workers it fans out through the two primitives of this module,
 //! and the result is **bit-identical** at every count (property-tested in
-//! `tests/parallel_equivalence.rs`). Three ingredients make that possible:
+//! `tests/parallel_equivalence.rs`). Two ingredients make that possible:
 //!
 //! 1. **Deterministic shard layout.** Work is split into contiguous ranges
 //!    of the profile/placement arrays — a pure function of the input and
 //!    the worker count.
-//! 2. **Independent per-shard dedup.** Edge weighting discovers each edge
-//!    exactly once, from its smaller endpoint, inside that endpoint's
-//!    profile-range shard (the sparse-accumulator sweep of
-//!    [`crate::spacc`]) — no cross-shard `seen` set, no merge-order
-//!    sensitivity.
-//! 3. **Order-restoring merges.** Shard outputs are concatenated in shard
-//!    order (ranges), merged by `(key rank, shard)` (Neighbor List), or
-//!    counting-sorted by the recorded least-common-block tag (edge
-//!    weighting), so the merged result reproduces the sequential
-//!    iteration order exactly.
+//! 2. **Order-restoring merges.** Shard outputs are concatenated in shard
+//!    order (ranges) or merged by `(key rank, shard)` (Neighbor List), so
+//!    the merged result reproduces the sequential iteration order exactly.
 //!
 //! Worker threads are spawned only here: [`Parallelism::steal_chunks`]
 //! (work-stealing fan-out over index ranges) and
@@ -36,8 +29,6 @@
 //!
 //! [`TokenBlocking::par_build`]: crate::TokenBlocking::par_build
 //! [`NeighborList::par_build`]: crate::NeighborList::par_build
-//! [`BlockingGraph::build`]: crate::BlockingGraph::build
-//! [`prune_blocks`]: crate::prune_blocks
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -174,8 +165,8 @@ impl Parallelism {
     /// [`STEAL_OVERSUBSCRIPTION`] per worker, never smaller than
     /// `min_chunk` items) and lets the workers **steal** them from a
     /// shared lock-free queue: each worker claims the next unclaimed chunk
-    /// with one atomic `fetch_add`, runs `f(&mut scratch, range, chunk)`,
-    /// and moves on — a straggler chunk delays only its own worker while
+    /// with one atomic `fetch_add`, runs `f(&mut scratch, range)`, and
+    /// moves on — a straggler chunk delays only its own worker while
     /// the rest drain the queue, unlike fixed per-worker ranges, where the
     /// slowest range sets the join time.
     ///
@@ -205,7 +196,7 @@ impl Parallelism {
     where
         T: Send,
         FI: Fn() -> S + Sync,
-        F: Fn(&mut S, std::ops::Range<usize>, usize) -> T + Sync,
+        F: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
     {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::time::Instant;
@@ -232,7 +223,7 @@ impl Parallelism {
             let busy_start = Instant::now();
             for c in 0..n_chunks {
                 let range = (c * chunk).min(len)..((c + 1) * chunk).min(len);
-                results.push(f(&mut scratch, range, c));
+                results.push(f(&mut scratch, range));
             }
             let busy = busy_start.elapsed();
             span.record("chunks", n_chunks);
@@ -274,7 +265,7 @@ impl Parallelism {
                                 break;
                             }
                             let range = (c * chunk).min(len)..((c + 1) * chunk).min(len);
-                            out.push((c, f(&mut scratch, range, c)));
+                            out.push((c, f(&mut scratch, range)));
                             claimed += 1;
                         }
                         let busy = busy_start.elapsed();
@@ -442,12 +433,10 @@ mod tests {
         // Regression: chunk bounds clamp to `len`, so awkward worker
         // counts never yield a backwards or overlapping range.
         for (len, workers) in [(2069usize, 47usize), (5, 4), (1, 8), (0, 3), (2049, 64)] {
-            let ranges = Parallelism::new(workers).unwrap().steal_chunks(
-                len,
-                1,
-                || (),
-                |(), range, _| range,
-            );
+            let ranges =
+                Parallelism::new(workers)
+                    .unwrap()
+                    .steal_chunks(len, 1, || (), |(), range| range);
             let mut next = 0;
             for r in &ranges {
                 assert_eq!(r.start, next, "gap/overlap at len {len}");
@@ -457,7 +446,7 @@ mod tests {
             assert_eq!(next, len, "len {len}, workers {workers}");
         }
         // One worker: a single chunk, whatever the minimum chunk size.
-        let one = Parallelism::SEQUENTIAL.steal_chunks(10_000, 1, || (), |(), range, _| range);
+        let one = Parallelism::SEQUENTIAL.steal_chunks(10_000, 1, || (), |(), range| range);
         assert_eq!(one, vec![0..10_000]);
     }
 

@@ -4,7 +4,7 @@
 //! per-profile scratch: for every valid co-occurrence `(i, j)` the sweep
 //! reads `acc[j]`, tests it for first touch, and adds the block's
 //! contribution. This module provides three implementations of that
-//! accumulate step plus the ascending touched-scan used by edge emission:
+//! accumulate step, plus the chunked clear that resets the scratch:
 //!
 //! * **AVX2** — 4-lane `f64` gathers (`vgatherdpd`) with a branchless
 //!   first-touch mask (`vcmppd` + `vmovmskpd`); the stores stay scalar
@@ -19,8 +19,7 @@
 //! `f64` add per shared block applied in the same block order, lanes never
 //! alias (block members are strictly increasing ids), and the first-touch
 //! list is pushed in partition order lane by lane. The equivalence is
-//! pinned by `tests/simd_equivalence.rs` for every scheme, ER kind, and
-//! worker count.
+//! pinned by `tests/simd_equivalence.rs` for every scheme and ER kind.
 //!
 //! Dispatch happens once per process ([`KernelPath::active`]): the chosen
 //! path is recorded as a `spacc.kernel_dispatch` trace event and a
@@ -144,64 +143,9 @@ impl KernelPath {
     }
 }
 
-impl KernelPath {
-    /// Computes JS weights for one neighborhood: `js[k]`/`accs[k]` are the
-    /// drained (ascending) neighbors and accumulated shared-block counts of
-    /// profile `i`, `ti = term[i]`, and `term` maps every profile to its
-    /// block-list length. `out` is cleared and refilled with one weight per
-    /// neighbor, each bit-identical to
-    /// [`crate::weights::FinalizeTable::weight`].
-    pub(crate) fn js_weights(
-        self,
-        ti: f64,
-        term: &[f64],
-        js: &[u32],
-        accs: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(js.len(), accs.len());
-        out.clear();
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2 => {
-                // SAFETY: Avx2 is only selected when the CPU reports the
-                // feature; every neighbor id indexes `term` in-bounds (ids
-                // are profile ids and `term` has one entry per profile).
-                unsafe { js_weights_avx2(ti, term, js, accs, out) }
-            }
-            _ => js_weights_scalar(ti, term, js, accs, out),
-        }
-    }
-
-    /// Computes ECBS weights for one neighborhood — same contract as
-    /// [`Self::js_weights`] with `term` holding the per-profile
-    /// `ln(|B|/|B_p|)` factors.
-    pub(crate) fn ecbs_weights(
-        self,
-        ti: f64,
-        term: &[f64],
-        js: &[u32],
-        accs: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(js.len(), accs.len());
-        out.clear();
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            KernelPath::Avx2 => {
-                // SAFETY: same preconditions as the JS kernel above.
-                unsafe { ecbs_weights_avx2(ti, term, js, accs, out) }
-            }
-            _ => ecbs_weights_scalar(ti, term, js, accs, out),
-        }
-    }
-}
-
 /// Zeroes the touched slots of `acc` — the reset hot loop. Chunked with a
 /// 4-wide unroll for store-port ILP; there is no vector form because the
-/// stores are a scatter, which x86_64 lacks below AVX-512 (the dense
-/// alternative — zeroing whole cache lines via the drain bitmap — lives in
-/// `WeightAccumulator::drain_ascending`, which fuses emission and reset).
+/// stores are a scatter, which x86_64 lacks below AVX-512.
 pub(crate) fn clear_touched(touched: &[u32], acc: &mut [f64]) {
     let mut chunks = touched.chunks_exact(4);
     for c in &mut chunks {
@@ -213,99 +157,6 @@ pub(crate) fn clear_touched(touched: &[u32], acc: &mut [f64]) {
     for &j in chunks.remainder() {
         acc[j as usize] = 0.0;
     }
-}
-
-/// Scalar JS finalization — the reference the AVX2 variant must match bit
-/// for bit: `union = (ti + term[j]) − acc`, weight `acc/union` clamped to
-/// `0.0` when the union is non-positive.
-fn js_weights_scalar(ti: f64, term: &[f64], js: &[u32], accs: &[f64], out: &mut Vec<f64>) {
-    for (&j, &acc) in js.iter().zip(accs) {
-        let union = ti + term[j as usize] - acc;
-        out.push(if union <= 0.0 { 0.0 } else { acc / union });
-    }
-}
-
-/// Scalar ECBS finalization — reference semantics `(acc · ti) · term[j]`.
-fn ecbs_weights_scalar(ti: f64, term: &[f64], js: &[u32], accs: &[f64], out: &mut Vec<f64>) {
-    for (&j, &acc) in js.iter().zip(accs) {
-        out.push(acc * ti * term[j as usize]);
-    }
-}
-
-/// AVX2 JS finalization: gathers 4 endpoint terms per iteration, forms the
-/// union and quotient with packed `f64` ops in the scalar path's exact
-/// association order (`(ti + tj) − acc`, then `acc / union`), and blends
-/// `0.0` into non-positive-union lanes with a packed `>` compare — the
-/// same lanes the scalar `union <= 0.0` test zeroes (negative zero
-/// compares equal, and the terms/accumulations are finite by
-/// construction, so no NaN reaches the compare).
-///
-/// # Safety
-///
-/// Caller must guarantee the CPU supports AVX2 and every id of `js` is
-/// `< term.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn js_weights_avx2(ti: f64, term: &[f64], js: &[u32], accs: &[f64], out: &mut Vec<f64>) {
-    use std::arch::x86_64::*;
-    let tiv = _mm256_set1_pd(ti);
-    let zero = _mm256_setzero_pd();
-    let mut staged = [0f64; 4];
-    let mut k = 0;
-    while k + 4 <= js.len() {
-        // SAFETY: `k + 4 <= js.len()` leaves 16 readable bytes of ids and
-        // 32 of accumulations; unaligned loads have no alignment demand.
-        let idx = unsafe { _mm_loadu_si128(js.as_ptr().add(k) as *const __m128i) };
-        // SAFETY: every id is < term.len() (caller contract); scale 8.
-        let tj = unsafe { _mm256_i32gather_pd(term.as_ptr(), idx, 8) };
-        // SAFETY: in-bounds per the loop guard.
-        let acc = unsafe { _mm256_loadu_pd(accs.as_ptr().add(k)) };
-        let union_ = _mm256_sub_pd(_mm256_add_pd(tiv, tj), acc);
-        let quotient = _mm256_div_pd(acc, union_);
-        // Lane is kept iff union > 0.0 — the complement of the scalar
-        // `union <= 0.0 → 0.0` clamp. Division by a clamped lane is
-        // discarded by the blend; no FP exception escapes (Rust runs with
-        // exceptions masked).
-        let keep = _mm256_cmp_pd::<_CMP_GT_OQ>(union_, zero);
-        // SAFETY: `staged` is 32 writable bytes.
-        unsafe { _mm256_storeu_pd(staged.as_mut_ptr(), _mm256_blendv_pd(zero, quotient, keep)) };
-        out.extend_from_slice(&staged);
-        k += 4;
-    }
-    js_weights_scalar(ti, term, &js[k..], &accs[k..], out);
-}
-
-/// AVX2 ECBS finalization: gathers 4 endpoint terms and applies the two
-/// packed multiplies in the scalar association order (`(acc · ti) · tj`) —
-/// `vmulpd` is exact per-lane IEEE, so the product bits equal the scalar
-/// path's.
-///
-/// # Safety
-///
-/// Caller must guarantee the CPU supports AVX2 and every id of `js` is
-/// `< term.len()`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ecbs_weights_avx2(ti: f64, term: &[f64], js: &[u32], accs: &[f64], out: &mut Vec<f64>) {
-    use std::arch::x86_64::*;
-    let tiv = _mm256_set1_pd(ti);
-    let mut staged = [0f64; 4];
-    let mut k = 0;
-    while k + 4 <= js.len() {
-        // SAFETY: `k + 4 <= js.len()` leaves 16 readable bytes of ids and
-        // 32 of accumulations.
-        let idx = unsafe { _mm_loadu_si128(js.as_ptr().add(k) as *const __m128i) };
-        // SAFETY: every id is < term.len() (caller contract); scale 8.
-        let tj = unsafe { _mm256_i32gather_pd(term.as_ptr(), idx, 8) };
-        // SAFETY: in-bounds per the loop guard.
-        let acc = unsafe { _mm256_loadu_pd(accs.as_ptr().add(k)) };
-        let w = _mm256_mul_pd(_mm256_mul_pd(acc, tiv), tj);
-        // SAFETY: `staged` is 32 writable bytes.
-        unsafe { _mm256_storeu_pd(staged.as_mut_ptr(), w) };
-        out.extend_from_slice(&staged);
-        k += 4;
-    }
-    ecbs_weights_scalar(ti, term, &js[k..], &accs[k..], out);
 }
 
 /// The chunked scalar accumulate: the reference semantics every SIMD
@@ -513,42 +364,5 @@ mod tests {
             };
             assert_eq!(v, expect, "slot {j}");
         }
-    }
-
-    #[test]
-    fn finalize_kernels_agree_with_scalar() {
-        // Terms and accumulations chosen to hit the degenerate-union clamp
-        // (js[2]: union = 1.0 + 1.0 - 2.0 = 0.0) and a full chunk + tail.
-        let term: Vec<f64> = vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0];
-        let js: Vec<u32> = vec![0, 1, 1, 4, 5, 6];
-        let accs: Vec<f64> = vec![1.0, 0.5, 2.0, 3.0, 2.5, 1.5];
-        let ti = 1.0;
-        for (name, run) in [
-            (
-                "js",
-                KernelPath::js_weights
-                    as fn(KernelPath, f64, &[f64], &[u32], &[f64], &mut Vec<f64>),
-            ),
-            ("ecbs", KernelPath::ecbs_weights),
-        ] {
-            let mut reference = Vec::new();
-            run(KernelPath::Scalar, ti, &term, &js, &accs, &mut reference);
-            assert_eq!(reference.len(), js.len());
-            let mut paths = vec![KernelPath::Sse2];
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                paths.push(KernelPath::Avx2);
-            }
-            for path in paths {
-                let mut got = Vec::new();
-                run(path, ti, &term, &js, &accs, &mut got);
-                let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&reference), "{name} via {path:?}");
-            }
-        }
-        // The clamp actually fired for the degenerate union.
-        let mut w = Vec::new();
-        KernelPath::Scalar.js_weights(ti, &term, &js, &accs, &mut w);
-        assert_eq!(w[2], 0.0);
     }
 }

@@ -133,7 +133,7 @@ impl TokenBlocking {
             all.len(),
             per_worker,
             || ProfileTokenizer::new(&self.tokenizer, &interner, par),
-            |tokens, range, _chunk| {
+            |tokens, range| {
                 let mut index: Vec<Vec<ProfileId>> = Vec::new();
                 let mut ids: Vec<TokenId> = Vec::new();
                 for p in &all[range] {

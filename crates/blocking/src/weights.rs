@@ -117,113 +117,6 @@ impl std::fmt::Display for WeightingScheme {
     }
 }
 
-/// Precomputed per-profile finalization terms of one scheme over one
-/// substrate — the edge-emission fast path of the spacc kernel.
-///
-/// [`WeightingScheme::finalize`] recomputes per-endpoint terms for every
-/// edge: JS re-derives both block-list lengths, ECBS additionally takes
-/// **two logarithms per edge**. Over tens of millions of edges those
-/// dominate the weighting hot loop, yet each term depends only on one
-/// endpoint — `|P|` values in total. This table hoists them:
-///
-/// * **ARCS/CBS** — finalization is the identity; the table stores nothing.
-/// * **JS** — `term[p] = |B_p| as f64`; the weight is
-///   `acc / (term[i] + term[j] - acc)`.
-/// * **ECBS** — `term[p] = ln(|B| / max(|B_p|, 1))`; the weight is
-///   `acc * term[i] * term[j]`.
-///
-/// Every arithmetic step reproduces [`WeightingScheme::finalize`]'s exact
-/// expression over the exact same inputs (`usize → f64` conversions are
-/// exact for any realistic block count, and the multiply/divide order is
-/// unchanged), so table-based weights are **bit-identical** to the
-/// per-edge path — pinned by `tests/simd_equivalence.rs`.
-#[derive(Debug, Clone)]
-pub struct FinalizeTable {
-    scheme: WeightingScheme,
-    /// Per-profile endpoint term (empty for ARCS/CBS).
-    term: Vec<f64>,
-}
-
-impl FinalizeTable {
-    /// Builds the table for `scheme` over the profiles of `index`.
-    pub fn build(
-        index: &crate::profile_index::ProfileIndex,
-        scheme: WeightingScheme,
-        n_profiles: usize,
-    ) -> Self {
-        let term = match scheme {
-            WeightingScheme::Arcs | WeightingScheme::Cbs => Vec::new(),
-            WeightingScheme::Js => (0..n_profiles)
-                .map(|p| index.blocks_of(sper_model::ProfileId(p as u32)).len() as f64)
-                .collect(),
-            WeightingScheme::Ecbs => {
-                let total = index.total_blocks().max(1) as f64;
-                (0..n_profiles)
-                    .map(|p| {
-                        let len = index.blocks_of(sper_model::ProfileId(p as u32)).len();
-                        (total / len.max(1) as f64).ln()
-                    })
-                    .collect()
-            }
-        };
-        Self { scheme, term }
-    }
-
-    /// The scheme this table finalizes for.
-    pub fn scheme(&self) -> WeightingScheme {
-        self.scheme
-    }
-
-    /// Finalizes the accumulated per-block sum `acc` of the edge `(i, j)`
-    /// — bit-identical to [`WeightingScheme::finalize`] with the
-    /// endpoints' block-list lengths.
-    #[inline]
-    pub fn weight(&self, i: u32, j: u32, acc: f64) -> f64 {
-        match self.scheme {
-            WeightingScheme::Arcs | WeightingScheme::Cbs => acc,
-            WeightingScheme::Js => {
-                let union = self.term[i as usize] + self.term[j as usize] - acc;
-                if union <= 0.0 {
-                    0.0
-                } else {
-                    acc / union
-                }
-            }
-            WeightingScheme::Ecbs => acc * self.term[i as usize] * self.term[j as usize],
-        }
-    }
-
-    /// Finalizes one whole drained neighborhood at once: `js`/`accs` are
-    /// profile `i`'s neighbors and accumulated sums (parallel slices), and
-    /// `out` is cleared and refilled with one weight per neighbor —
-    /// bit-identical to calling [`Self::weight`] per edge, but the
-    /// counting schemes' copy and the JS/ECBS arithmetic run chunked
-    /// through the dispatched kernel (`path`), 4 lanes per iteration on
-    /// AVX2 hosts.
-    pub fn weights_into(
-        &self,
-        path: crate::simd::KernelPath,
-        i: u32,
-        js: &[u32],
-        accs: &[f64],
-        out: &mut Vec<f64>,
-    ) {
-        debug_assert_eq!(js.len(), accs.len());
-        match self.scheme {
-            WeightingScheme::Arcs | WeightingScheme::Cbs => {
-                out.clear();
-                out.extend_from_slice(accs);
-            }
-            WeightingScheme::Js => {
-                path.js_weights(self.term[i as usize], &self.term, js, accs, out)
-            }
-            WeightingScheme::Ecbs => {
-                path.ecbs_weights(self.term[i as usize], &self.term, js, accs, out)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,65 +168,6 @@ mod tests {
     fn names_roundtrip() {
         for s in WeightingScheme::ALL {
             assert_eq!(format!("{s}"), s.name());
-        }
-    }
-
-    #[test]
-    fn weights_into_matches_per_edge_weight() {
-        use crate::fixtures::fig3_profiles;
-        use crate::profile_index::ProfileIndex;
-        use crate::simd::KernelPath;
-        use crate::token_blocking::TokenBlocking;
-        let mut blocks = TokenBlocking::default().build(&fig3_profiles());
-        blocks.sort_by_cardinality();
-        let index = ProfileIndex::build(&blocks);
-        let n = blocks.n_profiles();
-        let js: Vec<u32> = (0..n as u32).collect();
-        let accs: Vec<f64> = (0..n).map(|k| 1.0 + k as f64 * 0.5).collect();
-        let mut out = Vec::new();
-        for scheme in WeightingScheme::ALL {
-            let table = FinalizeTable::build(&index, scheme, n);
-            for i in 0..n as u32 {
-                table.weights_into(KernelPath::active(), i, &js, &accs, &mut out);
-                assert_eq!(out.len(), js.len());
-                for (k, &j) in js.iter().enumerate() {
-                    assert_eq!(
-                        out[k].to_bits(),
-                        table.weight(i, j, accs[k]).to_bits(),
-                        "{scheme} ({i}, {j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn finalize_table_is_bit_identical_to_finalize() {
-        use crate::fixtures::fig3_profiles;
-        use crate::profile_index::ProfileIndex;
-        use crate::token_blocking::TokenBlocking;
-        use sper_model::ProfileId;
-        let mut blocks = TokenBlocking::default().build(&fig3_profiles());
-        blocks.sort_by_cardinality();
-        let index = ProfileIndex::build(&blocks);
-        let n = blocks.n_profiles();
-        for scheme in WeightingScheme::ALL {
-            let table = FinalizeTable::build(&index, scheme, n);
-            assert_eq!(table.scheme(), scheme);
-            for i in 0..n as u32 {
-                for j in 0..n as u32 {
-                    for acc in [0.5, 1.0, 2.0, 3.25] {
-                        let li = index.blocks_of(ProfileId(i)).len();
-                        let lj = index.blocks_of(ProfileId(j)).len();
-                        let reference = scheme.finalize(acc, li, lj, index.total_blocks());
-                        assert_eq!(
-                            table.weight(i, j, acc).to_bits(),
-                            reference.to_bits(),
-                            "{scheme} ({i}, {j}) acc {acc}"
-                        );
-                    }
-                }
-            }
         }
     }
 }

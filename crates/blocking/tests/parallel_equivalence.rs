@@ -6,14 +6,13 @@
 //!
 //! * **Multi-worker wall** — one deterministic collection of 2,700
 //!   profiles (dirty and clean-clean), above every spawn break-even guard,
-//!   run at 1, 2, 4 and 8 workers through Token Blocking, the Neighbor List,
-//!   `BlockingGraph::build` and `prune_blocks`. Each result equals the
-//!   one-worker result and the legacy reference, and on a multi-core host
-//!   the wall proves through `take_last_fanout_stats` that more than one
-//!   worker ran — a guard change cannot silently make it sequential.
-//! * **Weights** — `BlockingGraph::build` reproduces the naive
-//!   string-keyed weight of every edge under all four weighting schemes
-//!   at 1–8 requested workers, with the exact one-worker edge order.
+//!   run at 1, 2, 4 and 8 workers through Token Blocking and the Neighbor
+//!   List. Each result equals the one-worker result and the legacy
+//!   reference, and on a multi-core host the wall proves through
+//!   `take_last_fanout_stats` that more than one worker ran — a guard
+//!   change cannot silently make it sequential. The same collection's
+//!   (sequential) `BlockingGraph::build` equals the legacy edge list in
+//!   both block orders.
 //! * **Neighbor List** — `build_with_keys` is bit-identical to the
 //!   one-worker build for any seed and worker count.
 //! * **Degenerate inputs** — empty and single-profile collections take
@@ -24,13 +23,10 @@
 //! the fan-outs and merges.
 
 use proptest::prelude::*;
-use sper_blocking::legacy::{
-    legacy_graph_edges, string_block_lists, string_neighbor_list, string_token_blocking,
-    string_weight,
-};
+use sper_blocking::legacy::{legacy_graph_edges, string_neighbor_list, string_token_blocking};
 use sper_blocking::{
-    prune, prune_blocks, take_last_fanout_stats, BlockCollection, BlockingGraph, NeighborList,
-    Parallelism, PruningScheme, TokenBlocking, WeightingScheme,
+    take_last_fanout_stats, BlockCollection, BlockingGraph, NeighborList, Parallelism,
+    TokenBlocking, WeightingScheme,
 };
 use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder, ProfileId};
 
@@ -63,37 +59,6 @@ fn any_collection() -> impl Strategy<Value = ProfileCollection> {
 }
 
 proptest! {
-    /// Weight computation ≡ the string-keyed seed weights, for all four
-    /// schemes at 1–8 requested workers: every edge carries the weight the
-    /// naive legacy intersection computes, and the edge sequence equals
-    /// the one-worker build's.
-    #[test]
-    fn weights_match_legacy_at_every_worker_count(coll in any_collection(), threads in 1usize..9) {
-        let legacy = string_token_blocking(&coll);
-        let lists = string_block_lists(&legacy, coll.len());
-        // Key-sorted block order on both sides, so block ids line up.
-        let blocks = TokenBlocking::default().build(&coll);
-        let par = Parallelism::new(threads).expect("threads > 0");
-        for scheme in WeightingScheme::ALL {
-            let one: Vec<(Pair, f64)> =
-                BlockingGraph::build(&blocks, scheme, Parallelism::SEQUENTIAL).edges().collect();
-            let many: Vec<(Pair, f64)> = BlockingGraph::build(&blocks, scheme, par).edges().collect();
-            prop_assert_eq!(many.len(), one.len());
-            for ((pp, pw), (sp, sw)) in many.iter().zip(&one) {
-                prop_assert_eq!(pp, sp, "edge order diverged under {}", scheme);
-                prop_assert_eq!(pw.to_bits(), sw.to_bits());
-                let expected = string_weight(
-                    &legacy, &lists, coll.kind(), pp.first, pp.second, scheme,
-                );
-                prop_assert!(
-                    (pw - expected).abs() < 1e-9,
-                    "{scheme} weight of {:?} at {threads} threads: {pw} vs seed {expected}",
-                    pp
-                );
-            }
-        }
-    }
-
     /// The Neighbor List is bit-identical at every worker count, for any
     /// seed.
     #[test]
@@ -113,8 +78,7 @@ proptest! {
 }
 
 /// Profiles in the wall: above `MIN_PARALLEL_BATCH` (2,048), so Token
-/// Blocking and the Neighbor List pass their break-even guard, and ten
-/// `STEAL_MIN_CHUNK`s, so the per-profile sweeps split into several chunks.
+/// Blocking and the Neighbor List pass their break-even guard.
 const WALL_PROFILES: u32 = 2_700;
 
 /// The wall's deterministic collection: entity triples (`ent`), mid-sized
@@ -182,19 +146,16 @@ fn run_wall(clean_clean: bool) {
     scheduled.sort_by_cardinality();
     // The edge order must hold in any block order, not only the scheduled
     // one.
-    let orders = [&key_order, &scheduled];
-    let legacy_edges: Vec<Vec<(Pair, f64)>> = orders
-        .iter()
-        .map(|blocks| legacy_graph_edges(blocks, WeightingScheme::Arcs))
-        .collect();
-    let legacy_graph = BlockingGraph::from_edges(coll.len(), legacy_edges[1].clone());
-    let prunings = [
-        PruningScheme::Wnp,
-        PruningScheme::Cnp { k: 3 },
-        PruningScheme::Cep { k: 5_000 },
-    ];
-    let legacy_pruned: Vec<Vec<(Pair, f64)>> =
-        prunings.iter().map(|&s| prune(&legacy_graph, s)).collect();
+    for blocks in [&key_order, &scheduled] {
+        let graph: Vec<(Pair, f64)> = BlockingGraph::build(blocks, WeightingScheme::Arcs)
+            .edges()
+            .collect();
+        assert_eq!(
+            graph,
+            legacy_graph_edges(blocks, WeightingScheme::Arcs),
+            "blocking graph (clean-clean {clean_clean})"
+        );
+    }
 
     let mut one = None;
     for threads in [1, 2, 4, 8] {
@@ -219,24 +180,7 @@ fn run_wall(clean_clean: bool) {
             .collect();
         assert_eq!(keys, legacy_keys, "{}", label("neighbor list keys"));
 
-        let mut edges = Vec::new();
-        for (blocks, legacy) in orders.iter().zip(&legacy_edges) {
-            let graph = BlockingGraph::build(blocks, WeightingScheme::Arcs, par);
-            assert_fanned_out(&label("blocking graph"), par);
-            let graph: Vec<(Pair, f64)> = graph.edges().collect();
-            assert_eq!(&graph, legacy, "{}", label("blocking graph"));
-            edges.push(graph);
-        }
-
-        let mut pruned = Vec::new();
-        for (scheme, legacy) in prunings.iter().zip(&legacy_pruned) {
-            let kept = prune_blocks(&scheduled, WeightingScheme::Arcs, *scheme, par);
-            assert_fanned_out(&label(&format!("prune {}", scheme.name())), par);
-            assert_eq!(&kept, legacy, "{}", label(scheme.name()));
-            pruned.push(kept);
-        }
-
-        let result = (blocks, nl.as_slice().to_vec(), edges, pruned);
+        let result = (blocks, nl.as_slice().to_vec());
         match &one {
             None => one = Some(result),
             Some(one) => assert!(one == &result, "{}", label("differs from one worker")),
@@ -257,13 +201,16 @@ fn multi_worker_wall_clean_clean() {
 #[test]
 fn empty_collection_at_every_worker_count() {
     let empty = ProfileCollectionBuilder::dirty().build();
+    let graph = BlockingGraph::build(
+        &TokenBlocking::default().build(&empty),
+        WeightingScheme::Arcs,
+    );
+    assert_eq!(graph.num_edges(), 0);
+    assert_eq!(graph.num_nodes(), 0);
     for threads in 1..=8 {
         let par = Parallelism::new(threads).expect("threads > 0");
         let blocks = TokenBlocking::default().par_build(&empty, par);
         assert!(blocks.is_empty());
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, par);
-        assert_eq!(graph.num_edges(), 0);
-        assert_eq!(graph.num_nodes(), 0);
         let nl = NeighborList::par_build(&empty, 7, threads).expect("threads > 0");
         assert!(nl.is_empty());
     }
@@ -275,14 +222,14 @@ fn single_profile_at_every_worker_count() {
     b.add_profile([("name", "solitary profile with several tokens")]);
     let one = b.build();
     let one_nl = NeighborList::build(&one, 7);
+    let graph = BlockingGraph::build(&TokenBlocking::default().build(&one), WeightingScheme::Ecbs);
+    assert_eq!(graph.num_edges(), 0);
     for threads in 1..=8 {
         // One profile → no comparable blocks survive the cardinality
         // filter.
         let par = Parallelism::new(threads).expect("threads > 0");
         let blocks = TokenBlocking::default().par_build(&one, par);
         assert!(blocks.is_empty());
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Ecbs, par);
-        assert_eq!(graph.num_edges(), 0);
         let nl = NeighborList::par_build(&one, 7, threads).expect("threads > 0");
         assert_eq!(nl.as_slice(), one_nl.as_slice());
     }

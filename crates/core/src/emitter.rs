@@ -29,7 +29,7 @@
 //! worker count change wall-clock time, never emission order.
 
 use crate::Comparison;
-use sper_blocking::{weight_desc, Parallelism};
+use sper_blocking::Parallelism;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -39,6 +39,16 @@ const TIER: usize = 4096;
 
 /// Evenly spaced comparisons a partition step draws its pivot from.
 const SAMPLE: usize = 65;
+
+/// Non-increasing weight, ties by ascending id — the single comparator
+/// behind every weight-descending order: the progressive methods'
+/// emission order ([`emission_order`]) and PPS's duplication-likelihood
+/// order. Weights compare by [`f64::total_cmp`], so the order is total on
+/// any input and a sort never panics.
+#[inline]
+pub fn weight_desc<T: Ord>(a: &(T, f64), b: &(T, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+}
 
 /// The canonical emission order of every best-first engine: non-increasing
 /// weight, ties broken by ascending pair id — fully deterministic.

@@ -208,7 +208,7 @@ impl GsPsn {
             iterated.len(),
             sper_blocking::STEAL_MIN_CHUNK,
             || CooccurrenceScratch::new(profiles.len()),
-            |scratch, range, _chunk| {
+            |scratch, range| {
                 weight_all_windows_range(
                     profiles,
                     &nl,

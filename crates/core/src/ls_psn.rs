@@ -150,7 +150,7 @@ impl<'a> LsPsn<'a> {
             iterated.len(),
             sper_blocking::STEAL_MIN_CHUNK,
             || CooccurrenceScratch::new(profiles.len()),
-            |scratch, range, _chunk| {
+            |scratch, range| {
                 let range = range.start as u32..range.end as u32;
                 weight_window_range(profiles, nl, weighting, w, range, scratch)
             },

@@ -252,7 +252,7 @@ impl Pbs {
                     pairs.len(),
                     sper_blocking::STEAL_MIN_CHUNK,
                     || (),
-                    |(), range, _chunk| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
+                    |(), range| Self::weigh_pairs(index, scheme, bid, &pairs[range]),
                 );
                 if chunks.iter().all(Vec::is_empty) {
                     continue;

@@ -14,14 +14,17 @@
 //!
 //! Both phases run the shared sparse-accumulator kernel
 //! ([`sper_blocking::WeightAccumulator`]): dense per-neighbor scratch, a
-//! touched list for `O(degree)` resets, weights bit-identical to the
-//! materialized blocking graph's.
+//! touched list for `O(degree)` resets. Under ARCS, CBS and JS the
+//! weights are bit-identical to the materialized blocking graph's. ECBS
+//! finalization, `acc · ln(|B|/|B_i|) · ln(|B|/|B_j|)`, can round
+//! differently when the endpoints swap, and PPS weighs a pair from the
+//! profile it schedules, which may be the larger id.
 
-use crate::emitter::EmissionList;
+use crate::emitter::{weight_desc, EmissionList};
 use crate::{Comparison, ProgressiveEr};
 use sper_blocking::{
-    weight_desc, BlockCollection, Parallelism, ProfileIndex, TokenBlockingWorkflow,
-    WeightAccumulator, WeightingScheme,
+    BlockCollection, Parallelism, ProfileIndex, TokenBlockingWorkflow, WeightAccumulator,
+    WeightingScheme,
 };
 use sper_model::{Pair, ProfileCollection, ProfileId};
 use std::collections::HashMap;
@@ -189,7 +192,7 @@ impl Pps {
             n,
             sper_blocking::STEAL_MIN_CHUNK,
             || WeightAccumulator::new(n),
-            |acc, range, _chunk| {
+            |acc, range| {
                 init_range(
                     blocks,
                     index,
@@ -427,7 +430,7 @@ mod tests {
         // The lazy accumulation must equal the BlockingGraph reference.
         use sper_blocking::BlockingGraph;
         let blocks = TokenBlocking::default().build(&fig3_profiles());
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
         let pps = Pps::from_blocks(blocks, WeightingScheme::Arcs, 2);
         // Reconstruct likelihood order from the graph and compare.
         let mut expected: Vec<(ProfileId, f64)> = (0..6)

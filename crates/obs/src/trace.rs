@@ -601,7 +601,7 @@ macro_rules! span {
 /// ```
 /// # use sper_obs::event;
 /// # use sper_obs::trace::Level;
-/// event!(Level::Debug, "spacc.sweep_stats", sweeps = 10u64, touched = 55u64);
+/// event!(Level::Debug, "cli.epoch_alloc", epoch = 3u64, peak_bytes = 4096u64);
 /// ```
 ///
 /// With `level` disabled (the default), the call costs one relaxed atomic

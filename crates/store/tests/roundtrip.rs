@@ -182,7 +182,7 @@ proptest! {
     fn graph_round_trips(coll in arbitrary_collection()) {
         let mut blocks = TokenBlocking::default().build(&coll);
         blocks.sort_by_cardinality();
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
         let bytes = substrates::encode_graph(&graph);
         let back = substrates::decode_graph(&bytes).unwrap();
         prop_assert_eq!(back.num_nodes(), graph.num_nodes());
@@ -227,7 +227,7 @@ proptest! {
         blocks.sort_by_cardinality();
         let interner = Arc::clone(blocks.interner());
         let index = ProfileIndex::build(&blocks);
-        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs, Parallelism::SEQUENTIAL);
+        let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
         let nl = NeighborList::build(&coll, seed);
 
         let mut snapshot = Snapshot::new(Arc::clone(&interner));

@@ -49,8 +49,8 @@
 //! grammar.
 //!
 //! Every failure path reports a typed error and a nonzero exit code:
-//! usage errors exit 2, runtime errors (IO, corrupt stores, bad data)
-//! exit 1. Salvage-with-losses and `.prev`-fallback resume succeed (exit
+//! usage errors (among them a flag the subcommand does not read) exit 2,
+//! runtime errors (IO, corrupt stores, bad data) exit 1. Salvage-with-losses and `.prev`-fallback resume succeed (exit
 //! 0) with warnings: recovering *something* is these modes' job.
 //!
 //! * `report` — fuse a `--trace` JSONL and a `--metrics` JSON dump (plus
@@ -91,6 +91,11 @@ static ALLOC: sper_obs::PeakAllocTracker = sper_obs::PeakAllocTracker::new();
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Before any sink opens a file: a misspelled flag must not truncate
+    // the `--trace` it shares a line with.
+    if let Err(err) = check_flags(&args) {
+        return failure(err);
+    }
     let mut obs = match ObsSetup::from_args(&args) {
         Ok(obs) => obs,
         Err(err) => return failure(err),
@@ -416,6 +421,75 @@ FILE.prev and `sper resume` falls back to it when FILE is corrupt;
 damaged store. --failpoints SPEC (or SPER_FAILPOINTS) arms deterministic
 fault injection, e.g. 'store.rename=1*err(io);store.fsync=1in5*delay(50)'
 (see the sper_obs::fault docs for sites, actions, and triggers).";
+
+/// The flags every subcommand accepts: the observability flags
+/// [`ObsSetup::from_args`] reads and the `--failpoints` spec `run` arms.
+const GLOBAL_FLAGS: &[&str] = &[
+    "--trace",
+    "--metrics",
+    "--profile",
+    "--chrome-trace",
+    "--listen",
+    "--progress",
+    "--failpoints",
+];
+
+/// The flags `subcommand` reads besides [`GLOBAL_FLAGS`], `None` for an
+/// unknown subcommand.
+fn subcommand_flags(subcommand: &str) -> Option<&'static [&'static str]> {
+    Some(match subcommand {
+        "resolve" => &["--method", "--budget", "--threshold", "--threads"],
+        "evaluate" => &["--method", "--ec-star", "--threads"],
+        "generate" => &["--scale", "--out", "--truth"],
+        "stream" => &[
+            "--method",
+            "--batches",
+            "--epoch-budget",
+            "--scale",
+            "--truth",
+            "--exhaustive",
+            "--threads",
+            "--checkpoint",
+            "--checkpoint-every",
+            "--on-checkpoint-failure",
+            "--mutations",
+            "--emit-pairs",
+        ],
+        "snapshot" => &[
+            "--scale",
+            "--truth",
+            "--seed",
+            "--out",
+            "--with-graph",
+            "--salvage",
+        ],
+        "resume" => &[
+            "--epoch-budget",
+            "--threads",
+            "--checkpoint",
+            "--emit-pairs",
+        ],
+        "report" => &["--out", "--recall", "--title"],
+        _ => return None,
+    })
+}
+
+/// Rejects an unknown subcommand and any `--flag` that neither the
+/// subcommand nor [`GLOBAL_FLAGS`] reads: `--with-grph` or `--batchs 3`
+/// is a usage error, not a flag silently ignored.
+fn check_flags(args: &[String]) -> Result<(), CliError> {
+    let subcommand = args.first().map_or("", String::as_str);
+    let known = subcommand_flags(subcommand)
+        .ok_or_else(|| CliError::usage("missing or unknown subcommand"))?;
+    match args[1..].iter().find(|a| {
+        a.starts_with("--") && !known.contains(&a.as_str()) && !GLOBAL_FLAGS.contains(&a.as_str())
+    }) {
+        Some(unknown) => Err(CliError::usage(format!(
+            "{subcommand} has no flag {unknown}"
+        ))),
+        None => Ok(()),
+    }
+}
 
 /// The value of the value flag `name`, `None` when it is absent. A flag
 /// present without a value — last on the line, or followed by another
@@ -1059,11 +1133,7 @@ fn snapshot(args: &[String]) -> Result<(), CliError> {
 
     let mut snapshot = Snapshot::new(std::sync::Arc::clone(blocks.interner()));
     if args.iter().any(|a| a == "--with-graph") {
-        snapshot.graph = Some(BlockingGraph::build(
-            &blocks,
-            WeightingScheme::Arcs,
-            Parallelism::SEQUENTIAL,
-        ));
+        snapshot.graph = Some(BlockingGraph::build(&blocks, WeightingScheme::Arcs));
     }
     snapshot.profiles = Some(profiles);
     snapshot.blocks = Some(blocks);

@@ -2,9 +2,9 @@
 //! driven through the real `sper` binary: degraded-but-recovered
 //! situations (salvage with losses, `.prev`-fallback resume, stale tmp
 //! cleanup) exit 0 with a warning; unrecoverable corruption exits 1
-//! with a typed error; a malformed failpoint spec or a value flag
-//! without its value is a usage error (exit 2). Operators script against
-//! these codes — they are contract.
+//! with a typed error; a malformed failpoint spec, a value flag without
+//! its value or a flag the subcommand does not read is a usage error
+//! (exit 2). Operators script against these codes — they are contract.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -311,4 +311,43 @@ fn trailing_value_flag_is_a_usage_error() {
             stderr_of(&out)
         );
     }
+}
+
+/// A misspelled flag is a usage error (exit 2), not silently ignored, and
+/// it is caught before any sink opens a file: a `--trace` file named on
+/// the same line keeps its bytes.
+#[test]
+fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
+    let d = tmp_dir("misspelled-flag");
+    let trace = d.join("trace.jsonl");
+    let before = b"{\"kept\":true}\n";
+    std::fs::write(&trace, before).expect("seed the trace file");
+    let cases: [&[&str]; 2] = [
+        &["snapshot", "census", "--with-grph"],
+        &["stream", "census", "--batchs", "3"],
+    ];
+    for args in cases {
+        let out = sper()
+            .current_dir(&d)
+            .args(args)
+            .args(["--trace", trace.to_str().unwrap()])
+            .output()
+            .expect("spawn sper");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} is exit 2: {}",
+            stderr_of(&out)
+        );
+        assert_eq!(
+            std::fs::read(&trace).expect("trace still there"),
+            before,
+            "{args:?} touched the trace file"
+        );
+    }
+    assert!(
+        !d.join("snapshot.sper").exists(),
+        "snapshot written despite the error"
+    );
+    let _ = std::fs::remove_dir_all(&d);
 }
