@@ -501,7 +501,8 @@ impl Sink for StderrSink {
         for (key, value) in &record.fields {
             let _ = write!(&mut line, " {key}={value}");
         }
-        eprintln!("{line}");
+        // A closed stderr loses the line; it must not panic the run.
+        let _ = writeln!(std::io::stderr(), "{line}");
     }
 }
 

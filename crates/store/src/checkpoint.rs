@@ -195,17 +195,6 @@ impl SessionCheckpoint {
                 interner,
             )?);
         }
-        // Re-mark the tombstones on the decoded substrate: the wire
-        // format stores blocks/runs as they physically are (dead rows
-        // included — that is the pre-compaction truth) and the id lists
-        // separately, so the marks are re-applied rather than encoded
-        // per-row.
-        if let Some(b) = blocks.as_mut() {
-            b.restore_tombstones(retracted.iter().copied(), pending_tombstones.len());
-        }
-        if let Some(n) = nl.as_mut() {
-            n.restore_tombstones(retracted.iter().copied(), pending_tombstones.len());
-        }
 
         let mut d = Decoder::new(store.require(TAG_EMITTED, "EMIT")?, "EMIT");
         let count = d.len()?;

@@ -11,14 +11,14 @@
 //! below). This is what makes the `ProgressiveSession` equivalence to the
 //! batch methods possible at all.
 //!
-//! Since PR 8 both substrates also carry the **mutation model**: a
-//! tombstone set marks retracted profiles, read paths ([`snapshot`]s)
-//! filter tombstoned members lazily, and an explicit [`compact`] pass
-//! physically drops them. The headline invariant (property-tested in
-//! `tests/mutation_equivalence.rs`) is that a snapshot taken with
-//! tombstones — before *or* after compaction — equals the snapshot of a
-//! substrate that never ingested the retracted profiles, modulo the
-//! monotone survivor-id bijection.
+//! Both are plain token → members indexes and know nothing of the
+//! **mutation model**: the session owns the one retraction mark per
+//! profile id and passes it in. [`snapshot`]s filter marked members
+//! lazily, and an explicit [`compact`] pass physically drops them. The
+//! headline invariant (property-tested below and in
+//! `tests/mutation_equivalence.rs`) is that a snapshot taken with the
+//! marks — before *or* after compaction — equals the snapshot of a
+//! substrate that never ingested the retracted profiles.
 //! Ids are never renumbered or recycled: a retracted profile keeps its
 //! dense id forever as an empty husk.
 //!
@@ -78,34 +78,19 @@ pub struct IncrementalTokenBlocking {
     block_of_token: Vec<u32>,
     /// Blocks in insertion order (including not-yet-comparable singletons).
     blocks: Vec<Block>,
-    /// All-time tombstone marks, indexed by profile id (`true` =
-    /// retracted). Never cleared: ids are not recycled.
-    tombstones: Vec<bool>,
-    /// Tombstoned members still physically present in `blocks` — zero
-    /// right after [`Self::compact`]; while zero, snapshots skip the
-    /// tombstone lookups.
-    pending: usize,
 }
 
 impl IncrementalTokenBlocking {
     /// An empty substrate for a task of the given kind, with its own
     /// interner.
     pub fn new(kind: ErKind) -> Self {
-        Self::with_interner(kind, TokenInterner::shared())
-    }
-
-    /// An empty substrate sharing an existing interner (cross-substrate /
-    /// cross-epoch id stability).
-    pub fn with_interner(kind: ErKind, interner: Arc<TokenInterner>) -> Self {
         Self {
             kind,
             n_profiles: 0,
             tokenizer: Tokenizer::default(),
-            interner,
+            interner: TokenInterner::shared(),
             block_of_token: Vec::new(),
             blocks: Vec::new(),
-            tombstones: Vec::new(),
-            pending: 0,
         }
     }
 
@@ -157,7 +142,6 @@ impl IncrementalTokenBlocking {
             "profiles must be ingested in dense id order"
         );
         self.n_profiles += 1;
-        self.tombstones.push(false);
 
         let mut tokens: Vec<TokenId> = Vec::new();
         for attr in &profile.attributes {
@@ -221,87 +205,27 @@ impl IncrementalTokenBlocking {
             interner,
             block_of_token,
             blocks,
-            tombstones: vec![false; n_profiles],
-            pending: 0,
         }
     }
 
-    /// Retracts a profile: marks it tombstoned. Its block memberships stay
-    /// physically present until [`Self::compact`]; every
-    /// [`Self::snapshot`] filters them out in the meantime, so read paths
-    /// never see the profile again.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id was never ingested or is already tombstoned.
-    pub fn retract(&mut self, id: ProfileId) {
-        assert!(id.index() < self.n_profiles, "retract of unknown {id}");
-        assert!(!self.tombstones[id.index()], "double retract of {id}");
-        self.tombstones[id.index()] = true;
-        self.pending += 1;
-    }
-
-    /// True when the profile was retracted.
-    #[inline]
-    pub fn is_tombstoned(&self, id: ProfileId) -> bool {
-        self.tombstones[id.index()]
-    }
-
-    /// All-time tombstoned ids, ascending.
-    pub fn tombstoned_ids(&self) -> impl Iterator<Item = ProfileId> + '_ {
-        self.tombstones
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| ProfileId(i as u32))
-    }
-
-    /// Tombstoned profiles not yet physically dropped by
-    /// [`Self::compact`].
-    pub fn pending_tombstones(&self) -> usize {
-        self.pending
-    }
-
-    /// Re-applies persisted tombstone state after [`Self::from_parts`]:
-    /// `tombstoned` is the all-time set, `pending` how many of them still
-    /// have physical block memberships (zero when the checkpoint was taken
-    /// post-compaction). Callers (the persistence layer) must validate
-    /// untrusted input first.
-    pub fn restore_tombstones(
-        &mut self,
-        tombstoned: impl IntoIterator<Item = ProfileId>,
-        pending: usize,
-    ) {
-        for id in tombstoned {
-            debug_assert!(id.index() < self.n_profiles);
-            self.tombstones[id.index()] = true;
-        }
-        self.pending = pending;
-    }
-
-    /// Physically drops every tombstoned member: filters the blocks,
-    /// drops the ones left empty, renumbers the insertion-order block
-    /// positions (relative order preserved), and rebuilds the token →
-    /// block map over them. Returns the number of tombstones that had
-    /// pending memberships.
+    /// Physically drops every member marked in `retracted` (indexed by
+    /// profile id): filters the blocks, drops the ones left empty,
+    /// renumbers the insertion-order block positions (relative order
+    /// preserved), and rebuilds the token → block map over them.
     ///
     /// Renumbering is invisible to every read path: snapshots re-key to
     /// key-sorted order anyway. Post-compaction, the substrate is
     /// member-for-member identical to one that never ingested the
-    /// retracted profiles (the husk ids keep their tombstone marks, so
-    /// dense ids stay addressable).
-    pub fn compact(&mut self) -> usize {
-        if self.pending == 0 {
-            return 0;
-        }
+    /// retracted profiles.
+    pub fn compact(&mut self, retracted: &[bool]) {
         let old_blocks = std::mem::take(&mut self.blocks);
         for slot in &mut self.block_of_token {
             *slot = NO_BLOCK;
         }
         let mut blocks = Vec::with_capacity(old_blocks.len());
         for mut block in old_blocks {
-            if block.profiles().iter().any(|p| self.tombstones[p.index()]) {
-                let Some(filtered) = filter_block(&block, &self.tombstones) else {
+            if block.profiles().iter().any(|p| retracted[p.index()]) {
+                let Some(filtered) = filter_block(&block, retracted) else {
                     continue;
                 };
                 block = filtered;
@@ -310,22 +234,23 @@ impl IncrementalTokenBlocking {
             blocks.push(block);
         }
         self.blocks = blocks;
-        std::mem::take(&mut self.pending)
     }
 
     /// Materializes the current blocks as a batch-identical
     /// [`BlockCollection`]: comparable blocks only, sorted by key string —
     /// exactly what `TokenBlocking::default().build(..)` produces on the
-    /// same collection. Tombstoned members are filtered out lazily, so the
-    /// snapshot is the same whether [`Self::compact`] already ran or not.
+    /// same collection. Members marked in `retracted` (indexed by profile
+    /// id) are filtered out lazily, so the snapshot is the same whether
+    /// [`Self::compact`] already ran or not; `None` — nothing left to
+    /// drop — skips the per-member lookups.
     ///
     /// One pass over the live blocks counts each block's surviving `P1`
     /// and `P2` members and selects the comparable ones; the selection is
     /// ordered by the interner's rank table (a `u32` per key) and packed
     /// straight from the live blocks.
-    pub fn snapshot(&self) -> BlockCollection {
+    pub fn snapshot(&self, retracted: Option<&[bool]>) -> BlockCollection {
         let mut span = sper_obs::span!("blocking.token_snapshot", live_blocks = self.blocks.len());
-        let live = |p: &&ProfileId| self.pending == 0 || !self.tombstones[p.index()];
+        let live = |p: &&ProfileId| retracted.is_none_or(|r| !r[p.index()]);
         let rank = self.interner.rank();
         // (key rank, live block position, surviving P1 members)
         let mut selected: Vec<(u32, u32, u32)> = Vec::new();
@@ -365,21 +290,21 @@ impl IncrementalTokenBlocking {
     }
 }
 
-/// `block` without its tombstoned members (`None` when nothing survives)
+/// `block` without its retracted members (`None` when nothing survives)
 /// — compaction's rewrite of a block that lost members. Partition order
 /// is preserved, so the result is a valid partitioned-ascending block over
 /// the survivors.
-fn filter_block(block: &Block, tombstones: &[bool]) -> Option<Block> {
+fn filter_block(block: &Block, retracted: &[bool]) -> Option<Block> {
     let live_first = block
         .first_source()
         .iter()
-        .filter(|p| !tombstones[p.index()])
+        .filter(|p| !retracted[p.index()])
         .count() as u32;
     let members: Vec<ProfileId> = block
         .profiles()
         .iter()
         .copied()
-        .filter(|p| !tombstones[p.index()])
+        .filter(|p| !retracted[p.index()])
         .collect();
     if members.is_empty() {
         return None;
@@ -420,32 +345,19 @@ pub struct IncrementalNeighborList {
     n_profiles: usize,
     runs: FxHashMap<TokenId, Run>,
     total_placements: usize,
-    /// All-time tombstone marks, indexed by profile id (`true` =
-    /// retracted). Never cleared: ids are not recycled.
-    tombstones: Vec<bool>,
-    /// Tombstoned profiles whose placements are still physically present
-    /// in `runs` — zero right after [`Self::compact`].
-    pending: usize,
 }
 
 impl IncrementalNeighborList {
     /// An empty list with the given tie-shuffling seed and its own
     /// interner.
     pub fn new(seed: u64) -> Self {
-        Self::with_interner(seed, TokenInterner::shared())
-    }
-
-    /// An empty list sharing an existing interner.
-    pub fn with_interner(seed: u64, interner: Arc<TokenInterner>) -> Self {
         Self {
             seed,
             tokenizer: Tokenizer::default(),
-            interner,
+            interner: TokenInterner::shared(),
             n_profiles: 0,
             runs: FxHashMap::default(),
             total_placements: 0,
-            tombstones: Vec::new(),
-            pending: 0,
         }
     }
 
@@ -495,8 +407,6 @@ impl IncrementalNeighborList {
             n_profiles,
             runs,
             total_placements,
-            tombstones: vec![false; n_profiles],
-            pending: 0,
         }
     }
 
@@ -548,7 +458,6 @@ impl IncrementalNeighborList {
             "profiles must be ingested in dense id order"
         );
         self.n_profiles += 1;
-        self.tombstones.push(false);
         let mut tokens: Vec<TokenId> = Vec::new();
         for attr in &profile.attributes {
             self.tokenizer
@@ -575,78 +484,23 @@ impl IncrementalNeighborList {
         }
     }
 
-    /// Retracts a profile: marks it tombstoned. Its placements stay
-    /// physically present in the runs until [`Self::compact`]; every
-    /// [`Self::snapshot`] filters them out (and reshuffles the affected
-    /// runs over the surviving member sets) in the meantime.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the id was never ingested or is already tombstoned.
-    pub fn retract(&mut self, id: ProfileId) {
-        assert!(id.index() < self.n_profiles, "retract of unknown {id}");
-        assert!(!self.tombstones[id.index()], "double retract of {id}");
-        self.tombstones[id.index()] = true;
-        self.pending += 1;
-    }
-
-    /// True when the profile was retracted.
-    #[inline]
-    pub fn is_tombstoned(&self, id: ProfileId) -> bool {
-        self.tombstones[id.index()]
-    }
-
-    /// All-time tombstoned ids, ascending.
-    pub fn tombstoned_ids(&self) -> impl Iterator<Item = ProfileId> + '_ {
-        self.tombstones
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| ProfileId(i as u32))
-    }
-
-    /// Tombstoned profiles not yet physically dropped by
-    /// [`Self::compact`].
-    pub fn pending_tombstones(&self) -> usize {
-        self.pending
-    }
-
-    /// Re-applies persisted tombstone state after [`Self::from_parts`] —
-    /// see `IncrementalTokenBlocking::restore_tombstones`.
-    pub fn restore_tombstones(
-        &mut self,
-        tombstoned: impl IntoIterator<Item = ProfileId>,
-        pending: usize,
-    ) {
-        for id in tombstoned {
-            debug_assert!(id.index() < self.n_profiles);
-            self.tombstones[id.index()] = true;
-        }
-        self.pending = pending;
-    }
-
-    /// Physically drops every tombstoned placement: filters each run's
-    /// member set, drops runs left empty, and marks the changed runs dirty
-    /// so the next [`Self::snapshot`] reshuffles them over the surviving
-    /// members — the same permutation a list that never saw the retracted
-    /// profiles would draw, because run shuffles are a pure function of
-    /// `(seed, key, member set)`. Returns the number of tombstones that
-    /// had pending placements.
-    pub fn compact(&mut self) -> usize {
-        if self.pending == 0 {
-            return 0;
-        }
-        let tombstones = &self.tombstones;
+    /// Physically drops every placement of a profile marked in
+    /// `retracted` (indexed by profile id): filters each run's member set,
+    /// drops runs left empty, and marks the changed runs dirty so the next
+    /// [`Self::snapshot`] reshuffles them over the surviving members — the
+    /// same permutation a list that never saw the retracted profiles would
+    /// draw, because run shuffles are a pure function of `(seed, key,
+    /// member set)`.
+    pub fn compact(&mut self, retracted: &[bool]) {
         self.runs.retain(|_, run| {
-            if run.members.iter().any(|p| tombstones[p.index()]) {
-                run.members.retain(|p| !tombstones[p.index()]);
+            if run.members.iter().any(|p| retracted[p.index()]) {
+                run.members.retain(|p| !retracted[p.index()]);
                 run.dirty = true;
                 run.order = Vec::new();
             }
             !run.members.is_empty()
         });
         self.total_placements = self.runs.values().map(|r| r.members.len()).sum();
-        std::mem::take(&mut self.pending)
     }
 
     /// Materializes the current placements as a [`NeighborList`]. Stale
@@ -656,11 +510,13 @@ impl IncrementalNeighborList {
     /// interner's rank table — no re-tokenization and no placement-level
     /// sort.
     ///
-    /// Tombstoned members are filtered lazily: a run still carrying dead
-    /// placements is shuffled over its *surviving* member set into scratch
-    /// (its cache is left untouched until [`Self::compact`]), so the
-    /// snapshot is bit-identical whether compaction already ran or not.
-    pub fn snapshot(&mut self) -> NeighborList {
+    /// Members marked in `retracted` (indexed by profile id) are filtered
+    /// lazily: a run still carrying dead placements is shuffled over its
+    /// *surviving* member set into scratch (its cache is left untouched
+    /// until [`Self::compact`]), so the snapshot is bit-identical whether
+    /// compaction already ran or not. `None` — nothing left to drop —
+    /// skips the per-member lookups.
+    pub fn snapshot(&mut self, retracted: Option<&[bool]>) -> NeighborList {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let _span = sper_obs::span!("blocking.nl_snapshot", runs = self.runs.len());
@@ -672,16 +528,11 @@ impl IncrementalNeighborList {
         let mut scratch: Vec<ProfileId> = Vec::new();
         for key in keys {
             let run = self.runs.get_mut(&key).expect("run exists");
-            if self.pending > 0 && run.members.iter().any(|p| self.tombstones[p.index()]) {
+            if let Some(dead) = retracted.filter(|r| run.members.iter().any(|p| r[p.index()])) {
                 // Lazy filtering: shuffle the survivors without touching
                 // the run's cache — compact() will make this permanent.
                 scratch.clear();
-                scratch.extend(
-                    run.members
-                        .iter()
-                        .copied()
-                        .filter(|p| !self.tombstones[p.index()]),
-                );
+                scratch.extend(run.members.iter().copied().filter(|p| !dead[p.index()]));
                 if scratch.is_empty() {
                     continue;
                 }
@@ -728,6 +579,16 @@ mod tests {
         b.build()
     }
 
+    /// Retraction marks over `n` profiles with `ids` set — what a session
+    /// passes to `snapshot` and `compact`.
+    fn marks(n: usize, ids: &[u32]) -> Vec<bool> {
+        let mut marks = vec![false; n];
+        for &id in ids {
+            marks[id as usize] = true;
+        }
+        marks
+    }
+
     fn keys_and_members(blocks: &BlockCollection) -> Vec<(String, Vec<ProfileId>)> {
         blocks
             .iter()
@@ -740,7 +601,10 @@ mod tests {
         let coll = collection(40);
         let batch = TokenBlocking::default().build(&coll);
         let inc = IncrementalTokenBlocking::from_collection(&coll);
-        assert_eq!(keys_and_members(&inc.snapshot()), keys_and_members(&batch));
+        assert_eq!(
+            keys_and_members(&inc.snapshot(None)),
+            keys_and_members(&batch)
+        );
     }
 
     #[test]
@@ -753,8 +617,8 @@ mod tests {
                 inc.add_batch(chunk);
             }
             assert_eq!(
-                keys_and_members(&inc.snapshot()),
-                keys_and_members(&all_at_once.snapshot()),
+                keys_and_members(&inc.snapshot(None)),
+                keys_and_members(&all_at_once.snapshot(None)),
                 "split = {split}"
             );
         }
@@ -764,14 +628,14 @@ mod tests {
     fn neighbor_list_is_batching_invariant() {
         let coll = collection(30);
         let mut all_at_once = IncrementalNeighborList::from_collection(&coll, 42);
-        let reference = all_at_once.snapshot();
+        let reference = all_at_once.snapshot(None);
         for split in [1usize, 4, 11] {
             let mut inc = IncrementalNeighborList::new(42);
             for chunk in coll.profiles().chunks(split) {
                 inc.add_batch(chunk);
             }
             assert_eq!(
-                inc.snapshot().as_slice(),
+                inc.snapshot(None).as_slice(),
                 reference.as_slice(),
                 "split = {split}"
             );
@@ -785,7 +649,7 @@ mod tests {
         let coll = collection(20);
         let batch = NeighborList::build(&coll, 42);
         let mut inc = IncrementalNeighborList::from_collection(&coll, 42);
-        let snap = inc.snapshot();
+        let snap = inc.snapshot(None);
         assert_eq!(snap.len(), batch.len());
         for p in coll.iter() {
             assert_eq!(
@@ -803,23 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_interner_across_substrates() {
+    fn snapshots_share_the_substrate_interner() {
+        // A snapshot reuses its substrate's token ids: no re-interning.
         let coll = collection(12);
-        let interner = TokenInterner::shared();
-        let mut blocks =
-            IncrementalTokenBlocking::with_interner(ErKind::Dirty, Arc::clone(&interner));
-        let mut nl = IncrementalNeighborList::with_interner(7, Arc::clone(&interner));
-        for p in coll.iter() {
-            blocks.add_profile(p);
-            nl.add_profile(p);
-        }
-        // One vocabulary: every block key resolves through the shared
-        // interner, and the NL snapshot reuses the same ids.
-        assert_eq!(blocks.interner().len(), interner.len());
-        let snap = blocks.snapshot();
-        assert!(std::sync::Arc::ptr_eq(snap.interner(), &interner));
-        let list = nl.snapshot();
-        assert!(std::sync::Arc::ptr_eq(list.interner(), &interner));
+        let blocks = IncrementalTokenBlocking::from_collection(&coll);
+        assert!(Arc::ptr_eq(
+            blocks.snapshot(None).interner(),
+            blocks.interner()
+        ));
+        let mut nl = IncrementalNeighborList::from_collection(&coll, 7);
+        let interner = Arc::clone(nl.interner());
+        assert!(Arc::ptr_eq(nl.snapshot(None).interner(), &interner));
     }
 
     #[test]
@@ -832,7 +690,7 @@ mod tests {
         let mut inc = IncrementalTokenBlocking::from_collection(&coll);
         let id = coll.append_profile(vec![Attribute::new("n", "acme corporation")]);
         inc.add_profile(coll.get(id));
-        let snap = inc.snapshot();
+        let snap = inc.snapshot(None);
         let batch = TokenBlocking::default().build(&coll);
         assert_eq!(keys_and_members(&snap), keys_and_members(&batch));
         // The "acme" block now yields exactly the one cross-source pair.
@@ -843,82 +701,59 @@ mod tests {
     #[test]
     fn lazy_snapshot_equals_compacted_snapshot() {
         let coll = collection(30);
+        let dead = marks(30, &[3, 7, 15]);
         let mut inc = IncrementalTokenBlocking::from_collection(&coll);
-        for id in [3u32, 7, 15] {
-            inc.retract(ProfileId(id));
-        }
-        assert_eq!(inc.pending_tombstones(), 3);
-        let lazy = keys_and_members(&inc.snapshot());
+        let lazy = keys_and_members(&inc.snapshot(Some(&dead)));
         for (key, members) in &lazy {
             assert!(
                 members.iter().all(|p| ![3, 7, 15].contains(&p.0)),
-                "tombstoned member leaked into block {key}"
+                "retracted member leaked into block {key}"
             );
         }
-        assert_eq!(inc.compact(), 3);
-        assert_eq!(inc.pending_tombstones(), 0);
-        assert_eq!(keys_and_members(&inc.snapshot()), lazy);
+        inc.compact(&dead);
+        assert_eq!(keys_and_members(&inc.snapshot(None)), lazy);
         // Compaction dropped the retracted rows physically.
         assert!(inc
             .blocks()
             .iter()
             .all(|b| !b.profiles().contains(&ProfileId(3))));
-        assert!(inc.is_tombstoned(ProfileId(3)));
-        assert_eq!(inc.tombstoned_ids().count(), 3);
     }
 
     #[test]
     fn nl_lazy_snapshot_equals_compacted_snapshot() {
         let coll = collection(30);
+        let dead = marks(30, &[2, 9]);
         let mut inc = IncrementalNeighborList::from_collection(&coll, 42);
-        for id in [2u32, 9] {
-            inc.retract(ProfileId(id));
-        }
-        let lazy = inc.snapshot();
+        let lazy = inc.snapshot(Some(&dead));
         assert!(lazy.as_slice().iter().all(|p| p.0 != 2 && p.0 != 9));
-        assert_eq!(inc.compact(), 2);
-        assert_eq!(inc.pending_tombstones(), 0);
-        assert_eq!(lazy.as_slice(), inc.snapshot().as_slice());
+        inc.compact(&dead);
+        assert_eq!(lazy.as_slice(), inc.snapshot(None).as_slice());
     }
 
     #[test]
     fn retract_equals_never_ingested_husk() {
-        // A substrate with retractions — compacted or not — snapshots
-        // identically to one whose ingest only ever saw empty husks in the
-        // retracted slots (same dense ids, no attributes).
+        // A substrate read with retraction marks — compacted or not —
+        // snapshots identically to one whose ingest only ever saw empty
+        // husks in the retracted slots (same dense ids, no attributes).
         let coll = collection(24);
+        let dead = marks(24, &[1, 5, 12]);
         let mut husked = coll.clone();
         for id in [1u32, 5, 12] {
             husked.retract_profile(ProfileId(id));
         }
         let fresh = IncrementalTokenBlocking::from_collection(&husked);
         let mut mutated = IncrementalTokenBlocking::from_collection(&coll);
-        for id in [1u32, 5, 12] {
-            mutated.retract(ProfileId(id));
-        }
-        let want = keys_and_members(&fresh.snapshot());
-        assert_eq!(keys_and_members(&mutated.snapshot()), want);
-        mutated.compact();
-        assert_eq!(keys_and_members(&mutated.snapshot()), want);
+        let want = keys_and_members(&fresh.snapshot(None));
+        assert_eq!(keys_and_members(&mutated.snapshot(Some(&dead))), want);
+        mutated.compact(&dead);
+        assert_eq!(keys_and_members(&mutated.snapshot(None)), want);
 
         let mut fresh_nl = IncrementalNeighborList::from_collection(&husked, 7);
         let mut mut_nl = IncrementalNeighborList::from_collection(&coll, 7);
-        for id in [1u32, 5, 12] {
-            mut_nl.retract(ProfileId(id));
-        }
-        let want = fresh_nl.snapshot();
-        assert_eq!(mut_nl.snapshot().as_slice(), want.as_slice());
-        mut_nl.compact();
-        assert_eq!(mut_nl.snapshot().as_slice(), want.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "double retract")]
-    fn double_retract_panics() {
-        let coll = collection(6);
-        let mut inc = IncrementalTokenBlocking::from_collection(&coll);
-        inc.retract(ProfileId(0));
-        inc.retract(ProfileId(0));
+        let want = fresh_nl.snapshot(None);
+        assert_eq!(mut_nl.snapshot(Some(&dead)).as_slice(), want.as_slice());
+        mut_nl.compact(&dead);
+        assert_eq!(mut_nl.snapshot(None).as_slice(), want.as_slice());
     }
 
     #[test]
@@ -997,7 +832,7 @@ mod proptests {
             for chunk in coll.profiles().chunks(split) {
                 inc.add_batch(chunk);
             }
-            let snap = inc.snapshot();
+            let snap = inc.snapshot(None);
             prop_assert_eq!(snap.len(), batch.len());
             for (a, b) in snap.iter().zip(batch.iter()) {
                 prop_assert_eq!(a.key_str(), b.key_str());
@@ -1005,35 +840,31 @@ mod proptests {
             }
         }
 
-        /// With retractions interleaved into any ingest split, the snapshot
-        /// — before and after compaction — equals batch Token Blocking over
-        /// the collection with the retracted profiles emptied to husks.
+        /// For any ingest split and retraction set, the snapshot read with
+        /// the retraction marks — before and after compaction — equals the
+        /// batch build over the collection with the retracted profiles
+        /// emptied to husks: batch Token Blocking for the blocks, a fresh
+        /// Neighbor List for the list.
         #[test]
         fn snapshot_with_tombstones_equals_batch_over_husks(
             coll in arbitrary_dirty_or_clean_clean(),
             split in 1usize..8,
             retract in proptest::collection::vec(0u32..20, 0..8),
+            seed in 0u64..u64::MAX,
         ) {
-            let mut retract: Vec<ProfileId> = retract
-                .into_iter()
-                .filter(|&id| (id as usize) < coll.len())
-                .map(ProfileId)
-                .collect();
-            retract.sort_unstable();
-            retract.dedup();
+            let mut dead = vec![false; coll.len()];
             let mut husked = coll.clone();
-            for &id in &retract {
-                husked.retract_profile(id);
+            for id in retract.into_iter().filter(|&id| (id as usize) < coll.len()) {
+                if !dead[id as usize] {
+                    dead[id as usize] = true;
+                    husked.retract_profile(ProfileId(id));
+                }
             }
             let mut inc = IncrementalTokenBlocking::new(coll.kind());
+            let mut nl = IncrementalNeighborList::new(seed);
             for chunk in coll.profiles().chunks(split) {
                 inc.add_batch(chunk);
-                // Retract every listed id as soon as it is ingested.
-                for &id in &retract {
-                    if id.index() < inc.n_profiles() && !inc.is_tombstoned(id) {
-                        inc.retract(id);
-                    }
-                }
+                nl.add_batch(chunk);
             }
             // Same interner: the batch build adds no token, so key ids and
             // the whole CSR layout must agree.
@@ -1043,10 +874,19 @@ mod proptests {
                 sper_blocking::Parallelism::SEQUENTIAL,
             );
             let want = csr(&batch);
-            prop_assert_eq!(inc.pending_tombstones(), retract.len());
-            prop_assert_eq!(&csr(&inc.snapshot()), &want, "before compaction");
-            inc.compact();
-            prop_assert_eq!(&csr(&inc.snapshot()), &want, "after compaction");
+            prop_assert_eq!(&csr(&inc.snapshot(Some(&dead))), &want, "before compaction");
+            inc.compact(&dead);
+            prop_assert_eq!(&csr(&inc.snapshot(Some(&dead))), &want, "after compaction");
+            prop_assert_eq!(&csr(&inc.snapshot(None)), &want, "after compaction, unmarked");
+
+            let want = IncrementalNeighborList::from_collection(&husked, seed).snapshot(None);
+            let lazy = nl.snapshot(Some(&dead));
+            prop_assert_eq!(lazy.as_slice(), want.as_slice(), "NL before compaction");
+            nl.compact(&dead);
+            let compacted = nl.snapshot(Some(&dead));
+            prop_assert_eq!(compacted.as_slice(), want.as_slice(), "NL after compaction");
+            let unmarked = nl.snapshot(None);
+            prop_assert_eq!(unmarked.as_slice(), want.as_slice(), "NL after compaction, unmarked");
         }
 
         /// The incremental Neighbor List is a pure function of the final
@@ -1058,7 +898,7 @@ mod proptests {
             for chunk in coll.profiles().chunks(split) {
                 inc.add_batch(chunk);
             }
-            let (inc_snap, whole_snap) = (inc.snapshot(), whole.snapshot());
+            let (inc_snap, whole_snap) = (inc.snapshot(None), whole.snapshot(None));
             prop_assert_eq!(inc_snap.as_slice(), whole_snap.as_slice());
         }
     }

@@ -14,9 +14,10 @@
 //!    `add_profile` / `add_batch`, with amortized per-profile updates
 //!    instead of full rebuilds, and materialize batch-identical snapshots
 //!    on demand.
-//!    Deletion is tombstone-based: `retract` marks a row, snapshots
-//!    filter it lazily, and a periodic `compact` pass physically drops
-//!    the dead rows — emission is bit-identical throughout.
+//!    Deletion is tombstone-based: the session keeps one retraction mark
+//!    per profile and passes it to the substrates, whose snapshots filter
+//!    marked rows lazily until a periodic `compact` pass physically drops
+//!    them — emission is bit-identical throughout.
 //! 2. **Resumable sessions** ([`session`]) — a [`ProgressiveSession`]
 //!    wraps any schema-agnostic method and runs `ingest → reprioritize →
 //!    emit` epochs, deduplicating emissions across epochs and reporting
@@ -55,6 +56,6 @@ pub mod session;
 
 pub use incremental::{IncrementalNeighborList, IncrementalTokenBlocking};
 pub use session::{
-    run_streaming, run_streaming_with, CompactionPolicy, EpochOutcome, EpochReport,
-    ProgressiveSession, SessionConfig, SessionState, SessionView,
+    run_streaming, CompactionPolicy, EpochOutcome, EpochReport, ProgressiveSession, SessionConfig,
+    SessionState, SessionView,
 };

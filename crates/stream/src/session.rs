@@ -490,8 +490,8 @@ impl ProgressiveSession {
             method,
             config,
             profiles,
-            mut blocks,
-            mut nl,
+            blocks,
+            nl,
             emitted,
             pending_ingest,
             reports,
@@ -513,24 +513,15 @@ impl ProgressiveSession {
         // Rebuild whichever substrate the method consumes but the state
         // lacks; drop any the method does not use. A substrate rebuilt
         // from the husked collection is *already compacted* — retracted
-        // profiles tokenize to nothing — so it carries the all-time
-        // tombstone marks but zero physically-pending rows. Lazy snapshot
-        // filtering makes it emit identically to a carried-over substrate
-        // that still holds the dead rows.
-        if !uses_blocks(method) {
-            blocks = None;
-        } else if blocks.is_none() {
-            let mut b = IncrementalTokenBlocking::from_collection(&profiles);
-            b.restore_tombstones(retracted.iter().copied(), 0);
-            blocks = Some(b);
-        }
-        if !uses_nl(method) {
-            nl = None;
-        } else if nl.is_none() {
-            let mut n = IncrementalNeighborList::from_collection(&profiles, config.seed);
-            n.restore_tombstones(retracted.iter().copied(), 0);
-            nl = Some(n);
-        }
+        // profiles tokenize to nothing — so the session's marks find no
+        // row to filter, and it emits identically to a carried-over
+        // substrate that still holds the dead rows.
+        let blocks = uses_blocks(method).then(|| {
+            blocks.unwrap_or_else(|| IncrementalTokenBlocking::from_collection(&profiles))
+        });
+        let nl = uses_nl(method).then(|| {
+            nl.unwrap_or_else(|| IncrementalNeighborList::from_collection(&profiles, config.seed))
+        });
         let n_retracted = retracted.len();
         Self {
             method,
@@ -608,11 +599,11 @@ impl ProgressiveSession {
     /// Retracts (deletes) a previously ingested profile.
     ///
     /// The id is *never recycled*: the collection keeps an empty husk in
-    /// the slot (so every other id stays stable) and the incremental
-    /// substrates mark the profile tombstoned. Snapshots filter
-    /// tombstones lazily, so from this call on the session emits exactly
-    /// what a session that never saw the profile would emit — the
-    /// physical rows are dropped later by [`compact`](Self::compact).
+    /// the slot (so every other id stays stable) and the session marks the
+    /// profile retracted. Substrate snapshots filter marked profiles
+    /// lazily, so from this call on the session emits exactly what a
+    /// session that never saw the profile would emit — the physical rows
+    /// are dropped later by [`compact`](Self::compact).
     /// Cross-epoch dedup entries touching the profile are invalidated
     /// immediately.
     ///
@@ -625,12 +616,6 @@ impl ProgressiveSession {
         self.retracted[id.index()] = true;
         self.n_retracted += 1;
         self.profiles.retract_profile(id);
-        if let Some(blocks) = self.blocks.as_mut() {
-            blocks.retract(id);
-        }
-        if let Some(nl) = self.nl.as_mut() {
-            nl.retract(id);
-        }
         self.pending.push(id);
         // Invalidate dedup-filter entries touching the retracted profile.
         // Ids never recycle, so these pairs could never be re-emitted
@@ -678,7 +663,7 @@ impl ProgressiveSession {
     /// rebuilding the affected CSR segments. Emission is bit-identical
     /// before and after (snapshots already filter lazily); compaction
     /// reclaims memory and restores the fast snapshot path. Returns the
-    /// number of tombstones compacted away.
+    /// number of pending tombstones it cleared.
     ///
     /// Runs automatically at the start of an epoch once the
     /// [`CompactionPolicy`] threshold is reached; calling it manually is
@@ -688,17 +673,16 @@ impl ProgressiveSession {
             return 0;
         }
         let mut span = sper_obs::span!("stream.compaction", pending = self.pending.len());
-        let mut dropped = 0usize;
         if let Some(blocks) = self.blocks.as_mut() {
-            dropped = dropped.max(blocks.compact());
+            blocks.compact(&self.retracted);
         }
         if let Some(nl) = self.nl.as_mut() {
-            dropped = dropped.max(nl.compact());
+            nl.compact(&self.retracted);
         }
         // Substrate-free methods (SA-PSAB) rebuild from the husked
         // collection each epoch; their tombstones are "compacted" the
         // moment they are retracted.
-        dropped = dropped.max(self.pending.len());
+        let dropped = self.pending.len();
         self.pending.clear();
         span.record("dropped", dropped as u64);
         sper_obs::count!("session.compactions");
@@ -742,12 +726,14 @@ impl ProgressiveSession {
         // Snapshot the substrates first (they need `&mut self`), then
         // build the epoch method over `&self.profiles`. Each step opens its
         // own child span: `blocking.nl_snapshot`, `blocking.token_snapshot`,
-        // `blocking.purge` and `blocking.filter`.
+        // `blocking.purge` and `blocking.filter`. The retraction marks are
+        // passed only while some retracted row is still physically present.
         let (nl_snapshot, block_snapshot) = {
             let mut snap_span = sper_obs::span!("blocking.epoch_snapshot");
-            let nl_snapshot = self.nl.as_mut().map(|nl| nl.snapshot());
+            let retracted = (!self.pending.is_empty()).then_some(self.retracted.as_slice());
+            let nl_snapshot = self.nl.as_mut().map(|nl| nl.snapshot(retracted));
             let block_snapshot = self.blocks.as_ref().map(|b| {
-                let snap = b.snapshot();
+                let snap = b.snapshot(retracted);
                 let snap = BlockPurger::new(self.config.workflow.purge_ratio).purge(snap);
                 BlockFilter::new(self.config.workflow.filter_ratio).filter(snap)
             });
@@ -899,29 +885,6 @@ pub fn run_streaming(
     budget_per_epoch: Option<u64>,
     truth: &GroundTruth,
 ) -> (StreamingRecall, Vec<EpochReport>) {
-    let (recall, reports) = run_streaming_with(
-        initial,
-        batches,
-        session_config,
-        budget_per_epoch,
-        Some(truth),
-        |_| {},
-    );
-    (recall.expect("truth was provided"), reports)
-}
-
-/// [`run_streaming`] with its knobs exposed: the ground truth is optional
-/// (no truth → no recall curve, epochs still run) and `on_epoch` observes
-/// every [`EpochOutcome`] as it completes — live progress reporting for
-/// long runs (the `sper stream` CLI).
-pub fn run_streaming_with(
-    initial: ProfileCollection,
-    batches: Vec<Vec<Vec<Attribute>>>,
-    session_config: SessionConfig,
-    budget_per_epoch: Option<u64>,
-    truth: Option<&GroundTruth>,
-    mut on_epoch: impl FnMut(&EpochOutcome),
-) -> (Option<StreamingRecall>, Vec<EpochReport>) {
     let mut session = ProgressiveSession::new(initial, session_config);
     let mut epochs: Vec<StreamEpoch> = Vec::new();
     for batch in batches {
@@ -931,10 +894,8 @@ pub fn run_streaming_with(
             profiles_total: outcome.report.profiles_total,
             pairs: outcome.comparisons.iter().map(|c| c.pair).collect(),
         });
-        on_epoch(&outcome);
     }
-    let recall = truth.map(|t| streaming_recall(&epochs, t));
-    (recall, session.reports.clone())
+    (streaming_recall(&epochs, truth), session.reports)
 }
 
 #[cfg(test)]

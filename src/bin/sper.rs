@@ -89,6 +89,15 @@ use std::time::Instant;
 #[global_allocator]
 static ALLOC: sper_obs::PeakAllocTracker = sper_obs::PeakAllocTracker::new();
 
+/// `eprintln!` that drops a write error: with stderr closed, a message is
+/// lost but the exit code still reports the outcome, where `eprintln!`
+/// would panic and exit 101.
+macro_rules! say {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Before any sink opens a file: a misspelled flag must not truncate
@@ -102,7 +111,7 @@ fn main() -> ExitCode {
     };
     let result = run(&args);
     if let Err(err) = obs.finish() {
-        eprintln!("error: {err}");
+        say!("error: {err}");
         return ExitCode::FAILURE;
     }
     match result {
@@ -114,10 +123,10 @@ fn main() -> ExitCode {
 /// Reports `err` on stderr: a usage error exits 2 with the usage text,
 /// any other error exits 1.
 fn failure(err: CliError) -> ExitCode {
-    eprintln!("error: {err}");
+    say!("error: {err}");
     if matches!(err, CliError::Usage(_)) {
-        eprintln!();
-        eprintln!("{USAGE}");
+        say!();
+        say!("{USAGE}");
         ExitCode::from(2)
     } else {
         ExitCode::FAILURE
@@ -221,7 +230,7 @@ impl ObsSetup {
                     .map_err(CliError::io(addr.as_str()))?;
                 // The one place the bound address is reported — tests and
                 // scripts parse this line to find an ephemeral port.
-                eprintln!("listening on {}", server.addr());
+                say!("listening on {}", server.addr());
                 Ok::<_, CliError>(server)
             })
             .transpose()?;
@@ -316,11 +325,12 @@ impl ProgressLine {
                     let peak_mib = ALLOC.peak_bytes() as f64 / (1024.0 * 1024.0);
                     // `\r` + clear-to-end keeps the line in place however
                     // much shorter the new render is.
-                    eprint!(
+                    let _ = write!(
+                        std::io::stderr(),
                         "\repoch {epoch} · {emitted} pairs · {cps:.0} cmp/s · peak {peak_mib:.0} MiB\x1b[K"
                     );
                 }
-                eprint!("\r\x1b[K");
+                let _ = write!(std::io::stderr(), "\r\x1b[K");
             })
             .expect("spawn progress thread");
         Self {
@@ -434,10 +444,11 @@ const GLOBAL_FLAGS: &[&str] = &[
     "--failpoints",
 ];
 
-/// The flags `subcommand` reads besides [`GLOBAL_FLAGS`], `None` for an
-/// unknown subcommand.
-fn subcommand_flags(subcommand: &str) -> Option<&'static [&'static str]> {
-    Some(match subcommand {
+/// The flags the subcommand of `args` reads besides [`GLOBAL_FLAGS`],
+/// `None` for an unknown subcommand. `snapshot --salvage` is a mode of its
+/// own that reads only `--out`.
+fn subcommand_flags(args: &[String]) -> Option<&'static [&'static str]> {
+    Some(match args.first().map_or("", String::as_str) {
         "resolve" => &["--method", "--budget", "--threshold", "--threads"],
         "evaluate" => &["--method", "--ec-star", "--threads"],
         "generate" => &["--scale", "--out", "--truth"],
@@ -455,14 +466,8 @@ fn subcommand_flags(subcommand: &str) -> Option<&'static [&'static str]> {
             "--mutations",
             "--emit-pairs",
         ],
-        "snapshot" => &[
-            "--scale",
-            "--truth",
-            "--seed",
-            "--out",
-            "--with-graph",
-            "--salvage",
-        ],
+        "snapshot" if args.iter().any(|a| a == "--salvage") => &["--salvage", "--out"],
+        "snapshot" => &["--scale", "--truth", "--seed", "--out", "--with-graph"],
         "resume" => &[
             "--epoch-budget",
             "--threads",
@@ -479,8 +484,8 @@ fn subcommand_flags(subcommand: &str) -> Option<&'static [&'static str]> {
 /// is a usage error, not a flag silently ignored.
 fn check_flags(args: &[String]) -> Result<(), CliError> {
     let subcommand = args.first().map_or("", String::as_str);
-    let known = subcommand_flags(subcommand)
-        .ok_or_else(|| CliError::usage("missing or unknown subcommand"))?;
+    let known =
+        subcommand_flags(args).ok_or_else(|| CliError::usage("missing or unknown subcommand"))?;
     match args[1..].iter().find(|a| {
         a.starts_with("--") && !known.contains(&a.as_str()) && !GLOBAL_FLAGS.contains(&a.as_str())
     }) {
@@ -1042,7 +1047,7 @@ fn stream(args: &[String]) -> Result<(), CliError> {
                         );
                     }
                     CheckpointOutcome::FailedContinuing => {
-                        eprintln!(
+                        say!(
                             "warning: checkpoint to {path} failed after retries; \
                              run continues (last good generation kept)"
                         );
@@ -1060,7 +1065,7 @@ fn stream(args: &[String]) -> Result<(), CliError> {
                     event!(Level::Info, "cli.checkpoint_final", path = path.as_str());
                 }
                 CheckpointOutcome::FailedContinuing => {
-                    eprintln!(
+                    say!(
                         "warning: final checkpoint to {path} failed after retries; \
                          emissions above are complete, resume from the last good generation"
                     );
@@ -1082,28 +1087,32 @@ fn stream(args: &[String]) -> Result<(), CliError> {
         let retracted = (0..session.profiles().len() as u32)
             .filter(|&i| session.is_retracted(ProfileId(i)))
             .count();
-        eprintln!(
+        say!(
             "(mutation feed active — recall skipped; {retracted} retracted, {} tombstones pending)",
             session.pending_tombstones(),
         );
     } else if let Some(truth) = truth {
         let recall = sper::eval::streaming_recall(&epochs, &truth);
-        eprintln!();
-        eprintln!("epoch  profiles  emissions  new_matches  recall");
+        say!();
+        say!("epoch  profiles  emissions  new_matches  recall");
         for m in &recall.epochs {
-            eprintln!(
+            say!(
                 "{:<5}  {:<8}  {:<9}  {:<11}  {:.4}",
-                m.epoch, m.profiles_total, m.emissions_end, m.new_matches, m.recall
+                m.epoch,
+                m.profiles_total,
+                m.emissions_end,
+                m.new_matches,
+                m.recall
             );
         }
-        eprintln!(
+        say!(
             "final recall {:.4} ({} matches) over {} emissions",
             recall.final_recall(),
             recall.curve.matches_found(),
             recall.curve.emissions(),
         );
     } else {
-        eprintln!("(no ground truth — pass --truth FILE for per-epoch recall)");
+        say!("(no ground truth — pass --truth FILE for per-epoch recall)");
     }
     Ok(())
 }
@@ -1171,7 +1180,7 @@ fn salvage(args: &[String]) -> Result<(), CliError> {
     let (snapshot, report) = Snapshot::salvage(&bytes).map_err(CliError::store(source.as_str()))?;
     println!("{}", report.summary());
     for lost in &report.lost {
-        eprintln!("warning: lost section {}: {}", lost.section, lost.reason);
+        say!("warning: lost section {}: {}", lost.section, lost.reason);
         event!(
             Level::Warn,
             "cli.salvage_loss",
@@ -1199,7 +1208,7 @@ fn salvage(args: &[String]) -> Result<(), CliError> {
             path = out.as_str(),
             sections = snapshot.describe().join(", "),
         );
-        eprintln!("recovered snapshot written to {out}");
+        say!("recovered snapshot written to {out}");
     }
     Ok(())
 }
@@ -1222,7 +1231,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
     let (checkpoint, used_prev) =
         CheckpointWriter::resume(Path::new(path)).map_err(CliError::store(path.as_str()))?;
     if used_prev {
-        eprintln!("warning: {path} was unreadable; resumed from rotated {path}.prev");
+        say!("warning: {path} was unreadable; resumed from rotated {path}.prev");
     }
     let load_time = t0.elapsed();
     let mut state = checkpoint.state;
@@ -1292,7 +1301,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
             // Unreachable with the default Abort policy, but the match
             // keeps the exit-code contract explicit.
             CheckpointOutcome::FailedContinuing => {
-                eprintln!("warning: final checkpoint to {out} failed after retries");
+                say!("warning: final checkpoint to {out} failed after retries");
             }
         }
     }
@@ -1338,7 +1347,7 @@ fn report(args: &[String]) -> Result<(), CliError> {
         records = inputs.trace.len(),
         bytes = html.len(),
     );
-    eprintln!(
+    say!(
         "wrote {out} ({} records, {} bytes)",
         inputs.trace.len(),
         html.len()

@@ -50,7 +50,6 @@ pub mod prelude {
         SessionCheckpoint, Snapshot, StoreError,
     };
     pub use sper_stream::{
-        run_streaming, run_streaming_with, EpochOutcome, EpochReport, ProgressiveSession,
-        SessionConfig, SessionState,
+        run_streaming, EpochOutcome, EpochReport, ProgressiveSession, SessionConfig, SessionState,
     };
 }

@@ -4,7 +4,8 @@
 //! cleanup) exit 0 with a warning; unrecoverable corruption exits 1
 //! with a typed error; a malformed failpoint spec, a value flag without
 //! its value or a flag the subcommand does not read is a usage error
-//! (exit 2). Operators script against these codes — they are contract.
+//! (exit 2). A closed stderr changes none of these codes. Operators
+//! script against these codes — they are contract.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -322,9 +323,27 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
     let trace = d.join("trace.jsonl");
     let before = b"{\"kept\":true}\n";
     std::fs::write(&trace, before).expect("seed the trace file");
-    let cases: [&[&str]; 2] = [
+    // A real store, so a salvage that ignored the two snapshot-build
+    // flags would succeed and write `r.sper`.
+    let out = sper()
+        .current_dir(&d)
+        .args(["snapshot", "census", "--scale", "0.1", "--out", "s.sper"])
+        .output()
+        .expect("spawn sper snapshot");
+    assert!(out.status.success(), "seed snapshot: {}", stderr_of(&out));
+    let cases: [&[&str]; 3] = [
         &["snapshot", "census", "--with-grph"],
         &["stream", "census", "--batchs", "3"],
+        &[
+            "snapshot",
+            "s.sper",
+            "--salvage",
+            "--with-graph",
+            "--seed",
+            "9",
+            "--out",
+            "r.sper",
+        ],
     ];
     for args in cases {
         let out = sper()
@@ -349,5 +368,35 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
         !d.join("snapshot.sper").exists(),
         "snapshot written despite the error"
     );
+    assert!(
+        !d.join("r.sper").exists(),
+        "salvage written despite the error"
+    );
+    let _ = std::fs::remove_dir_all(&d);
+}
+
+/// A stderr whose reader is gone changes no exit code: a usage error
+/// still exits 2, a runtime error 1 and a successful run 0 — the lost
+/// messages must not turn into a panic (exit 101).
+#[test]
+fn closed_stderr_keeps_the_exit_code() {
+    let cases: [(&[&str], i32); 3] = [
+        (&["stream", "census", "--batches", "0"], 2),
+        (&["resume", "missing.sper"], 1),
+        (&["stream", "census", "--scale", "0.1", "--batches", "2"], 0),
+    ];
+    let d = tmp_dir("closed-stderr");
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("create pipe");
+        drop(reader);
+        let status = sper()
+            .current_dir(&d)
+            .args(args)
+            .stdout(std::process::Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("spawn sper");
+        assert_eq!(status.code(), Some(code), "{args:?} with a closed stderr");
+    }
     let _ = std::fs::remove_dir_all(&d);
 }
