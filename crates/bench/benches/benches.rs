@@ -81,7 +81,7 @@ fn bench_emission(c: &mut Criterion) {
 /// design the paper prescribes).
 fn bench_weighting(c: &mut Criterion) {
     let data = small_twin();
-    let mut blocks = TokenBlocking::default().build(&data.profiles);
+    let mut blocks = TokenBlocking.build(&data.profiles);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
     let n = data.profiles.len() as u32;
@@ -114,9 +114,9 @@ fn bench_blocking(c: &mut Criterion) {
     let data = small_twin();
     let mut group = c.benchmark_group("blocking_workflow");
     group.bench_function("token_blocking", |b| {
-        b.iter(|| black_box(TokenBlocking::default().build(&data.profiles)))
+        b.iter(|| black_box(TokenBlocking.build(&data.profiles)))
     });
-    let blocks = TokenBlocking::default().build(&data.profiles);
+    let blocks = TokenBlocking.build(&data.profiles);
     group.bench_function("purging", |b| {
         b.iter_batched(
             || blocks.clone(),

@@ -15,6 +15,8 @@
 //! twins default to a fraction of their laptop-scale-1.0 size so every
 //! binary finishes in minutes).
 
+#![forbid(unsafe_code)]
+
 use sper_core::{build_method, MethodConfig, ProgressiveMethod};
 use sper_datagen::{DatasetKind, DatasetSpec, GeneratedDataset};
 use sper_eval::runner::{run_progressive, RunOptions, RunResult};

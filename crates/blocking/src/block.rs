@@ -314,7 +314,7 @@ impl<'a> BlockRef<'a> {
 /// let mut b = ProfileCollectionBuilder::dirty();
 /// b.add_profile([("name", "carl white")]);
 /// b.add_profile([("name", "karl white")]);
-/// let blocks = TokenBlocking::default().build(&b.build());
+/// let blocks = TokenBlocking.build(&b.build());
 /// // "carl"/"karl" are singletons (no comparison → dropped); the shared
 /// // token "white" blocks both profiles together.
 /// assert_eq!(blocks.len(), 1);

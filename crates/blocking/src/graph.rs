@@ -193,7 +193,7 @@ mod tests {
     }
 
     fn fig3_graph() -> BlockingGraph {
-        let mut blocks = TokenBlocking::default().build(&fig3_profiles());
+        let mut blocks = TokenBlocking.build(&fig3_profiles());
         blocks.sort_by_cardinality();
         BlockingGraph::build(&blocks, WeightingScheme::Arcs)
     }

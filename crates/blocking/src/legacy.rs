@@ -67,7 +67,7 @@ impl StringBlock {
 /// The seed's Token Blocking: `HashMap<String, Vec<members>>` with one
 /// owned `String` per token per profile, output sorted by key.
 pub fn string_token_blocking(profiles: &ProfileCollection) -> Vec<StringBlock> {
-    let tokenizer = Tokenizer::default();
+    let tokenizer = Tokenizer;
     let mut index: HashMap<String, Vec<(ProfileId, SourceId)>> = HashMap::new();
     let mut tokens: Vec<String> = Vec::new();
     for p in profiles.iter() {
@@ -155,7 +155,7 @@ pub fn string_neighbor_list(
     profiles: &ProfileCollection,
     seed: u64,
 ) -> (Vec<ProfileId>, Vec<String>) {
-    let tokenizer = Tokenizer::default();
+    let tokenizer = Tokenizer;
     let mut placements: Vec<(String, ProfileId)> = Vec::new();
     for p in profiles.iter() {
         let mut toks = p.tokens(&tokenizer);

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sper-blocking
 //!
 //! The blocking substrates of schema-agnostic progressive ER:
@@ -38,7 +39,6 @@ pub mod neighbor_list;
 pub mod parallel;
 pub mod profile_index;
 pub mod purging;
-pub mod simd;
 pub mod spacc;
 pub mod suffix_forest;
 pub mod token_blocking;
@@ -54,8 +54,7 @@ pub use parallel::{
 };
 pub use profile_index::{IntersectStats, ProfileIndex};
 pub use purging::BlockPurger;
-pub use simd::KernelPath;
-pub use spacc::WeightAccumulator;
+pub use spacc::{KernelPath, WeightAccumulator};
 pub use suffix_forest::{SuffixForest, SuffixNode};
 pub use token_blocking::TokenBlocking;
 // The string ↔ id boundary of the columnar core, re-exported so consumers
@@ -97,7 +96,7 @@ impl TokenBlockingWorkflow {
     /// ([`TokenBlocking::par_build`]); the blocks are identical at every
     /// worker count.
     pub fn par_run(&self, profiles: &ProfileCollection, par: Parallelism) -> BlockCollection {
-        let blocks = TokenBlocking::default().par_build(profiles, par);
+        let blocks = TokenBlocking.par_build(profiles, par);
         let blocks = BlockPurger::new(self.purge_ratio).purge(blocks);
         BlockFilter::new(self.filter_ratio).filter(blocks)
     }

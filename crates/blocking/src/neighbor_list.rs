@@ -191,7 +191,7 @@ impl NeighborList {
             threads = par.get(),
         );
         let interner = TokenInterner::shared();
-        let tokenizer = Tokenizer::default();
+        let tokenizer = Tokenizer;
         // Map: one contiguous profile range per worker, tokenized into its
         // own run of (token, profile) placements — one per *distinct*
         // token per profile, in profile order.
@@ -476,7 +476,7 @@ mod tests {
         }
         let profiles = b.build();
         let interner = TokenInterner::shared();
-        let tokenizer = Tokenizer::default();
+        let tokenizer = Tokenizer;
         let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
         for p in profiles.iter() {
             let mut ids = Vec::new();

@@ -220,7 +220,7 @@ mod tests {
 
     /// The Fig. 3(b) blocks, sorted by cardinality as PBS would.
     fn fig3_index() -> (BlockCollection, ProfileIndex) {
-        let mut blocks = TokenBlocking::default().build(&fig3_profiles());
+        let mut blocks = TokenBlocking.build(&fig3_profiles());
         blocks.sort_by_cardinality();
         let index = ProfileIndex::build(&blocks);
         (blocks, index)

@@ -35,17 +35,24 @@
 
 use crate::block::{BlockCollection, BlockId};
 use crate::profile_index::ProfileIndex;
-use crate::simd::KernelPath;
 use crate::weights::WeightingScheme;
 use sper_model::{ErKind, ProfileId};
 
-/// Reinterprets a sorted member partition as raw `u32` lanes for the SIMD
-/// kernels — free because [`ProfileId`] is `repr(transparent)` over `u32`.
-#[inline]
-fn raw_ids(partition: &[ProfileId]) -> &[u32] {
-    // SAFETY: `ProfileId` is `#[repr(transparent)]` over `u32`, so the two
-    // slice types have identical layout, alignment, and validity.
-    unsafe { std::slice::from_raw_parts(partition.as_ptr().cast::<u32>(), partition.len()) }
+/// The accumulate kernel a sweep runs. There is one, the scalar loop of
+/// [`WeightAccumulator`]; the type remains so a run record can name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelPath;
+
+impl KernelPath {
+    /// The kernel every sweep of this build runs.
+    pub fn active() -> Self {
+        KernelPath
+    }
+
+    /// Short name for run records: `"scalar"`.
+    pub fn name(self) -> &'static str {
+        "scalar"
+    }
 }
 
 /// Which neighbors a sweep visits.
@@ -78,31 +85,16 @@ pub struct WeightAccumulator {
     lcb: Vec<u32>,
     /// Ids of neighbors with non-zero accumulation, in discovery order.
     touched: Vec<u32>,
-    /// The accumulate-kernel implementation every sweep dispatches to.
-    path: KernelPath,
 }
 
 impl WeightAccumulator {
-    /// A zeroed accumulator over `n_profiles` profiles, sweeping with the
-    /// process-wide dispatched kernel ([`KernelPath::active`]).
+    /// A zeroed accumulator over `n_profiles` profiles.
     pub fn new(n_profiles: usize) -> Self {
-        Self::with_path(n_profiles, KernelPath::active())
-    }
-
-    /// A zeroed accumulator pinned to a specific kernel implementation —
-    /// the equivalence suites compare paths inside one process with this.
-    pub fn with_path(n_profiles: usize, path: KernelPath) -> Self {
         Self {
             acc: vec![0.0; n_profiles],
             lcb: vec![0; n_profiles],
             touched: Vec::new(),
-            path,
         }
-    }
-
-    /// The kernel implementation this scratch sweeps with.
-    pub fn path(&self) -> KernelPath {
-        self.path
     }
 
     /// Number of profiles the scratch covers.
@@ -127,15 +119,6 @@ impl WeightAccumulator {
              every accumulated weight — call reset() between sweeps",
             self.touched.len()
         );
-        // The vector accumulate kernels index the scratch unchecked; every
-        // id they see is a member of `blocks`, hence below its profile count.
-        assert!(
-            blocks.n_profiles() <= self.acc.len(),
-            "scratch covers {} profiles, the swept collection {}",
-            self.acc.len(),
-            blocks.n_profiles()
-        );
-        let path = self.path;
         let kind = blocks.kind();
         for &bid in index.blocks_of(i) {
             let contribution = scheme.per_block(index.cardinality(BlockId(bid)));
@@ -175,9 +158,8 @@ impl WeightAccumulator {
                 }
             };
             if let Some(checked) = checked {
-                // The filtered sweep (PPS emission, Alg. 6) stays scalar:
-                // the `checked` test makes both the touched pushes and the
-                // adds data-dependent per lane.
+                // The filtered sweep (PPS emission, Alg. 6) keeps its own
+                // loop, so the unfiltered one carries no per-id test.
                 for &j in left.iter().chain(right) {
                     if checked[j.index()] {
                         continue;
@@ -189,22 +171,16 @@ impl WeightAccumulator {
                     self.acc[j.index()] += contribution;
                 }
             } else {
-                path.accumulate(
-                    raw_ids(left),
-                    contribution,
-                    bid,
-                    &mut self.acc,
-                    &mut self.lcb,
-                    &mut self.touched,
-                );
-                path.accumulate(
-                    raw_ids(right),
-                    contribution,
-                    bid,
-                    &mut self.acc,
-                    &mut self.lcb,
-                    &mut self.touched,
-                );
+                for ids in [left, right] {
+                    accumulate(
+                        ids,
+                        contribution,
+                        bid,
+                        &mut self.acc,
+                        &mut self.lcb,
+                        &mut self.touched,
+                    );
+                }
             }
         }
     }
@@ -297,11 +273,49 @@ impl WeightAccumulator {
     }
 
     /// Clears the touched entries — `O(degree)`, leaving the dense arrays
-    /// zeroed for the next sweep. The clear runs through the chunked
-    /// scatter loop of [`crate::simd`].
+    /// zeroed for the next sweep.
     pub fn reset(&mut self) {
-        crate::simd::clear_touched(&self.touched, &mut self.acc);
+        clear_touched(&self.touched, &mut self.acc);
         self.touched.clear();
+    }
+}
+
+/// The accumulate step of a sweep: adds one block's `contribution` to
+/// `acc` for every id of `ids`, pushing first-touched ids onto `touched`
+/// (in `ids` order) with `bid` as their least-common-block witness. The
+/// scratch arrays come in as separate borrows, so a `touched` push cannot
+/// alias them.
+#[inline]
+fn accumulate(
+    ids: &[ProfileId],
+    contribution: f64,
+    bid: u32,
+    acc: &mut [f64],
+    lcb: &mut [u32],
+    touched: &mut Vec<u32>,
+) {
+    for &j in ids {
+        let slot = &mut acc[j.index()];
+        if *slot == 0.0 {
+            touched.push(j.0);
+            lcb[j.index()] = bid;
+        }
+        *slot += contribution;
+    }
+}
+
+/// Zeroes the touched slots of `acc` — the reset hot loop, unrolled
+/// 4-wide for store-port ILP.
+fn clear_touched(touched: &[u32], acc: &mut [f64]) {
+    let mut chunks = touched.chunks_exact(4);
+    for c in &mut chunks {
+        acc[c[0] as usize] = 0.0;
+        acc[c[1] as usize] = 0.0;
+        acc[c[2] as usize] = 0.0;
+        acc[c[3] as usize] = 0.0;
+    }
+    for &j in chunks.remainder() {
+        acc[j as usize] = 0.0;
     }
 }
 
@@ -309,14 +323,16 @@ impl WeightAccumulator {
 mod tests {
     use super::*;
     use crate::fixtures::fig3_profiles;
+    use crate::graph::BlockingGraph;
     use crate::token_blocking::TokenBlocking;
+    use sper_model::ProfileCollectionBuilder;
 
     fn pid(i: u32) -> ProfileId {
         ProfileId(i)
     }
 
     fn fig3_setup() -> (BlockCollection, ProfileIndex) {
-        let mut blocks = TokenBlocking::default().build(&fig3_profiles());
+        let mut blocks = TokenBlocking.build(&fig3_profiles());
         blocks.sort_by_cardinality();
         let index = ProfileIndex::build(&blocks);
         (blocks, index)
@@ -408,5 +424,62 @@ mod tests {
         );
         assert!(!acc.touched().contains(&1));
         acc.reset();
+    }
+
+    /// Sweeping on a non-reset scratch is a hard contract violation in every
+    /// build profile — stale sums would silently corrupt every weight.
+    #[test]
+    #[should_panic(expected = "non-reset scratch")]
+    fn sweep_on_dirty_scratch_panics() {
+        let mut b = ProfileCollectionBuilder::dirty();
+        b.add_profile([("t", "alpha beta")]);
+        b.add_profile([("t", "alpha beta")]);
+        let coll = b.build();
+        let blocks = TokenBlocking.build(&coll);
+        let index = ProfileIndex::build(&blocks);
+        let mut acc = WeightAccumulator::new(blocks.n_profiles());
+        acc.sweep(&blocks, &index, WeightingScheme::Cbs, pid(0), None);
+        assert!(!acc.is_empty(), "first sweep must touch profile 1");
+        // No reset: the second sweep must panic, not corrupt.
+        acc.sweep(&blocks, &index, WeightingScheme::Cbs, pid(1), None);
+    }
+
+    /// Degenerate inputs sweep without panicking and build an empty graph.
+    #[test]
+    fn empty_and_single_profile() {
+        let empty = ProfileCollectionBuilder::dirty().build();
+        let mut one = ProfileCollectionBuilder::dirty();
+        one.add_profile([("t", "lonely tokens here")]);
+        let one = one.build();
+        for coll in [empty, one] {
+            let blocks = TokenBlocking.build(&coll);
+            let index = ProfileIndex::build(&blocks);
+            let n = blocks.n_profiles();
+            let mut acc = WeightAccumulator::new(n);
+            for i in 0..n as u32 {
+                acc.sweep_forward(&blocks, &index, WeightingScheme::Ecbs, pid(i));
+                assert!(acc.is_empty(), "no neighbors exist");
+                acc.reset();
+            }
+            for scheme in WeightingScheme::ALL {
+                assert_eq!(BlockingGraph::build(&blocks, scheme).num_edges(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn clear_touched_zeroes_exactly_the_touched_slots() {
+        let mut acc = vec![1.5; 32];
+        // 6 ids: one full chunk plus a 2-id tail.
+        let touched = [0u32, 3, 7, 12, 21, 31];
+        clear_touched(&touched, &mut acc);
+        for (j, &v) in acc.iter().enumerate() {
+            let expect = if touched.contains(&(j as u32)) {
+                0.0
+            } else {
+                1.5
+            };
+            assert_eq!(v, expect, "slot {j}");
+        }
     }
 }

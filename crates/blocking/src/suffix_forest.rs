@@ -53,7 +53,7 @@ impl SuffixForest {
         lmin: usize,
         interner: Arc<TokenInterner>,
     ) -> Self {
-        let tokenizer = Tokenizer::default();
+        let tokenizer = Tokenizer;
         // suffix id → members, flat-indexed.
         let mut index: Vec<Vec<(ProfileId, SourceId)>> = Vec::new();
         let mut tokens: Vec<String> = Vec::new();

@@ -19,7 +19,7 @@
 use crate::block::{Block, BlockCollection};
 use crate::parallel::Parallelism;
 use sper_model::{Profile, ProfileCollection, ProfileId};
-use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer, TokenizerConfig};
+use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer};
 use std::sync::Arc;
 
 /// Tokenizes profiles into interned ids for one worker of a blocking
@@ -80,18 +80,9 @@ impl<'a> ProfileTokenizer<'a> {
 
 /// Token Blocking builder.
 #[derive(Debug, Clone, Default)]
-pub struct TokenBlocking {
-    tokenizer: Tokenizer,
-}
+pub struct TokenBlocking;
 
 impl TokenBlocking {
-    /// Uses a custom tokenizer configuration.
-    pub fn with_config(config: TokenizerConfig) -> Self {
-        Self {
-            tokenizer: Tokenizer::new(config),
-        }
-    }
-
     /// Builds the block collection for `profiles` with a fresh interner on
     /// the calling thread.
     ///
@@ -132,7 +123,7 @@ impl TokenBlocking {
         let indexes = par.steal_chunks(
             all.len(),
             per_worker,
-            || ProfileTokenizer::new(&self.tokenizer, &interner, par),
+            || ProfileTokenizer::new(&Tokenizer, &interner, par),
             |tokens, range| {
                 let mut index: Vec<Vec<ProfileId>> = Vec::new();
                 let mut ids: Vec<TokenId> = Vec::new();
@@ -204,7 +195,7 @@ pub(crate) mod tests {
     #[test]
     fn fig3_token_blocks() {
         let coll = fig3_profiles();
-        let blocks = TokenBlocking::default().build(&coll);
+        let blocks = TokenBlocking.build(&coll);
         let find = |key: &str| {
             blocks
                 .iter()
@@ -231,7 +222,7 @@ pub(crate) mod tests {
         let mut b = ProfileCollectionBuilder::dirty();
         b.add_profile([("a", "white white white")]);
         b.add_profile([("b", "white")]);
-        let blocks = TokenBlocking::default().build(&b.build());
+        let blocks = TokenBlocking.build(&b.build());
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks.get(crate::BlockId(0)).size(), 2);
     }
@@ -244,7 +235,7 @@ pub(crate) mod tests {
         b.start_second_source();
         b.add_profile([("n", "shared thing")]);
         let coll = b.build();
-        let blocks = TokenBlocking::default().build(&coll);
+        let blocks = TokenBlocking.build(&coll);
         // "alpha" appears only in P1 → no block; "shared" spans sources.
         assert!(!blocks.iter().any(|b| &*b.key_str() == "alpha"));
         assert!(blocks.iter().any(|b| &*b.key_str() == "shared"));
@@ -253,8 +244,8 @@ pub(crate) mod tests {
     #[test]
     fn deterministic_order() {
         let coll = fig3_profiles();
-        let b1 = TokenBlocking::default().build(&coll);
-        let b2 = TokenBlocking::default().build(&coll);
+        let b1 = TokenBlocking.build(&coll);
+        let b2 = TokenBlocking.build(&coll);
         let keys1: Vec<String> = b1.iter().map(|b| b.key_str().to_string()).collect();
         let keys2: Vec<String> = b2.iter().map(|b| b.key_str().to_string()).collect();
         assert_eq!(keys1, keys2);
@@ -268,8 +259,7 @@ pub(crate) mod tests {
     fn shared_interner_reuses_ids() {
         let coll = fig3_profiles();
         let interner = TokenInterner::shared();
-        let build =
-            |par| TokenBlocking::default().build_with_interner(&coll, Arc::clone(&interner), par);
+        let build = |par| TokenBlocking.build_with_interner(&coll, Arc::clone(&interner), par);
         let b1 = build(Parallelism::SEQUENTIAL);
         let b2 = build(Parallelism::new(4).unwrap());
         // Same vocabulary interned once; key ids stable across builds.
@@ -281,7 +271,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_collection() {
         let coll = ProfileCollectionBuilder::dirty().build();
-        let blocks = TokenBlocking::default().build(&coll);
+        let blocks = TokenBlocking.build(&coll);
         assert!(blocks.is_empty());
     }
 }

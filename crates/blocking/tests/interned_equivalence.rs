@@ -75,7 +75,7 @@ proptest! {
     fn token_blocking_matches_seed(coll in any_collection(), threads in 1usize..5) {
         let legacy = string_token_blocking(&coll);
         let par = Parallelism::new(threads).expect("threads > 0");
-        let interned = TokenBlocking::default().par_build(&coll, par);
+        let interned = TokenBlocking.par_build(&coll, par);
         assert_blocks_equal(&interned, &legacy)?;
     }
 
@@ -86,7 +86,7 @@ proptest! {
     fn weights_match_seed(coll in any_collection()) {
         let legacy = string_token_blocking(&coll);
         let lists = string_block_lists(&legacy, coll.len());
-        let interned = TokenBlocking::default().build(&coll);
+        let interned = TokenBlocking.build(&coll);
         let index = ProfileIndex::build(&interned);
         let kind = coll.kind();
         let n = coll.len() as u32;
@@ -124,7 +124,7 @@ proptest! {
     /// (key, members) as the straightforward owned-block route.
     #[test]
     fn csr_transforms_preserve_contents(coll in any_collection()) {
-        let mut a = TokenBlocking::default().build(&coll);
+        let mut a = TokenBlocking.build(&coll);
         let owned = a.clone().into_blocks();
         a.sort_by_cardinality();
         a.retain_comparable();

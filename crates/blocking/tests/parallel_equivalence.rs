@@ -140,7 +140,7 @@ fn run_wall(clean_clean: bool) {
         .collect();
     let (legacy_nl, legacy_keys) = string_neighbor_list(&coll, seed);
 
-    let key_order = TokenBlocking::default().build(&coll);
+    let key_order = TokenBlocking.build(&coll);
     assert_eq!(keys_and_members(&key_order), legacy_blocks);
     let mut scheduled = key_order.clone();
     scheduled.sort_by_cardinality();
@@ -162,7 +162,7 @@ fn run_wall(clean_clean: bool) {
         let par = Parallelism::new(threads).expect("threads > 0");
         let label = |what: &str| format!("{what} (clean-clean {clean_clean}, {threads} threads)");
 
-        let blocks = TokenBlocking::default().par_build(&coll, par);
+        let blocks = TokenBlocking.par_build(&coll, par);
         assert_fanned_out(&label("token blocking"), par);
         let blocks = keys_and_members(&blocks);
         assert_eq!(blocks, legacy_blocks, "{}", label("token blocking"));
@@ -201,15 +201,12 @@ fn multi_worker_wall_clean_clean() {
 #[test]
 fn empty_collection_at_every_worker_count() {
     let empty = ProfileCollectionBuilder::dirty().build();
-    let graph = BlockingGraph::build(
-        &TokenBlocking::default().build(&empty),
-        WeightingScheme::Arcs,
-    );
+    let graph = BlockingGraph::build(&TokenBlocking.build(&empty), WeightingScheme::Arcs);
     assert_eq!(graph.num_edges(), 0);
     assert_eq!(graph.num_nodes(), 0);
     for threads in 1..=8 {
         let par = Parallelism::new(threads).expect("threads > 0");
-        let blocks = TokenBlocking::default().par_build(&empty, par);
+        let blocks = TokenBlocking.par_build(&empty, par);
         assert!(blocks.is_empty());
         let nl = NeighborList::par_build(&empty, 7, threads).expect("threads > 0");
         assert!(nl.is_empty());
@@ -222,13 +219,13 @@ fn single_profile_at_every_worker_count() {
     b.add_profile([("name", "solitary profile with several tokens")]);
     let one = b.build();
     let one_nl = NeighborList::build(&one, 7);
-    let graph = BlockingGraph::build(&TokenBlocking::default().build(&one), WeightingScheme::Ecbs);
+    let graph = BlockingGraph::build(&TokenBlocking.build(&one), WeightingScheme::Ecbs);
     assert_eq!(graph.num_edges(), 0);
     for threads in 1..=8 {
         // One profile → no comparable blocks survive the cardinality
         // filter.
         let par = Parallelism::new(threads).expect("threads > 0");
-        let blocks = TokenBlocking::default().par_build(&one, par);
+        let blocks = TokenBlocking.par_build(&one, par);
         assert!(blocks.is_empty());
         let nl = NeighborList::par_build(&one, 7, threads).expect("threads > 0");
         assert_eq!(nl.as_slice(), one_nl.as_slice());

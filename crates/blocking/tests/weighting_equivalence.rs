@@ -11,6 +11,8 @@
 //!   its edge set, in the scheduled and the raw block order.
 //! * **Weights** — every edge weight equals the naive string-keyed
 //!   reference weight of the pair.
+//! * **Filtered sweeps** — a sweep that skips `checked` profiles (PPS
+//!   emission) is the unfiltered sweep with those profiles removed.
 //! * **Degenerate inputs** — empty and single-profile collections build
 //!   an empty graph without panicking.
 
@@ -18,8 +20,10 @@ use proptest::prelude::*;
 use sper_blocking::legacy::{
     legacy_graph_edges, string_block_lists, string_token_blocking, string_weight,
 };
-use sper_blocking::{BlockingGraph, TokenBlocking, WeightingScheme};
-use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder};
+use sper_blocking::{
+    BlockingGraph, ProfileIndex, TokenBlocking, WeightAccumulator, WeightingScheme,
+};
+use sper_model::{Pair, ProfileCollection, ProfileCollectionBuilder, ProfileId};
 
 /// Random collections over a tiny alphabet — small vocabularies maximize
 /// token collisions, which is where blocking behavior lives. Half the
@@ -70,7 +74,7 @@ proptest! {
     fn kernel_matches_legacy_and_string_weights(coll in any_collection()) {
         let sblocks = string_token_blocking(&coll);
         let slists = string_block_lists(&sblocks, coll.len());
-        let mut blocks = TokenBlocking::default().build(&coll);
+        let mut blocks = TokenBlocking.build(&coll);
         for sort_by_cardinality in [false, true] {
             if sort_by_cardinality {
                 blocks.sort_by_cardinality();
@@ -99,6 +103,47 @@ proptest! {
             }
         }
     }
+
+    /// For every scheme and any `checked` mask, `sweep(.., Some(mask))`
+    /// touches exactly the unfiltered sweep's touched list with the masked
+    /// ids removed, in the same order, with equal accumulated bits and
+    /// least common blocks.
+    #[test]
+    fn filtered_sweep_is_the_unfiltered_sweep_minus_the_mask(
+        coll in any_collection(),
+        mask in 0u32..1 << 24,
+    ) {
+        let mut blocks = TokenBlocking.build(&coll);
+        blocks.sort_by_cardinality();
+        let index = ProfileIndex::build(&blocks);
+        let n = blocks.n_profiles();
+        // Bit `j` of `mask` marks profile `j` checked (`any_collection`
+        // holds at most 24 profiles).
+        let checked: Vec<bool> = (0..n).map(|j| mask >> j & 1 == 1).collect();
+        let mut full = WeightAccumulator::new(n);
+        let mut filtered = WeightAccumulator::new(n);
+        for scheme in WeightingScheme::ALL {
+            for i in 0..n as u32 {
+                let i = ProfileId(i);
+                full.sweep(&blocks, &index, scheme, i, None);
+                filtered.sweep(&blocks, &index, scheme, i, Some(&checked));
+                let expected: Vec<u32> = full
+                    .touched()
+                    .iter()
+                    .copied()
+                    .filter(|&j| !checked[j as usize])
+                    .collect();
+                prop_assert_eq!(filtered.touched(), &expected[..], "{} at {:?}", scheme, i);
+                for &j in &expected {
+                    let j = ProfileId(j);
+                    prop_assert_eq!(filtered.raw(j).to_bits(), full.raw(j).to_bits());
+                    prop_assert_eq!(filtered.least_common_block(j), full.least_common_block(j));
+                }
+                full.reset();
+                filtered.reset();
+            }
+        }
+    }
 }
 
 #[test]
@@ -108,7 +153,7 @@ fn empty_and_single_profile_regressions() {
     one.add_profile([("t", "lonely tokens here")]);
     let one = one.build();
     for coll in [empty, one] {
-        let blocks = TokenBlocking::default().build(&coll);
+        let blocks = TokenBlocking.build(&coll);
         for scheme in WeightingScheme::ALL {
             assert_eq!(BlockingGraph::build(&blocks, scheme).num_edges(), 0);
             assert!(legacy_graph_edges(&blocks, scheme).is_empty());

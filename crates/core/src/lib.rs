@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sper-core
 //!
 //! The paper's primary contribution: schema-agnostic **Progressive Entity

@@ -303,7 +303,7 @@ mod tests {
     /// PBS over the raw Fig. 3(b) blocks (no purging/filtering), matching
     /// Example 5 / Fig. 7.
     fn fig3_pbs() -> Pbs {
-        let blocks = TokenBlocking::default().build(&fig3_profiles());
+        let blocks = TokenBlocking.build(&fig3_profiles());
         Pbs::from_blocks(blocks, WeightingScheme::Arcs)
     }
 
@@ -422,7 +422,7 @@ mod tests {
         };
         for coll in [dirty, clean] {
             for scheme in WeightingScheme::ALL {
-                let blocks = TokenBlocking::default().build(&coll);
+                let blocks = TokenBlocking.build(&coll);
                 let mut pbs = Pbs::from_blocks(blocks, scheme);
                 let kind = pbs.blocks.kind();
                 for bid in 0..pbs.blocks.len() as u32 {
@@ -445,7 +445,7 @@ mod tests {
     fn works_with_all_schemes() {
         let profiles = fig3_profiles();
         for scheme in WeightingScheme::ALL {
-            let blocks = TokenBlocking::default().build(&profiles);
+            let blocks = TokenBlocking.build(&profiles);
             let n = Pbs::from_blocks(blocks, scheme).count();
             assert_eq!(n, 15, "scheme {scheme} must not change coverage");
         }

@@ -309,7 +309,7 @@ mod tests {
 
     /// PPS over the raw Fig. 3(b) blocks, matching Example 6 / Fig. 8.
     fn fig3_pps(kmax: usize) -> Pps {
-        let blocks = TokenBlocking::default().build(&fig3_profiles());
+        let blocks = TokenBlocking.build(&fig3_profiles());
         Pps::from_blocks(blocks, WeightingScheme::Arcs, kmax)
     }
 
@@ -429,7 +429,7 @@ mod tests {
     fn duplication_likelihood_agrees_with_materialized_graph() {
         // The lazy accumulation must equal the BlockingGraph reference.
         use sper_blocking::BlockingGraph;
-        let blocks = TokenBlocking::default().build(&fig3_profiles());
+        let blocks = TokenBlocking.build(&fig3_profiles());
         let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
         let pps = Pps::from_blocks(blocks, WeightingScheme::Arcs, 2);
         // Reconstruct likelihood order from the graph and compare.

@@ -125,7 +125,7 @@ proptest! {
         let legacy_blocks = string_token_blocking(&coll);
         let lists = string_block_lists(&legacy_blocks, coll.len());
 
-        let blocks = sper_blocking::TokenBlocking::default().build(&coll);
+        let blocks = sper_blocking::TokenBlocking.build(&coll);
         let emissions: Vec<Comparison> = Pbs::from_blocks(blocks, scheme).collect();
         let pairs = pairs_of(&emissions);
         let distinct: HashSet<Pair> = pairs.iter().copied().collect();
@@ -146,7 +146,7 @@ proptest! {
     #[test]
     fn pps_emissions_match_seed_semantics(coll in any_collection()) {
         let reference = reference_pair_set(&coll);
-        let blocks = sper_blocking::TokenBlocking::default().build(&coll);
+        let blocks = sper_blocking::TokenBlocking.build(&coll);
         let kmax = coll.len().max(1);
         let emissions: Vec<Comparison> =
             Pps::from_blocks(blocks, WeightingScheme::Arcs, kmax).collect();

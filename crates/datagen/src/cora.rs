@@ -206,7 +206,7 @@ mod tests {
     fn duplicates_overlap_in_title_tokens() {
         use sper_text::Tokenizer;
         let d = twin();
-        let t = Tokenizer::default();
+        let t = Tokenizer;
         let mut overlapping = 0usize;
         let mut total = 0usize;
         for p in d.truth.pairs().take(500) {

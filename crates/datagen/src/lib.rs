@@ -18,6 +18,8 @@
 //!
 //! All generation is deterministic given the seed in [`DatasetSpec`].
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod cddb;
 pub mod census;

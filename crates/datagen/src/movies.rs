@@ -162,7 +162,7 @@ mod tests {
     fn matching_movies_share_title_tokens() {
         use sper_text::Tokenizer;
         let d = twin();
-        let t = Tokenizer::default();
+        let t = Tokenizer;
         let mut share = 0;
         let mut total = 0;
         for p in d.truth.pairs().take(300) {

@@ -352,7 +352,7 @@ mod tests {
     fn freebase_matching_profiles_share_name_tokens() {
         use sper_text::Tokenizer;
         let d = fb();
-        let t = Tokenizer::default();
+        let t = Tokenizer;
         let mut share = 0;
         let mut total = 0;
         for p in d.truth.pairs().take(200) {

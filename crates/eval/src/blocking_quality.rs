@@ -73,7 +73,7 @@ mod tests {
     fn fig3_raw_blocks_have_full_pc() {
         let profiles = fig3_profiles();
         let truth = fig3_ground_truth();
-        let blocks = TokenBlocking::default().build(&profiles);
+        let blocks = TokenBlocking.build(&profiles);
         let q = blocking_quality(&blocks, &profiles, &truth);
         // Every pair co-occurs in "white" → all 15 distinct comparisons.
         assert_eq!(q.pc, 1.0);
@@ -86,7 +86,7 @@ mod tests {
     fn purging_trades_pc_for_pq() {
         let profiles = fig3_profiles();
         let truth = fig3_ground_truth();
-        let raw = TokenBlocking::default().build(&profiles);
+        let raw = TokenBlocking.build(&profiles);
         let purged = BlockPurger::paper_default().purge(raw.clone());
         let q_raw = blocking_quality(&raw, &profiles, &truth);
         let q_purged = blocking_quality(&purged, &profiles, &truth);
@@ -99,7 +99,7 @@ mod tests {
     fn filtering_preserves_most_pc() {
         let profiles = fig3_profiles();
         let truth = fig3_ground_truth();
-        let raw = TokenBlocking::default().build(&profiles);
+        let raw = TokenBlocking.build(&profiles);
         let filtered = BlockFilter::paper_default().filter(raw);
         let q = blocking_quality(&filtered, &profiles, &truth);
         assert!(q.pc >= 0.75, "filtering is recall-friendly: {q:?}");

@@ -18,6 +18,8 @@
 //! * [`streaming`] — epoch-annotated recall curves for the
 //!   ingest-while-resolving sessions of `sper-stream`.
 
+#![forbid(unsafe_code)]
+
 pub mod auc;
 pub mod blocking_quality;
 pub mod curve;

@@ -105,7 +105,7 @@ mod tests {
         // pairs; the third pair is deduced.
         let profiles = fig3_profiles();
         let truth = fig3_ground_truth();
-        let blocks = TokenBlocking::default().build(&profiles);
+        let blocks = TokenBlocking.build(&profiles);
         let pbs = Box::new(Pbs::from_blocks(blocks, WeightingScheme::Arcs));
         let result = run_with_oracle(pbs, &truth, profiles.len(), 1_000);
         assert_eq!(result.curve.matches_found(), truth.num_matches());

@@ -130,7 +130,7 @@ mod tests {
         // six-profile toy example.
         let result = run_progressive(
             || {
-                let blocks = TokenBlocking::default().build(&profiles);
+                let blocks = TokenBlocking.build(&profiles);
                 Box::new(Pbs::from_blocks(blocks, WeightingScheme::Arcs))
             },
             &truth,
@@ -182,7 +182,7 @@ mod tests {
         let truth = fig3_ground_truth();
         let result = run_progressive(
             || {
-                let blocks = TokenBlocking::default().build(&profiles);
+                let blocks = TokenBlocking.build(&profiles);
                 Box::new(Pbs::from_blocks(blocks, WeightingScheme::Arcs))
             },
             &truth,

@@ -148,7 +148,7 @@ mod tests {
         let matcher = JaccardMatcher::new(&text, 0.2);
         let result = run_timed(
             || {
-                let blocks = TokenBlocking::default().build(&profiles);
+                let blocks = TokenBlocking.build(&profiles);
                 Box::new(Pbs::from_blocks(blocks, WeightingScheme::Arcs))
             },
             &matcher,

@@ -13,6 +13,8 @@
 //! * [`MatchFunction`] — the binary match decision the progressive methods
 //!   are decoupled from (§7.3): oracle, edit-distance and Jaccard matchers.
 
+#![forbid(unsafe_code)]
+
 pub mod comparison;
 pub mod ground_truth;
 pub mod io;

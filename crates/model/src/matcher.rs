@@ -25,7 +25,7 @@ pub struct ProfileText {
 impl ProfileText {
     /// Extracts texts for all profiles of `collection`.
     pub fn extract(collection: &ProfileCollection) -> Self {
-        let tokenizer = Tokenizer::default();
+        let tokenizer = Tokenizer;
         let mut concat = Vec::with_capacity(collection.len());
         let mut token_sets = Vec::with_capacity(collection.len());
         for p in collection.iter() {
@@ -145,7 +145,7 @@ impl MatchFunction for JaccardMatcher<'_> {
 /// Convenience: extract text and apply a matcher to two loose profiles,
 /// bypassing collections (used in doctests and examples).
 pub fn profile_jaccard(a: &Profile, b: &Profile) -> f64 {
-    let tokenizer = Tokenizer::default();
+    let tokenizer = Tokenizer;
     jaccard_similarity_sorted(&a.token_set(&tokenizer), &b.token_set(&tokenizer))
 }
 

@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn profile_tokens_and_concat() {
         let coll = sample_dirty();
-        let t = Tokenizer::default();
+        let t = Tokenizer;
         assert_eq!(coll.get(ProfileId(0)).tokens(&t), vec!["carl", "white"]);
         assert_eq!(coll.get(ProfileId(0)).concat_values(), "Carl White");
         assert_eq!(
@@ -562,10 +562,7 @@ mod tests {
         assert_eq!(coll.len(), 3);
         assert_eq!(coll.len_first(), 3);
         assert_eq!(coll.get(ProfileId(1)).id, ProfileId(1));
-        assert!(coll
-            .get(ProfileId(1))
-            .tokens(&Tokenizer::default())
-            .is_empty());
+        assert!(coll.get(ProfileId(1)).tokens(&Tokenizer).is_empty());
         // Re-ingest lands on a fresh id, never the husk's.
         let re = coll.append_profile(vec![Attribute::new("name", "Karl White")]);
         assert_eq!(re, ProfileId(3));

@@ -127,8 +127,7 @@ pub struct HostInfo {
     /// Operating system, as compiled for (`std::env::consts::OS`).
     pub os: &'static str,
     /// SIMD instruction-set extensions detected at runtime (empty off
-    /// x86_64) — the features the spacc kernel dispatch can choose from,
-    /// so a committed baseline names the vector units it actually had.
+    /// x86_64), so a host stamp names the vector units its run had.
     pub cpu_features: Vec<&'static str>,
 }
 
@@ -147,8 +146,8 @@ impl HostInfo {
     }
 }
 
-/// The SIMD feature set relevant to the weighting kernels, in ascending
-/// capability order; empty off x86_64.
+/// The SIMD extensions the host stamp reports, in ascending capability
+/// order; empty off x86_64.
 fn cpu_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {

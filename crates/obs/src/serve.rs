@@ -52,8 +52,6 @@ pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 pub struct BuildInfo {
     /// Crate version (`CARGO_PKG_VERSION` of the binary).
     pub version: String,
-    /// Active similarity kernel path (e.g. `"simd"` or `"scalar"`).
-    pub kernel: String,
 }
 
 /// Handle to a running scrape server. Dropping it shuts the listener
@@ -83,7 +81,8 @@ impl ObsServer {
     }
 
     /// Connections accepted so far (counted at accept, so a client that
-    /// has seen its response close is guaranteed to be included).
+    /// has seen its response close is guaranteed to be included). Also
+    /// exported as the `serve.requests` counter when metrics are enabled.
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
@@ -150,6 +149,7 @@ pub fn serve(
                 // connection close (its read-to-EOF framing), the tally
                 // already includes it.
                 thread_requests.fetch_add(1, Ordering::Relaxed);
+                crate::count!("serve.requests");
                 let build = build.clone();
                 let ring = ring.clone();
                 let errors = Arc::clone(&thread_client_errors);
@@ -331,8 +331,6 @@ fn buildz_json(build: &BuildInfo) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"version\":");
     crate::trace::json_string(&mut out, &build.version);
-    out.push_str(",\"kernel\":");
-    crate::trace::json_string(&mut out, &build.kernel);
     out.push_str(",\"host\":{\"os\":");
     crate::trace::json_string(&mut out, host.os);
     out.push_str(",\"cores\":");
@@ -379,7 +377,6 @@ mod tests {
     fn test_build() -> BuildInfo {
         BuildInfo {
             version: "9.9.9-test".to_string(),
-            kernel: "scalar".to_string(),
         }
     }
 
@@ -415,7 +412,6 @@ mod tests {
         let (status, _, body) = get_path(addr, "/buildz");
         assert_eq!(status, 200);
         assert!(body.contains("\"version\":\"9.9.9-test\""), "{body}");
-        assert!(body.contains("\"kernel\":\"scalar\""), "{body}");
         assert!(body.contains("\"cores\":"), "{body}");
 
         let (status, _, _) = get_path(addr, "/nope");

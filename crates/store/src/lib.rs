@@ -29,6 +29,7 @@
 //! policy and the checkpoint-semantics argument.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod container;
 mod crc32;

@@ -35,7 +35,7 @@ use std::sync::Arc;
 /// b.add_profile([("name", "carl white")]);
 /// b.add_profile([("name", "karl white")]);
 /// let profiles = b.build();
-/// let blocks = TokenBlocking::default().build(&profiles);
+/// let blocks = TokenBlocking.build(&profiles);
 ///
 /// let mut snapshot = Snapshot::new(Arc::clone(blocks.interner()));
 /// snapshot.profiles = Some(profiles);

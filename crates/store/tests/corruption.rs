@@ -23,7 +23,7 @@ fn sample_snapshot_bytes() -> Vec<u8> {
         b.add_profile([("text", v)]);
     }
     let coll = b.build();
-    let mut blocks = TokenBlocking::default().build(&coll);
+    let mut blocks = TokenBlocking.build(&coll);
     blocks.sort_by_cardinality();
     let mut snapshot = Snapshot::new(Arc::clone(blocks.interner()));
     snapshot.profile_index = Some(ProfileIndex::build(&blocks));
@@ -227,7 +227,7 @@ fn semantically_corrupt_sections_are_typed() {
     b.add_profile([("t", "a b")]);
     b.add_profile([("t", "b c")]);
     let coll = b.build();
-    let blocks = TokenBlocking::default().build(&coll);
+    let blocks = TokenBlocking.build(&coll);
     let nl = NeighborList::build(&coll, 1);
     let index = ProfileIndex::build(&blocks);
 

@@ -85,7 +85,7 @@ const GOLDEN_EPOCH_BUDGET: u64 = 3;
 #[allow(dead_code)]
 fn build_golden_store() -> Store {
     let coll = golden_profiles();
-    let mut blocks = TokenBlocking::default().build(&coll);
+    let mut blocks = TokenBlocking.build(&coll);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
     let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
@@ -222,7 +222,7 @@ fn golden_fixture_loads_bit_identically() {
     // --- Snapshot half: arrays equal a fresh build of the same inputs ---
     let snapshot = Snapshot::from_store(&store).expect("snapshot half validates");
     let coll = golden_profiles();
-    let mut blocks = TokenBlocking::default().build(&coll);
+    let mut blocks = TokenBlocking.build(&coll);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
     let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);

@@ -63,7 +63,7 @@ proptest! {
     /// The interner vocabulary round-trips with every id preserved.
     #[test]
     fn interner_round_trips(coll in arbitrary_collection()) {
-        let blocks = TokenBlocking::default().build(&coll);
+        let blocks = TokenBlocking.build(&coll);
         let interner = blocks.interner();
         let back = substrates::decode_interner(&substrates::encode_interner(interner)).unwrap();
         prop_assert_eq!(back.len(), interner.len());
@@ -83,7 +83,7 @@ proptest! {
     /// Block collections round-trip to bit-identical CSR columns.
     #[test]
     fn blocks_round_trip(coll in arbitrary_collection()) {
-        let mut blocks = TokenBlocking::default().build(&coll);
+        let mut blocks = TokenBlocking.build(&coll);
         blocks.sort_by_cardinality();
         let bytes = substrates::encode_blocks(&blocks);
         let back = substrates::decode_blocks(&bytes, Arc::clone(blocks.interner())).unwrap();
@@ -99,7 +99,7 @@ proptest! {
     /// Frozen profile indexes round-trip to bit-identical CSR arrays.
     #[test]
     fn profile_index_round_trips(coll in arbitrary_collection()) {
-        let mut blocks = TokenBlocking::default().build(&coll);
+        let mut blocks = TokenBlocking.build(&coll);
         blocks.sort_by_cardinality();
         let index = ProfileIndex::build(&blocks);
         let bytes = substrates::encode_profile_index(&index);
@@ -180,7 +180,7 @@ proptest! {
     /// the CSR adjacency rebuilt identically.
     #[test]
     fn graph_round_trips(coll in arbitrary_collection()) {
-        let mut blocks = TokenBlocking::default().build(&coll);
+        let mut blocks = TokenBlocking.build(&coll);
         blocks.sort_by_cardinality();
         let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);
         let bytes = substrates::encode_graph(&graph);
@@ -223,7 +223,7 @@ proptest! {
     /// snapshot reproduces every bundled substrate.
     #[test]
     fn snapshot_file_round_trips(coll in arbitrary_collection(), seed in 0u64..8) {
-        let mut blocks = TokenBlocking::default().build(&coll);
+        let mut blocks = TokenBlocking.build(&coll);
         blocks.sort_by_cardinality();
         let interner = Arc::clone(blocks.interner());
         let index = ProfileIndex::build(&blocks);
@@ -265,7 +265,7 @@ proptest! {
 #[test]
 fn snapshot_rejects_foreign_interner() {
     let coll = dirty_collection(vec!["a b".into(), "b c".into()]);
-    let blocks = TokenBlocking::default().build(&coll);
+    let blocks = TokenBlocking.build(&coll);
     let mut snapshot = Snapshot::new(sper_text::TokenInterner::shared());
     snapshot.blocks = Some(blocks);
     assert!(matches!(
@@ -293,7 +293,7 @@ fn clean_clean_empty_second_source_round_trips() {
 #[test]
 fn empty_collection_round_trips() {
     let coll = ProfileCollectionBuilder::dirty().build();
-    let blocks = TokenBlocking::default().build(&coll);
+    let blocks = TokenBlocking.build(&coll);
     let bytes = substrates::encode_blocks(&blocks);
     let back = substrates::decode_blocks(&bytes, Arc::clone(blocks.interner())).unwrap();
     assert!(back.is_empty());

@@ -59,7 +59,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///   ids and updates the id-indexed block map in `O(|tokens| · log)`
 ///   amortized — no other profile is touched, no `String` is allocated.
 /// * [`Self::snapshot`] materializes a [`BlockCollection`] identical to
-///   `TokenBlocking::default().build(..)` on the current collection (same
+///   `TokenBlocking.build(..)` on the current collection (same
 ///   keys, same members, same key-sorted order), so every downstream
 ///   consumer (`Pbs::from_blocks`, `Pps::from_blocks`, purging, filtering)
 ///   works unchanged.
@@ -87,7 +87,7 @@ impl IncrementalTokenBlocking {
         Self {
             kind,
             n_profiles: 0,
-            tokenizer: Tokenizer::default(),
+            tokenizer: Tokenizer,
             interner: TokenInterner::shared(),
             block_of_token: Vec::new(),
             blocks: Vec::new(),
@@ -201,7 +201,7 @@ impl IncrementalTokenBlocking {
         Self {
             kind,
             n_profiles,
-            tokenizer: Tokenizer::default(),
+            tokenizer: Tokenizer,
             interner,
             block_of_token,
             blocks,
@@ -238,7 +238,7 @@ impl IncrementalTokenBlocking {
 
     /// Materializes the current blocks as a batch-identical
     /// [`BlockCollection`]: comparable blocks only, sorted by key string —
-    /// exactly what `TokenBlocking::default().build(..)` produces on the
+    /// exactly what `TokenBlocking.build(..)` produces on the
     /// same collection. Members marked in `retracted` (indexed by profile
     /// id) are filtered out lazily, so the snapshot is the same whether
     /// [`Self::compact`] already ran or not; `None` — nothing left to
@@ -353,7 +353,7 @@ impl IncrementalNeighborList {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            tokenizer: Tokenizer::default(),
+            tokenizer: Tokenizer,
             interner: TokenInterner::shared(),
             n_profiles: 0,
             runs: FxHashMap::default(),
@@ -402,7 +402,7 @@ impl IncrementalNeighborList {
             .collect();
         Self {
             seed,
-            tokenizer: Tokenizer::default(),
+            tokenizer: Tokenizer,
             interner,
             n_profiles,
             runs,
@@ -599,7 +599,7 @@ mod tests {
     #[test]
     fn snapshot_equals_batch_token_blocking() {
         let coll = collection(40);
-        let batch = TokenBlocking::default().build(&coll);
+        let batch = TokenBlocking.build(&coll);
         let inc = IncrementalTokenBlocking::from_collection(&coll);
         assert_eq!(
             keys_and_members(&inc.snapshot(None)),
@@ -691,7 +691,7 @@ mod tests {
         let id = coll.append_profile(vec![Attribute::new("n", "acme corporation")]);
         inc.add_profile(coll.get(id));
         let snap = inc.snapshot(None);
-        let batch = TokenBlocking::default().build(&coll);
+        let batch = TokenBlocking.build(&coll);
         assert_eq!(keys_and_members(&snap), keys_and_members(&batch));
         // The "acme" block now yields exactly the one cross-source pair.
         let acme = snap.iter().find(|b| &*b.key_str() == "acme").unwrap();
@@ -827,7 +827,7 @@ mod proptests {
         /// collection and every batching of its ingest.
         #[test]
         fn snapshot_equivalence(coll in arbitrary_collection(), split in 1usize..8) {
-            let batch = TokenBlocking::default().build(&coll);
+            let batch = TokenBlocking.build(&coll);
             let mut inc = IncrementalTokenBlocking::new(ErKind::Dirty);
             for chunk in coll.profiles().chunks(split) {
                 inc.add_batch(chunk);
@@ -868,7 +868,7 @@ mod proptests {
             }
             // Same interner: the batch build adds no token, so key ids and
             // the whole CSR layout must agree.
-            let batch = TokenBlocking::default().build_with_interner(
+            let batch = TokenBlocking.build_with_interner(
                 &husked,
                 Arc::clone(inc.interner()),
                 sper_blocking::Parallelism::SEQUENTIAL,

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sper-stream
 //!
 //! Incremental **ingest-while-resolving** sessions: the long-lived service

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 //! # sper-text
 //!
 //! Text-processing substrate for schema-agnostic entity resolution:
@@ -29,4 +30,4 @@ pub use levenshtein::{
 pub use normalize::normalize_token;
 pub use soundex::soundex;
 pub use suffixes::{suffixes_of, SuffixIter};
-pub use tokenize::{tokenize_value, tokenize_value_into, Tokenizer, TokenizerConfig};
+pub use tokenize::{tokenize_value, tokenize_value_into, Tokenizer};

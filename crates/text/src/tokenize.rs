@@ -2,8 +2,8 @@
 //!
 //! Token Blocking (§3, \[18\]) creates one block per distinct attribute-value
 //! token. The tokenizer splits attribute values on non-alphanumeric
-//! boundaries, normalizes each token, and optionally drops tokens that are
-//! too short to be discriminative.
+//! boundaries and normalizes each token; like the paper's workflow, it
+//! keeps every token, however short.
 //!
 //! For RDF-style values (URIs), splitting on non-alphanumeric boundaries
 //! yields the URI path fragments; the prefix fragments (`http`, `www`, domain parts) become
@@ -13,35 +13,13 @@
 use crate::interner::{TokenId, TokenInterner};
 use crate::normalize::normalize_token_into;
 
-/// Configuration for [`Tokenizer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenizerConfig {
-    /// Minimum token length (in bytes after normalization); shorter tokens
-    /// are discarded. The paper's workflow keeps all tokens, so the default
-    /// is 1.
-    pub min_token_len: usize,
-    /// When true, purely numeric tokens are kept (default). Disabling them is
-    /// occasionally useful for bibliographic data where page numbers are
-    /// noise.
-    pub keep_numeric: bool,
-}
-
-impl Default for TokenizerConfig {
-    fn default() -> Self {
-        Self {
-            min_token_len: 1,
-            keep_numeric: true,
-        }
-    }
-}
-
 /// Splits attribute values into normalized tokens.
 ///
 /// # Examples
 ///
 /// ```
 /// use sper_text::Tokenizer;
-/// let t = Tokenizer::default();
+/// let t = Tokenizer;
 /// assert_eq!(
 ///     t.tokenize("Emma White, WI Tailor"),
 ///     vec!["emma", "white", "wi", "tailor"]
@@ -53,21 +31,9 @@ impl Default for TokenizerConfig {
 /// );
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Tokenizer {
-    config: TokenizerConfig,
-}
+pub struct Tokenizer;
 
 impl Tokenizer {
-    /// Creates a tokenizer with the given configuration.
-    pub fn new(config: TokenizerConfig) -> Self {
-        Self { config }
-    }
-
-    /// Returns the configuration in use.
-    pub fn config(&self) -> &TokenizerConfig {
-        &self.config
-    }
-
     /// Tokenizes `value`, returning owned normalized tokens in order of
     /// appearance (duplicates preserved — block construction dedups later).
     pub fn tokenize(&self, value: &str) -> Vec<String> {
@@ -89,12 +55,6 @@ impl Tokenizer {
             if !normalize_token_into(raw, &mut buf) {
                 continue;
             }
-            if buf.len() < self.config.min_token_len {
-                continue;
-            }
-            if !self.config.keep_numeric && buf.bytes().all(|b| b.is_ascii_digit()) {
-                continue;
-            }
             f(&buf);
         }
     }
@@ -114,14 +74,14 @@ impl Tokenizer {
     }
 }
 
-/// Convenience wrapper: tokenize with the default configuration.
+/// Convenience wrapper: [`Tokenizer::tokenize`].
 pub fn tokenize_value(value: &str) -> Vec<String> {
-    Tokenizer::default().tokenize(value)
+    Tokenizer.tokenize(value)
 }
 
-/// Convenience wrapper: tokenize with the default configuration into `out`.
+/// Convenience wrapper: [`Tokenizer::tokenize_into`].
 pub fn tokenize_value_into(value: &str, out: &mut Vec<String>) {
-    Tokenizer::default().tokenize_into(value, out);
+    Tokenizer.tokenize_into(value, out);
 }
 
 #[cfg(test)]
@@ -158,26 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn min_len_filter() {
-        let t = Tokenizer::new(TokenizerConfig {
-            min_token_len: 3,
-            keep_numeric: true,
-        });
-        assert_eq!(t.tokenize("NY is a big city"), vec!["big", "city"]);
-    }
-
-    #[test]
-    fn numeric_filter() {
-        let t = Tokenizer::new(TokenizerConfig {
-            min_token_len: 1,
-            keep_numeric: false,
-        });
-        assert_eq!(t.tokenize("pages 42 to 58"), vec!["pages", "to"]);
-    }
-
-    #[test]
     fn accumulates_across_calls() {
-        let t = Tokenizer::default();
+        let t = Tokenizer;
         let mut out = Vec::new();
         t.tokenize_into("Carl", &mut out);
         t.tokenize_into("White", &mut out);
@@ -199,8 +141,8 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Every produced token is non-empty, normalized (lowercase ASCII
-        /// alphanumerics plus underscore), and at least `min_token_len` long.
+        /// Every produced token is non-empty and normalized (lowercase
+        /// ASCII alphanumerics, non-ASCII kept as is).
         #[test]
         fn tokens_are_normalized(s in "\\PC{0,64}") {
             for tok in tokenize_value(&s) {

@@ -42,7 +42,7 @@ fn main() {
     //    blocks → blocking graph → duplication likelihood per profile.
     //    (The 10% purging default is meant for large collections, so we use
     //    raw token blocks here.)
-    let blocks = sper::blocking::TokenBlocking::default().build(&profiles);
+    let blocks = sper::blocking::TokenBlocking.build(&profiles);
     let pps = sper::core::pps::Pps::from_blocks(blocks, WeightingScheme::Arcs, 3);
 
     // 3. Consume comparisons best-first. A real application would stop

@@ -49,9 +49,13 @@
 //! grammar.
 //!
 //! Every failure path reports a typed error and a nonzero exit code:
-//! usage errors (among them a flag the subcommand does not read) exit 2,
-//! runtime errors (IO, corrupt stores, bad data) exit 1. Salvage-with-losses and `.prev`-fallback resume succeed (exit
-//! 0) with warnings: recovering *something* is these modes' job.
+//! usage errors exit 2, runtime errors (IO, corrupt stores, bad data)
+//! exit 1. The whole line is parsed against the subcommand's grammar
+//! ([`GRAMMARS`]) before any output file opens, so a usage error — a flag
+//! the subcommand does not read, a repeated flag, a stray operand, a bad
+//! value — leaves every file as it was. Salvage-with-losses and
+//! `.prev`-fallback resume succeed (exit 0) with warnings: recovering
+//! *something* is these modes' job.
 //!
 //! * `report` — fuse a `--trace` JSONL and a `--metrics` JSON dump (plus
 //!   an optional recall CSV) into one self-contained HTML file.
@@ -71,6 +75,8 @@
 //! `--progress` renders a single in-place status line on a TTY stderr.
 //! None of it changes emissions: all output-producing paths are
 //! bit-identical with observability on or off.
+
+#![forbid(unsafe_code)]
 
 use sper::prelude::*;
 use sper_model::io as model_io;
@@ -100,16 +106,26 @@ macro_rules! say {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Before any sink opens a file: a misspelled flag must not truncate
-    // the `--trace` it shares a line with.
-    if let Err(err) = check_flags(&args) {
-        return failure(err);
-    }
-    let mut obs = match ObsSetup::from_args(&args) {
+    // The whole line is parsed, and the failpoints armed, before any sink
+    // opens a file: a usage error must neither truncate the `--trace` nor
+    // create the `--metrics` it shares a line with.
+    let (line, command) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(err) => return failure(err),
+    };
+    let armed = match arm_failpoints(line.value("--failpoints")) {
+        Ok(armed) => armed,
+        Err(err) => return failure(err),
+    };
+    let mut obs = match ObsSetup::from_line(&line, matches!(command, Command::Report(_))) {
         Ok(obs) => obs,
         Err(err) => return failure(err),
     };
-    let result = run(&args);
+    if armed > 0 {
+        // Armed before the trace sink existed; recorded now that it does.
+        event!(Level::Info, "fault.armed", sites = armed);
+    }
+    let result = run(command);
     if let Err(err) = obs.finish() {
         say!("error: {err}");
         return ExitCode::FAILURE;
@@ -149,36 +165,30 @@ struct ObsSetup {
 }
 
 impl ObsSetup {
-    /// Parses the observability flags (`-v`/`-vv`, `--trace`, `--metrics`,
-    /// `--listen`, `--profile`, `--chrome-trace`, `--progress`),
-    /// installing sinks, starting the scrape server, and enabling the
-    /// metrics registry as requested.
+    /// Installs what the observability flags of `line` ask for (`-v`/`-vv`,
+    /// `--trace`, `--metrics`, `--listen`, `--profile`, `--chrome-trace`,
+    /// `--progress`): sinks, the scrape server, the metrics registry.
+    /// `reading` marks `sper report`, whose `--trace` and `--metrics` are
+    /// inputs: installing the writer sinks would truncate them.
     ///
     /// Each sink filters independently: the stderr sink shows exactly the
     /// `-v` level however detailed the global threshold is, while the
     /// trace file, the flight-recorder ring, and the profiler capture
     /// always get Debug detail. The global threshold is the most detailed
     /// level any installed sink wants.
-    fn from_args(args: &[String]) -> Result<Self, CliError> {
-        let verbosity = args
-            .iter()
-            .map(|a| match a.as_str() {
-                "-v" => 1usize,
-                "-vv" => 2,
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        // `sper report` *consumes* `--trace`/`--metrics` files; installing
-        // the writer sinks would truncate its inputs. Only `-v` applies.
-        let reading = args.first().map(String::as_str) == Some("report");
-        let output = |name: &str| if reading { Ok(None) } else { flag(args, name) };
-        let trace_path = output("--trace")?;
-        let metrics_out = output("--metrics")?;
-        let profile_out = output("--profile")?;
-        let chrome_out = output("--chrome-trace")?;
-        let listen = output("--listen")?;
-        let progress_wanted = !reading && args.iter().any(|a| a == "--progress");
+    fn from_line(line: &Line, reading: bool) -> Result<Self, CliError> {
+        let verbosity = if line.has("-vv") {
+            2
+        } else {
+            usize::from(line.has("-v"))
+        };
+        let output = |name: &str| if reading { None } else { line.value(name) };
+        let trace_path = output("--trace");
+        let metrics_out = output("--metrics");
+        let profile_out = line.value("--profile");
+        let chrome_out = line.value("--chrome-trace");
+        let listen = line.value("--listen");
+        let progress_wanted = line.has("--progress");
 
         let mut sinks: Vec<Arc<dyn sper_obs::Sink>> = Vec::new();
         if verbosity > 0 {
@@ -220,11 +230,16 @@ impl ObsSetup {
             };
             sper_obs::trace::install_sink(sink, level);
         }
+        // The scrape endpoint and the progress line both read the
+        // registry, so either one turns it on — before the server starts,
+        // so the server's own request count is in the first scrape.
+        if metrics_out.is_some() || listen.is_some() || progress_wanted {
+            sper_obs::metrics::set_enabled(true);
+        }
         let server = listen
             .map(|addr| {
                 let build = sper_obs::BuildInfo {
                     version: env!("CARGO_PKG_VERSION").to_string(),
-                    kernel: sper::blocking::KernelPath::active().name().to_string(),
                 };
                 let server = sper_obs::serve(addr.as_str(), build, ring.clone())
                     .map_err(CliError::io(addr.as_str()))?;
@@ -234,11 +249,6 @@ impl ObsSetup {
                 Ok::<_, CliError>(server)
             })
             .transpose()?;
-        // The scrape endpoint and the progress line both read the
-        // registry, so either one turns it on.
-        if metrics_out.is_some() || server.is_some() || progress_wanted {
-            sper_obs::metrics::set_enabled(true);
-        }
         // The progress line owns the terminal's current row: suppressed
         // when stderr is not a TTY (it would garble piped output) or when
         // `-v` already streams records onto the same stream.
@@ -392,7 +402,7 @@ impl CliError {
 }
 
 const USAGE: &str = "usage:
-  sper resolve  <profiles.csv> [--method psn|sa-psn|sa-psab|ls-psn|gs-psn|pbs|pps]
+  sper resolve  <profiles.csv> [--method sa-psn|sa-psab|ls-psn|gs-psn|pbs|pps]
                 [--budget N] [--threshold T] [--threads N]
   sper evaluate <profiles.csv> <matches.csv> [--method M] [--ec-star X] [--threads N]
   sper generate <census|restaurant|cora|cddb|movies|dbpedia|freebase>
@@ -432,103 +442,416 @@ damaged store. --failpoints SPEC (or SPER_FAILPOINTS) arms deterministic
 fault injection, e.g. 'store.rename=1*err(io);store.fsync=1in5*delay(50)'
 (see the sper_obs::fault docs for sites, actions, and triggers).";
 
-/// The flags every subcommand accepts: the observability flags
-/// [`ObsSetup::from_args`] reads and the `--failpoints` spec `run` arms.
-const GLOBAL_FLAGS: &[&str] = &[
-    "--trace",
-    "--metrics",
-    "--profile",
-    "--chrome-trace",
-    "--listen",
-    "--progress",
-    "--failpoints",
+/// Every subcommand's grammar: its name, the operands it takes in order
+/// (each named for the error when it is missing), and a synopsis of the
+/// flags it reads besides [`COMMON_FLAGS`] and [`SINK_FLAGS`], where a
+/// placeholder after a flag (`--out FILE`) marks a flag that takes a
+/// value. `snapshot --salvage` is a mode of its own that reads only
+/// `--out`.
+const GRAMMARS: &[(&str, &[&str], &str)] = &[
+    (
+        "resolve",
+        &["a CSV path"],
+        "--method M --budget N --threshold T --threads N",
+    ),
+    (
+        "evaluate",
+        &["a profiles CSV path", "a matches CSV path"],
+        "--method M --ec-star X --threads N",
+    ),
+    (
+        "generate",
+        &["a dataset name"],
+        "--scale S --out FILE --truth FILE",
+    ),
+    (
+        "stream",
+        &["a dataset name or CSV path"],
+        "--method M --batches N --epoch-budget N --scale S --truth FILE --exhaustive \
+         --threads N --checkpoint FILE --checkpoint-every N --on-checkpoint-failure POLICY \
+         --mutations FILE --emit-pairs FILE",
+    ),
+    (
+        "snapshot",
+        &["a dataset name or CSV path"],
+        "--scale S --seed N --out FILE --with-graph",
+    ),
+    (
+        "snapshot --salvage",
+        &["a .sper path"],
+        "--salvage --out FILE",
+    ),
+    (
+        "resume",
+        &["a checkpoint path"],
+        "--epoch-budget N --threads N --checkpoint FILE --emit-pairs FILE",
+    ),
+    (
+        "report",
+        &[],
+        "--trace FILE --metrics FILE --recall FILE --out FILE --title NAME",
+    ),
 ];
 
-/// The flags the subcommand of `args` reads besides [`GLOBAL_FLAGS`],
-/// `None` for an unknown subcommand. `snapshot --salvage` is a mode of its
-/// own that reads only `--out`.
-fn subcommand_flags(args: &[String]) -> Option<&'static [&'static str]> {
-    Some(match args.first().map_or("", String::as_str) {
-        "resolve" => &["--method", "--budget", "--threshold", "--threads"],
-        "evaluate" => &["--method", "--ec-star", "--threads"],
-        "generate" => &["--scale", "--out", "--truth"],
-        "stream" => &[
-            "--method",
-            "--batches",
-            "--epoch-budget",
-            "--scale",
-            "--truth",
-            "--exhaustive",
-            "--threads",
-            "--checkpoint",
-            "--checkpoint-every",
-            "--on-checkpoint-failure",
-            "--mutations",
-            "--emit-pairs",
-        ],
-        "snapshot" if args.iter().any(|a| a == "--salvage") => &["--salvage", "--out"],
-        "snapshot" => &["--scale", "--truth", "--seed", "--out", "--with-graph"],
-        "resume" => &[
-            "--epoch-budget",
-            "--threads",
-            "--checkpoint",
-            "--emit-pairs",
-        ],
-        "report" => &["--out", "--recall", "--title"],
-        _ => return None,
-    })
+/// The flags every subcommand reads: the `-v` levels and the
+/// `--failpoints` spec `main` arms.
+const COMMON_FLAGS: &str = "-v -vv --failpoints SPEC";
+
+/// The output flags [`ObsSetup::from_line`] opens, read by every
+/// subcommand but `report`, whose `--trace` and `--metrics` are inputs.
+const SINK_FLAGS: &str =
+    "--trace FILE --metrics FILE --profile FILE --chrome-trace FILE --listen ADDR --progress";
+
+/// The flag `word` names in the flag synopsis `synopsis`, and whether it
+/// takes a value.
+fn lookup(synopsis: &'static str, word: &str) -> Option<(&'static str, bool)> {
+    let mut tokens = synopsis.split_whitespace().peekable();
+    while let Some(flag) = tokens.next() {
+        let takes_value = tokens.next_if(|t| !t.starts_with('-')).is_some();
+        if flag == word {
+            return Some((flag, takes_value));
+        }
+    }
+    None
 }
 
-/// Rejects an unknown subcommand and any `--flag` that neither the
-/// subcommand nor [`GLOBAL_FLAGS`] reads: `--with-grph` or `--batchs 3`
-/// is a usage error, not a flag silently ignored.
-fn check_flags(args: &[String]) -> Result<(), CliError> {
-    let subcommand = args.first().map_or("", String::as_str);
-    let known =
-        subcommand_flags(args).ok_or_else(|| CliError::usage("missing or unknown subcommand"))?;
-    match args[1..].iter().find(|a| {
-        a.starts_with("--") && !known.contains(&a.as_str()) && !GLOBAL_FLAGS.contains(&a.as_str())
-    }) {
-        Some(unknown) => Err(CliError::usage(format!(
-            "{subcommand} has no flag {unknown}"
-        ))),
-        None => Ok(()),
+/// A command line split by its subcommand's grammar ([`GRAMMARS`]): the
+/// operands, and every flag given with its value (`None` for a switch).
+struct Line {
+    operands: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Line {
+    /// Splits the words after the subcommand `sub`. Operands come first;
+    /// every later word is a flag of the grammar or the value of the flag
+    /// before it. Each of these is a usage error: a flag the grammar does
+    /// not hold, a flag given twice, a value flag with no value (last on
+    /// the line, or followed by another `--flag`, so `--out --truth t.csv`
+    /// cannot write a file named `--truth`), a word after a switch, and
+    /// an operand more or fewer than the grammar takes.
+    fn split(
+        sub: &str,
+        words: &[String],
+        operand_names: &[&str],
+        synopsis: &'static str,
+    ) -> Result<Self, CliError> {
+        let sinks = if sub == "report" { "" } else { SINK_FLAGS };
+        let mut words = words.iter().peekable();
+        let mut operands = Vec::new();
+        while let Some(word) = words.next_if(|w| !w.starts_with('-')) {
+            operands.push(word.clone());
+        }
+        if let Some(extra) = operands.get(operand_names.len()) {
+            return Err(CliError::usage(format!(
+                "{sub}: unexpected operand '{extra}'"
+            )));
+        }
+        if let Some(missing) = operand_names.get(operands.len()) {
+            return Err(CliError::usage(format!("{sub} needs {missing}")));
+        }
+        let mut flags: Vec<(&'static str, Option<String>)> = Vec::new();
+        while let Some(word) = words.next() {
+            let known = [synopsis, COMMON_FLAGS, sinks];
+            let Some((name, takes_value)) = known.into_iter().find_map(|s| lookup(s, word)) else {
+                return Err(CliError::usage(match flags.last() {
+                    _ if word.starts_with('-') => format!("{sub} has no flag {word}"),
+                    Some((name, None)) => format!("{name} takes no value, got '{word}'"),
+                    _ => format!("{sub}: unexpected operand '{word}'"),
+                }));
+            };
+            if flags.iter().any(|(given, _)| *given == name) {
+                return Err(CliError::usage(format!("{name} given twice")));
+            }
+            let value = if takes_value {
+                let value = words
+                    .next_if(|w| !w.starts_with("--"))
+                    .ok_or_else(|| CliError::usage(format!("{name} needs a value")))?;
+                Some(value.clone())
+            } else {
+                None
+            };
+            flags.push((name, value));
+        }
+        Ok(Self { operands, flags })
+    }
+
+    /// Whether the flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of the value flag `name`, `None` when it is absent.
+    fn value(&self, name: &str) -> Option<String> {
+        self.flags
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, v)| v.clone())
+    }
+
+    /// The value of `name` parsed as a `T`; a value that does not parse
+    /// is a usage error.
+    fn parse<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value(name)
+            .map(|s| {
+                s.parse()
+                    .map_err(|e| CliError::usage(format!("{name}: {e}")))
+            })
+            .transpose()
+    }
+
+    /// `--threads N` (validated ≥ 1), `None` when absent.
+    fn threads(&self) -> Result<Option<Parallelism>, CliError> {
+        self.parse("--threads")?
+            .map(|n| Parallelism::new(n).map_err(|e| CliError::usage(format!("--threads: {e}"))))
+            .transpose()
+    }
+
+    /// `--method M`, defaulting to PPS. PSN is a usage error: it needs a
+    /// schema key per profile, which no subcommand supplies.
+    fn method(&self) -> Result<ProgressiveMethod, CliError> {
+        let method = parse_method(&self.value("--method").unwrap_or_else(|| "pps".into()))?;
+        if method.is_schema_based() {
+            return Err(CliError::usage(
+                "PSN needs schema keys; use a schema-agnostic method",
+            ));
+        }
+        Ok(method)
+    }
+
+    /// A positive finite number flag (`--scale`, `--ec-star`), `None`
+    /// when absent.
+    fn positive_number(&self, name: &str) -> Result<Option<f64>, CliError> {
+        match self.parse::<f64>(name)? {
+            Some(x) if !(x.is_finite() && x > 0.0) => {
+                Err(CliError::usage(format!("{name} must be a positive number")))
+            }
+            x => Ok(x),
+        }
+    }
+
+    /// A positive count flag: 0 is a usage error.
+    fn positive_count(&self, name: &str) -> Result<Option<usize>, CliError> {
+        match self.parse(name)? {
+            Some(0) => Err(CliError::usage(format!("{name} must be ≥ 1"))),
+            n => Ok(n),
+        }
     }
 }
 
-/// The value of the value flag `name`, `None` when it is absent. A flag
-/// present without a value — last on the line, or followed by another
-/// `--flag` — is a usage error: `--out --truth t.csv` must not write a
-/// file named `--truth`, and a trailing `--emit-pairs` must not vanish.
-fn flag(args: &[String], name: &str) -> Result<Option<String>, CliError> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
+/// A subcommand with every operand and flag value parsed.
+enum Command {
+    Resolve(ResolveOptions),
+    Evaluate(EvaluateOptions),
+    Generate(GenerateOptions),
+    Stream(StreamOptions),
+    Snapshot(SnapshotOptions),
+    Salvage { path: String, out: Option<String> },
+    Resume(ResumeOptions),
+    Report(ReportOptions),
+}
+
+struct ResolveOptions {
+    path: String,
+    method: ProgressiveMethod,
+    /// `None`: ten comparisons per profile.
+    budget: Option<u64>,
+    threshold: f64,
+    threads: Parallelism,
+}
+
+struct EvaluateOptions {
+    profiles: String,
+    matches: String,
+    method: ProgressiveMethod,
+    ec_star: f64,
+    threads: Parallelism,
+}
+
+struct GenerateOptions {
+    kind: DatasetKind,
+    scale: f64,
+    out: Option<String>,
+    truth: Option<String>,
+}
+
+struct StreamOptions {
+    source: Source,
+    method: ProgressiveMethod,
+    batches: usize,
+    epoch_budget: Option<u64>,
+    exhaustive: bool,
+    threads: Parallelism,
+    /// The checkpoint file, its cadence in epochs, and the failure policy.
+    checkpoint: Option<(String, usize, OnCheckpointFailure)>,
+    mutations: Option<String>,
+    emit_pairs: Option<String>,
+}
+
+struct SnapshotOptions {
+    source: Source,
+    seed: u64,
+    out: String,
+    with_graph: bool,
+}
+
+struct ResumeOptions {
+    path: String,
+    epoch_budget: Option<u64>,
+    /// `None` keeps the checkpoint's thread count.
+    threads: Option<Parallelism>,
+    checkpoint: Option<String>,
+    emit_pairs: Option<String>,
+}
+
+struct ReportOptions {
+    trace: String,
+    metrics: Option<String>,
+    recall: Option<String>,
+    out: String,
+    title: Option<String>,
+}
+
+/// A dataset operand: a generated twin at `--scale`, or a CSV path whose
+/// ground truth comes from `--truth`. A flag of the other kind is a usage
+/// error rather than a flag silently ignored.
+enum Source {
+    Twin { kind: DatasetKind, scale: f64 },
+    Csv { path: String, truth: Option<String> },
+}
+
+impl Source {
+    fn parse(operand: &str, line: &Line) -> Result<Self, CliError> {
+        let scale = line.positive_number("--scale")?;
+        let truth = line.value("--truth");
+        match parse_dataset(operand) {
+            Ok(kind) if truth.is_some() => Err(CliError::usage(format!(
+                "--truth reads a CSV's matches; {} brings its own",
+                kind.name()
+            ))),
+            Ok(kind) => Ok(Source::Twin {
+                kind,
+                scale: scale.unwrap_or(1.0),
+            }),
+            Err(_) if scale.is_some() => Err(CliError::usage(format!(
+                "--scale sizes a generated dataset, not the CSV {operand}"
+            ))),
+            Err(_) => Ok(Source::Csv {
+                path: operand.to_string(),
+                truth,
+            }),
+        }
+    }
+}
+
+/// Parses the whole command line: the subcommand, its operands and every
+/// flag value. Nothing is opened, written or armed here, so a usage error
+/// found at any point leaves every output file as it was.
+fn parse(args: &[String]) -> Result<(Line, Command), CliError> {
+    let sub = args.first().map_or("", String::as_str);
+    let salvage = sub == "snapshot" && args.iter().any(|a| a == "--salvage");
+    let mode = if salvage { "snapshot --salvage" } else { sub };
+    let &(_, operand_names, synopsis) = GRAMMARS
+        .iter()
+        .find(|(name, ..)| *name == mode)
+        .ok_or_else(|| CliError::usage("missing or unknown subcommand"))?;
+    let line = Line::split(sub, &args[1..], operand_names, synopsis)?;
+    let operand = |i: usize| line.operands[i].clone();
+    let command = match sub {
+        "resolve" => Command::Resolve(ResolveOptions {
+            path: operand(0),
+            method: line.method()?,
+            budget: line.parse("--budget")?,
+            threshold: line.parse("--threshold")?.unwrap_or(0.5),
+            threads: line.threads()?.unwrap_or_else(Parallelism::available),
+        }),
+        "evaluate" => Command::Evaluate(EvaluateOptions {
+            profiles: operand(0),
+            matches: operand(1),
+            method: line.method()?,
+            ec_star: line.positive_number("--ec-star")?.unwrap_or(10.0),
+            threads: line.threads()?.unwrap_or_else(Parallelism::available),
+        }),
+        "generate" => Command::Generate(GenerateOptions {
+            kind: parse_dataset(&line.operands[0])?,
+            scale: line.positive_number("--scale")?.unwrap_or(1.0),
+            out: line.value("--out"),
+            truth: line.value("--truth"),
+        }),
+        "stream" => {
+            let every = line.positive_count("--checkpoint-every")?;
+            let on_failure = line
+                .value("--on-checkpoint-failure")
+                .map(|s| {
+                    OnCheckpointFailure::parse(&s).ok_or_else(|| {
+                        CliError::usage("--on-checkpoint-failure must be `abort` or `continue`")
+                    })
+                })
+                .transpose()?;
+            let checkpoint = match line.value("--checkpoint") {
+                Some(path) => Some((
+                    path,
+                    every.unwrap_or(1),
+                    on_failure.unwrap_or(OnCheckpointFailure::Abort),
+                )),
+                None if every.is_some() => {
+                    return Err(CliError::usage(
+                        "--checkpoint-every needs --checkpoint FILE",
+                    ))
+                }
+                None if on_failure.is_some() => {
+                    return Err(CliError::usage(
+                        "--on-checkpoint-failure needs --checkpoint FILE",
+                    ))
+                }
+                None => None,
+            };
+            Command::Stream(StreamOptions {
+                source: Source::parse(&line.operands[0], &line)?,
+                method: line.method()?,
+                batches: line.positive_count("--batches")?.unwrap_or(5),
+                epoch_budget: line.parse("--epoch-budget")?,
+                exhaustive: line.has("--exhaustive"),
+                threads: line.threads()?.unwrap_or_else(Parallelism::available),
+                checkpoint,
+                mutations: line.value("--mutations"),
+                emit_pairs: line.value("--emit-pairs"),
+            })
+        }
+        "snapshot" if salvage => Command::Salvage {
+            path: operand(0),
+            out: line.value("--out"),
+        },
+        "snapshot" => Command::Snapshot(SnapshotOptions {
+            source: Source::parse(&line.operands[0], &line)?,
+            seed: line.parse("--seed")?.unwrap_or(42),
+            out: line
+                .value("--out")
+                .unwrap_or_else(|| "snapshot.sper".into()),
+            with_graph: line.has("--with-graph"),
+        }),
+        "resume" => Command::Resume(ResumeOptions {
+            path: operand(0),
+            epoch_budget: line.parse("--epoch-budget")?,
+            threads: line.threads()?,
+            checkpoint: line.value("--checkpoint"),
+            emit_pairs: line.value("--emit-pairs"),
+        }),
+        // `report`, the one grammar left.
+        _ => Command::Report(ReportOptions {
+            trace: line
+                .value("--trace")
+                .ok_or_else(|| CliError::usage("report needs --trace FILE (a JSON-lines trace)"))?,
+            metrics: line.value("--metrics"),
+            recall: line.value("--recall"),
+            out: line.value("--out").unwrap_or_else(|| "report.html".into()),
+            title: line.value("--title"),
+        }),
     };
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
-        _ => Err(CliError::usage(format!("{name} needs a value"))),
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError>
-where
-    T::Err: std::fmt::Display,
-{
-    flag(args, name)?
-        .map(|s| {
-            s.parse()
-                .map_err(|e| CliError::usage(format!("{name}: {e}")))
-        })
-        .transpose()
-}
-
-/// `--threads N` (validated ≥ 1), defaulting to the machine's available
-/// parallelism. Emission order does not depend on the choice.
-fn parse_threads(args: &[String]) -> Result<Parallelism, CliError> {
-    match parse_flag(args, "--threads")? {
-        None => Ok(Parallelism::available()),
-        Some(n) => Parallelism::new(n).map_err(|e| CliError::usage(format!("--threads: {e}"))),
-    }
+    Ok((line, command))
 }
 
 fn parse_method(s: &str) -> Result<ProgressiveMethod, CliError> {
@@ -544,10 +867,6 @@ fn parse_method(s: &str) -> Result<ProgressiveMethod, CliError> {
     })
 }
 
-fn method_flag(args: &[String]) -> Result<ProgressiveMethod, CliError> {
-    parse_method(&flag(args, "--method")?.unwrap_or_else(|| "pps".into()))
-}
-
 fn parse_dataset(s: &str) -> Result<DatasetKind, CliError> {
     DatasetKind::ALL
         .into_iter()
@@ -558,26 +877,25 @@ fn parse_dataset(s: &str) -> Result<DatasetKind, CliError> {
 /// Arms the fault-injection harness: `--failpoints SPEC` wins over the
 /// `SPER_FAILPOINTS` environment variable. A malformed spec is a usage
 /// error (exit 2) — a typo must not silently run an unfaulted schedule.
-fn arm_failpoints(args: &[String]) -> Result<(), CliError> {
-    match flag(args, "--failpoints")? {
+/// Returns the number of armed sites.
+fn arm_failpoints(spec: Option<String>) -> Result<usize, CliError> {
+    match spec {
         Some(spec) => sper_obs::fault::arm(&spec),
         None => sper_obs::fault::arm_from_env(),
     }
-    .map(|_| ())
     .map_err(|e| CliError::usage(e.to_string()))
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
-    arm_failpoints(args)?;
-    match args.first().map(String::as_str) {
-        Some("resolve") => resolve(args),
-        Some("evaluate") => evaluate(args),
-        Some("generate") => generate(args),
-        Some("stream") => stream(args),
-        Some("snapshot") => snapshot(args),
-        Some("resume") => resume(args),
-        Some("report") => report(args),
-        _ => Err(CliError::usage("missing or unknown subcommand")),
+fn run(command: Command) -> Result<(), CliError> {
+    match command {
+        Command::Resolve(opts) => resolve(opts),
+        Command::Evaluate(opts) => evaluate(opts),
+        Command::Generate(opts) => generate(opts),
+        Command::Stream(opts) => stream(opts),
+        Command::Snapshot(opts) => snapshot(opts),
+        Command::Salvage { path, out } => salvage(&path, out),
+        Command::Resume(opts) => resume(opts),
+        Command::Report(opts) => report(opts),
     }
 }
 
@@ -597,43 +915,29 @@ fn load_truth(path: &str, n_profiles: usize) -> Result<GroundTruth, CliError> {
     })
 }
 
-/// Loads a dataset operand: a known twin name (generated, truth included)
-/// or a CSV path (truth via `--truth`).
-fn load_source(
-    args: &[String],
-    source: &str,
-) -> Result<(ProfileCollection, Option<GroundTruth>), CliError> {
-    match parse_dataset(source) {
-        Ok(kind) => {
-            let scale: f64 = parse_flag(args, "--scale")?.unwrap_or(1.0);
-            let data = DatasetSpec::paper(kind).with_scale(scale).generate();
+/// Loads a dataset operand: a generated twin (truth included) or a CSV
+/// file (truth from `--truth`).
+fn load_source(source: &Source) -> Result<(ProfileCollection, Option<GroundTruth>), CliError> {
+    match source {
+        Source::Twin { kind, scale } => {
+            let data = DatasetSpec::paper(*kind).with_scale(*scale).generate();
             Ok((data.profiles, Some(data.truth)))
         }
-        Err(_) => {
-            let profiles = load_profiles(source)?;
-            let truth = flag(args, "--truth")?
-                .map(|p| load_truth(&p, profiles.len()))
+        Source::Csv { path, truth } => {
+            let profiles = load_profiles(path)?;
+            let truth = truth
+                .as_deref()
+                .map(|p| load_truth(p, profiles.len()))
                 .transpose()?;
             Ok((profiles, truth))
         }
     }
 }
 
-fn resolve(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .get(1)
-        .ok_or_else(|| CliError::usage("resolve needs a CSV path"))?;
-    let profiles = load_profiles(path)?;
-    let method = method_flag(args)?;
-    if method.is_schema_based() {
-        return Err(CliError::usage(
-            "PSN needs schema keys; use a schema-agnostic method",
-        ));
-    }
-    let budget: u64 = parse_flag(args, "--budget")?.unwrap_or(10 * profiles.len() as u64);
-    let threshold: f64 = parse_flag(args, "--threshold")?.unwrap_or(0.5);
-
-    let threads = parse_threads(args)?;
+fn resolve(opts: ResolveOptions) -> Result<(), CliError> {
+    let (method, threshold, threads) = (opts.method, opts.threshold, opts.threads);
+    let profiles = load_profiles(&opts.path)?;
+    let budget = opts.budget.unwrap_or(10 * profiles.len() as u64);
     event!(
         Level::Info,
         "cli.resolve",
@@ -694,21 +998,13 @@ fn resolve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn evaluate(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .get(1)
-        .ok_or_else(|| CliError::usage("evaluate needs a profiles CSV path"))?;
-    let matches_path = args
-        .get(2)
-        .ok_or_else(|| CliError::usage("evaluate needs a matches CSV path"))?;
-    let profiles = load_profiles(path)?;
-    let truth = load_truth(matches_path, profiles.len())?;
-    let method = method_flag(args)?;
-    let ec_star: f64 = parse_flag(args, "--ec-star")?.unwrap_or(10.0);
-
-    let config = MethodConfig::default().with_threads(parse_threads(args)?);
+fn evaluate(opts: EvaluateOptions) -> Result<(), CliError> {
+    let ec_star = opts.ec_star;
+    let profiles = load_profiles(&opts.profiles)?;
+    let truth = load_truth(&opts.matches, profiles.len())?;
+    let config = MethodConfig::default().with_threads(opts.threads);
     let result = run_progressive(
-        || sper::core::build_method(method, &profiles, &config, None),
+        || sper::core::build_method(opts.method, &profiles, &config, None),
         &truth,
         RunOptions {
             max_ec_star: ec_star,
@@ -903,55 +1199,26 @@ fn apply_mutations(
 /// `--mutations FILE` replays a scripted update/delete feed against the
 /// stream (see [`load_mutations`]); `--emit-pairs FILE` records every
 /// emission as `first,second,<weight bits as hex>` for bit-exact diffing.
-fn stream(args: &[String]) -> Result<(), CliError> {
-    let source = args
-        .get(1)
-        .ok_or_else(|| CliError::usage("stream needs a dataset name or CSV path"))?;
-    let method = method_flag(args)?;
-    if method.is_schema_based() {
-        return Err(CliError::usage(
-            "PSN needs schema keys; streaming is schema-agnostic",
-        ));
-    }
-    let n_batches: usize = parse_flag(args, "--batches")?.unwrap_or(5);
-    if n_batches == 0 {
-        return Err(CliError::usage("--batches must be ≥ 1"));
-    }
-    let epoch_budget: Option<u64> = parse_flag(args, "--epoch-budget")?;
-    let checkpoint_path = flag(args, "--checkpoint")?;
-    let checkpoint_every: Option<usize> = parse_flag(args, "--checkpoint-every")?;
-    if checkpoint_every == Some(0) {
-        return Err(CliError::usage("--checkpoint-every must be ≥ 1"));
-    }
-    if checkpoint_path.is_none() && checkpoint_every.is_some() {
-        return Err(CliError::usage(
-            "--checkpoint-every needs --checkpoint FILE",
-        ));
-    }
-    let checkpoint_every = checkpoint_every.unwrap_or(1);
-    let on_failure = flag(args, "--on-checkpoint-failure")?;
-    let on_checkpoint_failure = match &on_failure {
-        None => OnCheckpointFailure::Abort,
-        Some(s) => OnCheckpointFailure::parse(s).ok_or_else(|| {
-            CliError::usage("--on-checkpoint-failure must be `abort` or `continue`")
-        })?,
-    };
-    if checkpoint_path.is_none() && on_failure.is_some() {
-        return Err(CliError::usage(
-            "--on-checkpoint-failure needs --checkpoint FILE",
-        ));
-    }
-    let mutations_path = flag(args, "--mutations")?;
-    let emit_pairs_path = flag(args, "--emit-pairs")?;
+fn stream(opts: StreamOptions) -> Result<(), CliError> {
+    let StreamOptions {
+        source,
+        method,
+        batches: n_batches,
+        epoch_budget,
+        exhaustive,
+        threads,
+        checkpoint,
+        mutations: mutations_path,
+        emit_pairs: emit_pairs_path,
+    } = opts;
+    let (profiles, truth) = load_source(&source)?;
 
-    let (profiles, truth) = load_source(args, source)?;
-
-    let session_config = if args.iter().any(|a| a == "--exhaustive") {
+    let session_config = if exhaustive {
         SessionConfig::exhaustive(method)
     } else {
         SessionConfig::new(method)
     }
-    .with_threads(parse_threads(args)?);
+    .with_threads(threads);
     // Dirty tasks stream every profile into an empty base. Clean-clean
     // tasks fix `P1` as the session base and stream only `P2` — appends to
     // a Clean-clean collection join the second source, so ids (and the
@@ -1007,9 +1274,10 @@ fn stream(args: &[String]) -> Result<(), CliError> {
     // Checkpoints go through the self-healing writer: bounded retries
     // with jittered backoff, last-good rotation to FILE.prev, and the
     // `--on-checkpoint-failure` policy when retries run dry.
-    let mut checkpointer = checkpoint_path
-        .as_ref()
-        .map(|p| CheckpointWriter::new(p).with_on_failure(on_checkpoint_failure));
+    let mut checkpointer = checkpoint.map(|(path, every, on_failure)| {
+        let writer = CheckpointWriter::new(&path).with_on_failure(on_failure);
+        (writer, path, every)
+    });
     for (batch_no, batch) in batches.into_iter().enumerate() {
         session.ingest_batch(batch);
         if let Some((ops, path)) = &mutations {
@@ -1034,9 +1302,12 @@ fn stream(args: &[String]) -> Result<(), CliError> {
             profiles_total: outcome.report.profiles_total,
             pairs: outcome.comparisons.iter().map(|c| c.pair).collect(),
         });
-        if let (Some(writer), Some(path)) = (checkpointer.as_mut(), checkpoint_path.as_ref()) {
-            if outcome.report.epoch.is_multiple_of(checkpoint_every) {
-                match writer.save(&session).map_err(CliError::store(path))? {
+        if let Some((writer, path, every)) = checkpointer.as_mut() {
+            if outcome.report.epoch.is_multiple_of(*every) {
+                match writer
+                    .save(&session)
+                    .map_err(CliError::store(path.as_str()))?
+                {
                     CheckpointOutcome::Saved => {
                         checkpointed_epoch = outcome.report.epoch;
                         event!(
@@ -1058,9 +1329,12 @@ fn stream(args: &[String]) -> Result<(), CliError> {
     }
     // The final state is always persisted, whatever the cadence — unless
     // the last epoch already was.
-    if let (Some(writer), Some(path)) = (checkpointer.as_mut(), checkpoint_path.as_ref()) {
+    if let Some((writer, path, _)) = checkpointer.as_mut() {
         if checkpointed_epoch != session.reports().len() {
-            match writer.save(&session).map_err(CliError::store(path))? {
+            match writer
+                .save(&session)
+                .map_err(CliError::store(path.as_str()))?
+            {
                 CheckpointOutcome::Saved => {
                     event!(Level::Info, "cli.checkpoint_final", path = path.as_str());
                 }
@@ -1122,26 +1396,19 @@ fn stream(args: &[String]) -> Result<(), CliError> {
 /// profile index, neighbor list, and (with `--with-graph`) the
 /// materialized blocking graph. Loading the file reproduces every array
 /// bit for bit, skipping tokenization and sorting entirely.
-fn snapshot(args: &[String]) -> Result<(), CliError> {
-    if args.iter().any(|a| a == "--salvage") {
-        return salvage(args);
-    }
-    let source = args
-        .get(1)
-        .ok_or_else(|| CliError::usage("snapshot needs a dataset name or CSV path"))?;
-    let out = flag(args, "--out")?.unwrap_or_else(|| "snapshot.sper".into());
-    let seed: u64 = parse_flag(args, "--seed")?.unwrap_or(42);
-    let (profiles, _truth) = load_source(args, source)?;
+fn snapshot(opts: SnapshotOptions) -> Result<(), CliError> {
+    let (profiles, _truth) = load_source(&opts.source)?;
+    let out = opts.out;
 
     let t0 = Instant::now();
-    let mut blocks = TokenBlocking::default().build(&profiles);
+    let mut blocks = TokenBlocking.build(&profiles);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
-    let nl = NeighborList::build(&profiles, seed);
+    let nl = NeighborList::build(&profiles, opts.seed);
     let build_time = t0.elapsed();
 
     let mut snapshot = Snapshot::new(std::sync::Arc::clone(blocks.interner()));
-    if args.iter().any(|a| a == "--with-graph") {
+    if opts.with_graph {
         snapshot.graph = Some(BlockingGraph::build(&blocks, WeightingScheme::Arcs));
     }
     snapshot.profiles = Some(profiles);
@@ -1171,27 +1438,23 @@ fn snapshot(args: &[String]) -> Result<(), CliError> {
 /// CRC-32 still validates and whose payload still decodes is kept, every
 /// other one becomes a typed loss-report entry. Losing a section is exit 0
 /// with a warning — losing *everything* (or the header) is exit 1.
-fn salvage(args: &[String]) -> Result<(), CliError> {
-    let source = args
-        .get(1)
-        .ok_or_else(|| CliError::usage("snapshot --salvage needs a .sper path"))?;
-    let out = flag(args, "--out")?;
-    let bytes = std::fs::read(source).map_err(CliError::io(source.as_str()))?;
-    let (snapshot, report) = Snapshot::salvage(&bytes).map_err(CliError::store(source.as_str()))?;
+fn salvage(source: &str, out: Option<String>) -> Result<(), CliError> {
+    let bytes = std::fs::read(source).map_err(CliError::io(source))?;
+    let (snapshot, report) = Snapshot::salvage(&bytes).map_err(CliError::store(source))?;
     println!("{}", report.summary());
     for lost in &report.lost {
         say!("warning: lost section {}: {}", lost.section, lost.reason);
         event!(
             Level::Warn,
             "cli.salvage_loss",
-            path = source.as_str(),
+            path = source,
             section = lost.section.as_str(),
             reason = lost.reason.as_str(),
         );
     }
     if report.recovered.is_empty() {
         return Err(CliError::Store {
-            path: source.clone(),
+            path: source.to_string(),
             source: StoreError::Corrupt {
                 section: "container".into(),
                 detail: "no section survived salvage".into(),
@@ -1219,24 +1482,18 @@ fn salvage(args: &[String]) -> Result<(), CliError> {
 /// exhausted; `--checkpoint FILE` re-persists the final state. A corrupt
 /// primary falls back to the rotated `FILE.prev` generation (exit 0, with
 /// a warning).
-fn resume(args: &[String]) -> Result<(), CliError> {
-    let path = args
-        .get(1)
-        .ok_or_else(|| CliError::usage("resume needs a checkpoint path"))?;
-    let epoch_budget: Option<u64> = parse_flag(args, "--epoch-budget")?;
-    let checkpoint_out = flag(args, "--checkpoint")?;
-    let emit_pairs_path = flag(args, "--emit-pairs")?;
-
+fn resume(opts: ResumeOptions) -> Result<(), CliError> {
+    let (path, epoch_budget) = (opts.path, opts.epoch_budget);
     let t0 = Instant::now();
     let (checkpoint, used_prev) =
-        CheckpointWriter::resume(Path::new(path)).map_err(CliError::store(path.as_str()))?;
+        CheckpointWriter::resume(Path::new(&path)).map_err(CliError::store(path.as_str()))?;
     if used_prev {
         say!("warning: {path} was unreadable; resumed from rotated {path}.prev");
     }
     let load_time = t0.elapsed();
     let mut state = checkpoint.state;
-    if args.iter().any(|a| a == "--threads") {
-        state.config.threads = parse_threads(args)?;
+    if let Some(threads) = opts.threads {
+        state.config.threads = threads;
     }
     event!(
         Level::Info,
@@ -1248,7 +1505,8 @@ fn resume(args: &[String]) -> Result<(), CliError> {
         load_us = load_time.as_micros() as u64,
     );
     let mut session = ProgressiveSession::rehydrate(state);
-    let mut emit_pairs = emit_pairs_path
+    let mut emit_pairs = opts
+        .emit_pairs
         .map(|path| {
             let f = std::fs::File::create(&path).map_err(CliError::io(path.as_str()))?;
             Ok::<_, CliError>((std::io::BufWriter::new(f), path))
@@ -1290,7 +1548,7 @@ fn resume(args: &[String]) -> Result<(), CliError> {
         emitted = session.emitted().len(),
         epochs = session.reports().len(),
     );
-    if let Some(out) = checkpoint_out {
+    if let Some(out) = opts.checkpoint {
         match CheckpointWriter::new(&out)
             .save(&session)
             .map_err(CliError::store(&out))?
@@ -1312,19 +1570,19 @@ fn resume(args: &[String]) -> Result<(), CliError> {
 /// recall CSV into one self-contained HTML report (inline SVG charts, no
 /// external assets of any kind — it renders from an archive or a mail
 /// attachment).
-fn report(args: &[String]) -> Result<(), CliError> {
-    let trace_path = flag(args, "--trace")?
-        .ok_or_else(|| CliError::usage("report needs --trace FILE (a JSON-lines trace)"))?;
-    let out = flag(args, "--out")?.unwrap_or_else(|| "report.html".into());
+fn report(opts: ReportOptions) -> Result<(), CliError> {
+    let (trace_path, out) = (opts.trace, opts.out);
     let trace_text =
         std::fs::read_to_string(&trace_path).map_err(CliError::io(trace_path.as_str()))?;
-    let metrics_json = flag(args, "--metrics")?
+    let metrics_json = opts
+        .metrics
         .map(|p| std::fs::read_to_string(&p).map_err(CliError::io(p.as_str())))
         .transpose()?;
-    let recall_csv = flag(args, "--recall")?
+    let recall_csv = opts
+        .recall
         .map(|p| std::fs::read_to_string(&p).map_err(CliError::io(p.as_str())))
         .transpose()?;
-    let title = flag(args, "--title")?.unwrap_or_else(|| {
+    let title = opts.title.unwrap_or_else(|| {
         Path::new(&trace_path)
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -1355,15 +1613,9 @@ fn report(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn generate(args: &[String]) -> Result<(), CliError> {
-    let kind = parse_dataset(
-        args.get(1)
-            .ok_or_else(|| CliError::usage("generate needs a dataset name"))?,
-    )?;
-    let scale: f64 = parse_flag(args, "--scale")?.unwrap_or(1.0);
-    let out = flag(args, "--out")?;
-    let truth = flag(args, "--truth")?;
-    let data = DatasetSpec::paper(kind).with_scale(scale).generate();
+fn generate(opts: GenerateOptions) -> Result<(), CliError> {
+    let kind = opts.kind;
+    let data = DatasetSpec::paper(kind).with_scale(opts.scale).generate();
     event!(
         Level::Info,
         "cli.generate",
@@ -1371,7 +1623,7 @@ fn generate(args: &[String]) -> Result<(), CliError> {
         profiles = data.profiles.len(),
         matches = data.truth.num_matches(),
     );
-    match out {
+    match opts.out {
         Some(path) => {
             let mut f = std::fs::File::create(&path).map_err(CliError::io(&path))?;
             model_io::write_csv(&data.profiles, &mut f).map_err(CliError::io(&path))?;
@@ -1383,7 +1635,7 @@ fn generate(args: &[String]) -> Result<(), CliError> {
                 .map_err(CliError::io("<stdout>"))?;
         }
     }
-    if let Some(path) = truth {
+    if let Some(path) = opts.truth {
         let mut f = std::fs::File::create(&path).map_err(CliError::io(&path))?;
         model_io::write_matches(&data.truth, &mut f).map_err(CliError::io(&path))?;
         event!(Level::Info, "cli.wrote_truth", path = path.as_str());

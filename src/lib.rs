@@ -13,6 +13,8 @@
 //! assert_eq!(profiles.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sper_blocking as blocking;
 pub use sper_core as core;
 pub use sper_datagen as datagen;

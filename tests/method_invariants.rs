@@ -89,7 +89,7 @@ fn same_eventual_quality_similarity_methods() {
 #[test]
 fn pbs_covers_block_comparisons_exactly_once() {
     let data = small(DatasetKind::Census, 0.25);
-    let blocks = TokenBlocking::default().build(&data.profiles);
+    let blocks = TokenBlocking.build(&data.profiles);
     let kind = data.profiles.kind();
     let mut expected: HashSet<Pair> = HashSet::new();
     for b in blocks.iter() {
@@ -110,7 +110,7 @@ fn pbs_covers_block_comparisons_exactly_once() {
 #[test]
 fn lazy_weights_match_materialized_graph() {
     let data = small(DatasetKind::Restaurant, 0.2);
-    let mut blocks = TokenBlocking::default().build(&data.profiles);
+    let mut blocks = TokenBlocking.build(&data.profiles);
     blocks.sort_by_cardinality();
     let index = ProfileIndex::build(&blocks);
     let graph = BlockingGraph::build(&blocks, WeightingScheme::Arcs);

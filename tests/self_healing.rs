@@ -315,12 +315,17 @@ fn trailing_value_flag_is_a_usage_error() {
 }
 
 /// A misspelled flag is a usage error (exit 2), not silently ignored, and
-/// it is caught before any sink opens a file: a `--trace` file named on
-/// the same line keeps its bytes.
+/// so are a bad value (among them a scale or `--ec-star` of 0, and PSN,
+/// which no subcommand can feed schema keys), a missing `--checkpoint`
+/// pairing, a stray operand, a repeated flag, a value after a switch and
+/// an unknown `-v` level. Each is caught before any sink opens a file: a
+/// `--trace` file named on the same line keeps its bytes, and no
+/// `--metrics` or `--out` file is created.
 #[test]
 fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
     let d = tmp_dir("misspelled-flag");
     let trace = d.join("trace.jsonl");
+    let metrics = d.join("metrics.prom");
     let before = b"{\"kept\":true}\n";
     std::fs::write(&trace, before).expect("seed the trace file");
     // A real store, so a salvage that ignored the two snapshot-build
@@ -331,7 +336,8 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
         .output()
         .expect("spawn sper snapshot");
     assert!(out.status.success(), "seed snapshot: {}", stderr_of(&out));
-    let cases: [&[&str]; 3] = [
+    let stream = ["stream", "census", "--scale", "0.1"];
+    let cases: [&[&str]; 15] = [
         &["snapshot", "census", "--with-grph"],
         &["stream", "census", "--batchs", "3"],
         &[
@@ -344,12 +350,40 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
             "--out",
             "r.sper",
         ],
+        &[&stream[..], &["--batches", "0"]].concat(),
+        &[&stream[..], &["--threads", "0"]].concat(),
+        &[&stream[..], &["--method", "foo"]].concat(),
+        &[&stream[..], &["--failpoints", "store.rename=bogus"]].concat(),
+        &[&stream[..], &["--checkpoint-every", "2"]].concat(),
+        &[
+            "generate", "census", "junk", "--scale", "0.01", "--out", "g.csv",
+        ],
+        &[
+            "generate", "census", "--scale", "0.01", "--scale", "0.5", "--out", "g.csv",
+        ],
+        &[
+            "generate", "census", "--scale", "0.01", "-vvv", "--out", "g.csv",
+        ],
+        &[
+            "snapshot",
+            "census",
+            "--scale",
+            "0.01",
+            "--with-graph",
+            "yes",
+            "--out",
+            "g.sper",
+        ],
+        &["generate", "census", "--scale", "0", "--out", "g.csv"],
+        &["evaluate", "g.csv", "m.csv", "--method", "psn"],
+        &["evaluate", "g.csv", "m.csv", "--ec-star", "0"],
     ];
     for args in cases {
         let out = sper()
             .current_dir(&d)
             .args(args)
             .args(["--trace", trace.to_str().unwrap()])
+            .args(["--metrics", metrics.to_str().unwrap()])
             .output()
             .expect("spawn sper");
         assert_eq!(
@@ -363,15 +397,14 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
             before,
             "{args:?} touched the trace file"
         );
+        assert!(!metrics.exists(), "{args:?} created the metrics file");
     }
-    assert!(
-        !d.join("snapshot.sper").exists(),
-        "snapshot written despite the error"
-    );
-    assert!(
-        !d.join("r.sper").exists(),
-        "salvage written despite the error"
-    );
+    for written in ["snapshot.sper", "r.sper", "g.csv", "g.sper"] {
+        assert!(
+            !d.join(written).exists(),
+            "{written} written despite the error"
+        );
+    }
     let _ = std::fs::remove_dir_all(&d);
 }
 
