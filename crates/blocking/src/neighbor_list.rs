@@ -14,6 +14,8 @@
 //! The Position Index is the inverted index from profile ids to Neighbor
 //! List positions that powers the weighted similarity-based methods
 //! (LS-PSN/GS-PSN, §5.1.1): `PI[i]` lists the positions of `p_i`, ascending.
+//! It is one offsets array plus one positions array (CSR), filled by a
+//! count, a prefix sum and one pass in list order.
 //!
 //! Construction is interned: placements are `(TokenId, ProfileId)` pairs,
 //! and the global alphabetical sort compares one precomputed `u32`
@@ -92,37 +94,56 @@ fn merge_ranked_runs(
     out
 }
 
-/// Inverted index: profile id → ascending Neighbor List positions.
+/// Inverted index: profile id → ascending Neighbor List positions, in
+/// CSR form: the positions of profile `p` are
+/// `positions[offsets[p]..offsets[p + 1]]`.
 #[derive(Debug, Clone)]
 pub struct PositionIndex {
-    positions: Vec<Vec<u32>>,
+    /// `n_profiles + 1` entries, non-decreasing from 0 to the list length.
+    offsets: Vec<u32>,
+    /// Every list position, grouped by profile, ascending within each.
+    positions: Vec<u32>,
 }
 
 impl PositionIndex {
+    /// A count, a prefix sum and one pass in list order, so each profile's
+    /// positions come out ascending. The pass advances each profile's
+    /// offset to the start of the next one's; one shift restores them.
     fn build(nl: &[ProfileId], n_profiles: usize) -> Self {
-        let mut positions: Vec<Vec<u32>> = vec![Vec::new(); n_profiles];
-        for (pos, &p) in nl.iter().enumerate() {
-            positions[p.index()].push(pos as u32);
+        let mut offsets = vec![0u32; n_profiles + 1];
+        for &p in nl {
+            offsets[p.index() + 1] += 1;
         }
-        Self { positions }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut positions = vec![0u32; nl.len()];
+        for (pos, &p) in nl.iter().enumerate() {
+            let at = &mut offsets[p.index()];
+            positions[*at as usize] = pos as u32;
+            *at += 1;
+        }
+        offsets.copy_within(..n_profiles, 1);
+        offsets[0] = 0;
+        Self { offsets, positions }
     }
 
     /// The positions of profile `p`, ascending. Empty when the profile has
     /// no tokens.
     #[inline]
     pub fn positions_of(&self, p: ProfileId) -> &[u32] {
-        &self.positions[p.index()]
+        &self.positions[self.offsets[p.index()] as usize..self.offsets[p.index() + 1] as usize]
     }
 
     /// Number of placements of `p` (its distinct-token count).
     #[inline]
     pub fn num_positions(&self, p: ProfileId) -> usize {
-        self.positions[p.index()].len()
+        (self.offsets[p.index() + 1] - self.offsets[p.index()]) as usize
     }
 
     /// Number of profiles indexed.
     pub fn n_profiles(&self) -> usize {
-        self.positions.len()
+        self.offsets.len() - 1
     }
 }
 
@@ -390,20 +411,30 @@ mod tests {
 
     #[test]
     fn position_index_inverts_neighbor_list() {
-        let profiles = fig3_profiles();
-        let nl = NeighborList::build(&profiles, 3);
-        let pi = nl.position_index();
-        for p in 0..6 {
-            let p = pid(p);
-            for &pos in pi.positions_of(p) {
-                assert_eq!(nl.profile_at(pos as usize), p);
-            }
-            // Ascending.
-            assert!(pi.positions_of(p).windows(2).all(|w| w[0] < w[1]));
+        // Fig. 3, and a collection whose first and last profiles have no
+        // tokens (empty rows at both ends of the index).
+        let mut b = sper_model::ProfileCollectionBuilder::dirty();
+        for text in ["", "carl white", "white tailor", "", "carl ny", ""] {
+            b.add_profile([("t", text)]);
         }
-        // Every position is owned by exactly one profile.
-        let total: usize = (0..6).map(|i| pi.num_positions(pid(i))).sum();
-        assert_eq!(total, nl.len());
+        for profiles in [fig3_profiles(), b.build()] {
+            let nl = NeighborList::build(&profiles, 3);
+            let pi = nl.position_index();
+            assert_eq!(pi.n_profiles(), profiles.len());
+            for p in (0..profiles.len() as u32).map(pid) {
+                for &pos in pi.positions_of(p) {
+                    assert_eq!(nl.profile_at(pos as usize), p);
+                }
+                // Ascending.
+                assert!(pi.positions_of(p).windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(pi.num_positions(p), pi.positions_of(p).len());
+            }
+            // Every position is owned by exactly one profile.
+            let total: usize = (0..profiles.len() as u32)
+                .map(|i| pi.num_positions(pid(i)))
+                .sum();
+            assert_eq!(total, nl.len());
+        }
     }
 
     #[test]

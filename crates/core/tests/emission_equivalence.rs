@@ -291,38 +291,45 @@ fn hub_collection() -> ProfileCollection {
     b.build()
 }
 
-/// A full GS-PSN drain whose batch spans many sort tiers, as one run (one
-/// worker) and as one run per work-stealing chunk (two workers): every
-/// pair comes out once, in strictly increasing `emission_order`, and the
-/// drain is exactly as long as `remaining()` promised after construction.
+/// Full GS-PSN drains at one and at two workers, whose keepers share the
+/// floor: with `wmax` 64, three bands (10 · 2,600 comparisons, twice as
+/// many, then the rest); with every pair in reach, 3.4 M comparisons in
+/// seven bands, the third to the sixth cut from only the weight buckets
+/// that the pass before counted enough comparisons in. Every pair comes
+/// out once, in strictly increasing `emission_order`, and the drain is
+/// exactly as long as `remaining()` promised after construction.
 #[test]
 fn gs_psn_full_drain_is_the_sorted_batch_at_every_worker_count() {
     let coll = hub_collection();
-    let mut drains = Vec::new();
-    for threads in [1usize, 2] {
-        let nl = NeighborList::build(&coll, 42);
-        let par = Parallelism::new(threads).unwrap();
-        let gs = GsPsn::from_neighbor_list_par(&coll, nl, 64, Default::default(), par);
-        let promised = gs.remaining();
-        // Two workers split the batch into 16 runs; each must still span
-        // several 4,096-comparison tiers.
-        assert!(
-            promised > 16 * 2 * 4_096,
-            "batch of {promised} is too small"
-        );
-        let drain: Vec<Comparison> = gs.collect();
-        assert_eq!(drain.len(), promised, "threads = {threads}");
-        let distinct: HashSet<Pair> = drain.iter().map(|c| c.pair).collect();
-        assert_eq!(distinct.len(), drain.len(), "threads = {threads}");
-        assert!(
-            drain
-                .windows(2)
-                .all(|w| sper_core::emission_order(&w[0], &w[1]).is_lt()),
-            "threads = {threads}: drain is not strictly increasing"
-        );
-        drains.push(drain);
+    for wmax in [64, 4_096] {
+        let mut drains = Vec::new();
+        for threads in [1usize, 2] {
+            let nl = NeighborList::build(&coll, 42);
+            let par = Parallelism::new(threads).unwrap();
+            let gs = GsPsn::from_neighbor_list_par(&coll, nl, wmax, Default::default(), par);
+            let promised = gs.remaining();
+            // Several times the first band, so that its keepers cut; at the
+            // wide window, more than twice as many as there are buckets.
+            let least = if wmax == 64 { 16 * 2 * 4_096 } else { 2 << 19 };
+            assert!(promised > least, "batch of {promised} is too small");
+            let drain: Vec<Comparison> = gs.collect();
+            assert_eq!(drain.len(), promised, "wmax {wmax}, threads {threads}");
+            let distinct: HashSet<Pair> = drain.iter().map(|c| c.pair).collect();
+            assert_eq!(
+                distinct.len(),
+                drain.len(),
+                "wmax {wmax}, threads {threads}"
+            );
+            assert!(
+                drain
+                    .windows(2)
+                    .all(|w| sper_core::emission_order(&w[0], &w[1]).is_lt()),
+                "wmax {wmax}, threads {threads}: drain is not strictly increasing"
+            );
+            drains.push(drain);
+        }
+        assert_eq!(drains[0], drains[1], "wmax {wmax}");
     }
-    assert_eq!(drains[0], drains[1]);
 }
 
 /// Above the spawn break-even (`MIN_PARALLEL_BATCH`) the advanced methods

@@ -633,6 +633,17 @@ impl Line {
         }
     }
 
+    /// A number flag in [0, 1] (`--threshold`), `None` when absent: NaN,
+    /// an infinity or a number outside the interval is a usage error.
+    fn unit_interval(&self, name: &str) -> Result<Option<f64>, CliError> {
+        match self.parse::<f64>(name)? {
+            Some(x) if !(0.0..=1.0).contains(&x) => Err(CliError::usage(format!(
+                "{name} must be a number in [0, 1]"
+            ))),
+            x => Ok(x),
+        }
+    }
+
     /// A positive count flag: 0 is a usage error.
     fn positive_count(&self, name: &str) -> Result<Option<usize>, CliError> {
         match self.parse(name)? {
@@ -765,7 +776,7 @@ fn parse(args: &[String]) -> Result<(Line, Command), CliError> {
             path: operand(0),
             method: line.method()?,
             budget: line.parse("--budget")?,
-            threshold: line.parse("--threshold")?.unwrap_or(0.5),
+            threshold: line.unit_interval("--threshold")?.unwrap_or(0.5),
             threads: line.threads()?.unwrap_or_else(Parallelism::available),
         }),
         "evaluate" => Command::Evaluate(EvaluateOptions {
@@ -972,10 +983,8 @@ fn resolve(opts: ResolveOptions) -> Result<(), CliError> {
     if !write_row(&mut out, "profile_a,profile_b,jaccard".into())? {
         return Ok(());
     }
-    for c in m {
-        if emitted >= budget {
-            break;
-        }
+    // `take`: a pull past the budget could start a whole GS-PSN band pass.
+    for c in m.take(usize::try_from(budget).unwrap_or(usize::MAX)) {
         emitted += 1;
         if !seen.insert(c.pair) {
             continue;

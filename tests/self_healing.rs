@@ -337,7 +337,8 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
         .expect("spawn sper snapshot");
     assert!(out.status.success(), "seed snapshot: {}", stderr_of(&out));
     let stream = ["stream", "census", "--scale", "0.1"];
-    let cases: [&[&str]; 15] = [
+    let resolve = ["resolve", "g.csv", "--method", "gs-psn", "--threshold"];
+    let cases: [&[&str]; 18] = [
         &["snapshot", "census", "--with-grph"],
         &["stream", "census", "--batchs", "3"],
         &[
@@ -377,6 +378,9 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
         &["generate", "census", "--scale", "0", "--out", "g.csv"],
         &["evaluate", "g.csv", "m.csv", "--method", "psn"],
         &["evaluate", "g.csv", "m.csv", "--ec-star", "0"],
+        &[&resolve[..], &["nan"]].concat(),
+        &[&resolve[..], &["1.5"]].concat(),
+        &[&resolve[..], &["-0.1"]].concat(),
     ];
     for args in cases {
         let out = sper()
