@@ -244,48 +244,9 @@ impl NeighborList {
         let mut placements = merge_ranked_runs(runs, &rank);
         shuffle_equal_runs(&mut placements, seed);
         span.record("placements", placements.len());
-        Self::from_parts(placements, interner, all.len(), keep_keys)
-    }
-
-    /// Builds a Neighbor List from placements that are already in final
-    /// order (key strings non-decreasing, equal-key runs already permuted)
-    /// — the streaming path (`sper-stream`), whose incremental index
-    /// maintains that order itself. `keep_keys` retains the key of every
-    /// position.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) when key strings are not non-decreasing.
-    pub fn from_sorted_placements(
-        placements: Vec<(TokenId, ProfileId)>,
-        interner: Arc<TokenInterner>,
-        n_profiles: usize,
-        keep_keys: bool,
-    ) -> Self {
-        debug_assert!(
-            placements
-                .windows(2)
-                .all(|w| interner.cmp_str(w[0].0, w[1].0) != std::cmp::Ordering::Greater),
-            "placements must be sorted by key string"
-        );
-        Self::from_parts(placements, interner, n_profiles, keep_keys)
-    }
-
-    fn from_parts(
-        placements: Vec<(TokenId, ProfileId)>,
-        interner: Arc<TokenInterner>,
-        n_profiles: usize,
-        keep_keys: bool,
-    ) -> Self {
-        let nl: Vec<ProfileId> = placements.iter().map(|&(_, p)| p).collect();
-        let position_index = PositionIndex::build(&nl, n_profiles);
+        let nl = placements.iter().map(|&(_, p)| p).collect();
         let keys = keep_keys.then(|| placements.into_iter().map(|(k, _)| k).collect());
-        Self {
-            nl,
-            position_index,
-            interner,
-            keys,
-        }
+        Self::from_raw_parts(nl, keys, interner, all.len())
     }
 
     /// Length of the list (total placements, `|p̄|·|P|` on average).
@@ -341,7 +302,9 @@ impl NeighborList {
 
     /// Reassembles a list from its raw arrays — the inverse of
     /// [`as_slice`](Self::as_slice) + [`keys`](Self::keys), used by the
-    /// persistence layer (`sper-store`). The Position Index is rebuilt
+    /// persistence layer (`sper-store`) and by the streaming path
+    /// (`sper-stream`), whose incremental list writes its placements in
+    /// final order itself. The Position Index is rebuilt
     /// deterministically from the list, so a round-trip is bit-identical.
     /// Callers must validate untrusted input first (every profile id `<
     /// n_profiles`, `keys` — when kept — as long as `nl`); invariants are

@@ -13,7 +13,10 @@
 //! the front segment, now at most one tier, is sorted outright. The pivot
 //! aims at an eighth of a long segment and at half of one within eight
 //! tiers, so the first tier of `n` comparisons costs about `1.14 n`
-//! comparisons and later tiers reuse the stacked splits.
+//! comparisons and later tiers reuse the stacked splits. The tier is set
+//! per refill: its runs share 4,096 comparisons (at least 130 each), so a
+//! refill sorts about one tier in total before its first emission however
+//! many runs the producer hands over; a single run keeps all 4,096.
 //!
 //! A single run drains by cursor. Several runs drain through a
 //! deterministic **tournament merge**: a max-heap over run fronts keyed by
@@ -25,20 +28,32 @@
 //! Because [`emission_order`] is a strict total order whenever pairs are
 //! distinct within a batch (true for every method in this crate),
 //! partitioning, selection, sorting and the tournament each place every
-//! comparison at its unique rank — the pivots, the run layout and the
-//! worker count change wall-clock time, never emission order.
+//! comparison at its unique rank — the pivots, the tier, the run layout
+//! and the worker count change wall-clock time, never emission order.
 
 use crate::Comparison;
 use sper_blocking::Parallelism;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Comparisons a run sorts at a time: the longest front segment that is
-/// sorted outright rather than split by a partition step first.
+/// Comparisons a refill sorts at a time, shared by its runs. A run's tier
+/// is the longest front segment it sorts outright rather than split by a
+/// partition step first.
 const TIER: usize = 4096;
 
 /// Evenly spaced comparisons a partition step draws its pivot from.
 const SAMPLE: usize = 65;
+
+/// The least tier of a run: a segment worth a partition step holds at
+/// least two comparisons per sampled pivot candidate.
+const MIN_TIER: usize = 2 * SAMPLE;
+
+/// The tier of each run of a refill of `runs` non-empty runs: [`TIER`]
+/// split evenly between them, never below [`MIN_TIER`]; a single run
+/// keeps all of it.
+fn tier_of(runs: usize) -> usize {
+    (TIER / runs.max(1)).max(MIN_TIER)
+}
 
 /// Non-increasing weight, ties by ascending id — the single comparator
 /// behind every weight-descending order: the progressive methods'
@@ -65,7 +80,7 @@ pub fn emission_order(a: &Comparison, b: &Comparison) -> Ordering {
     weight_desc(&(a.pair, a.weight), &(b.pair, b.weight))
 }
 
-/// One incremental-quicksort step on a segment longer than one tier:
+/// One incremental-quicksort step on a segment longer than one `tier`:
 /// moves the segment's first `k` comparisons in emission order to its
 /// front, in no particular order, and returns `k` (`0 < k < seg.len()`).
 ///
@@ -81,9 +96,9 @@ pub fn emission_order(a: &Comparison, b: &Comparison) -> Ordering {
 /// segment (a quarter above eight tiers), so a tier takes a bounded
 /// number of steps on any input order, each no dearer than a partition
 /// pass plus that selection.
-fn split_front(seg: &mut [Comparison]) -> usize {
+fn split_front(seg: &mut [Comparison], tier: usize) -> usize {
     let n = seg.len();
-    let target = if n > 8 * TIER { n / 8 } else { n / 2 };
+    let target = if n > 8 * tier { n / 8 } else { n / 2 };
     let stride = n / SAMPLE;
     let mut sample: [Comparison; SAMPLE] = std::array::from_fn(|s| seg[s * stride + stride / 2]);
     let q = (target * (SAMPLE + 1) / n).max(1) - 1;
@@ -132,22 +147,22 @@ impl Run {
         self.items.len() - self.cursor
     }
 
-    /// The run's next comparison, sorting the next tier first when the
+    /// The run's next comparison, sorting the next `tier` first when the
     /// sorted front is used up.
-    fn front(&mut self) -> Option<Comparison> {
+    fn front(&mut self, tier: usize) -> Option<Comparison> {
         if self.cursor == self.sorted && self.sorted < self.items.len() {
-            self.sort_next_tier();
+            self.sort_next_tier(tier);
         }
         self.items.get(self.cursor).copied()
     }
 
     /// Splits the front off the next unsorted segment until it fits one
-    /// tier, stacking the end of each remainder, then sorts it.
-    fn sort_next_tier(&mut self) {
+    /// `tier`, stacking the end of each remainder, then sorts it.
+    fn sort_next_tier(&mut self, tier: usize) {
         let start = self.sorted;
         let mut end = self.splits.pop().unwrap_or(self.items.len());
-        while end - start > TIER {
-            let front = split_front(&mut self.items[start..end]);
+        while end - start > tier {
+            let front = split_front(&mut self.items[start..end], tier);
             self.splits.push(end);
             end = start + front;
         }
@@ -203,6 +218,8 @@ impl Ord for RunFront {
 pub struct EmissionList {
     /// The non-empty runs of the current refill.
     runs: Vec<Run>,
+    /// Each run's tier in the current refill ([`tier_of`] its run count).
+    tier: usize,
     /// Tournament over the run fronts (several runs only).
     heap: BinaryHeap<RunFront>,
     par: Parallelism,
@@ -237,11 +254,18 @@ impl EmissionList {
     /// by pair id, so emission order is fully deterministic and
     /// independent of how the batch is split into runs. A single batch is
     /// passed as `[batch]`.
+    ///
+    /// The runs share one tier: each sorts `TIER` over their count at a
+    /// time, so the refill sorts about one tier before its first emission
+    /// however many runs it has. The tier sets how much is sorted at a
+    /// time, never the order.
     pub fn refill(&mut self, runs: impl IntoIterator<Item = Vec<Comparison>>) {
         self.heap.clear();
         self.runs.clear();
         self.runs
             .extend(runs.into_iter().filter(|r| !r.is_empty()).map(Run::new));
+        self.tier = tier_of(self.runs.len());
+        let tier = self.tier;
         let total = self.remaining();
         // Per-batch (never per-pop) accounting keeps the drain loop clean.
         sper_obs::count!("emitter.refills");
@@ -252,11 +276,11 @@ impl EmissionList {
         self.par
             .break_even(total)
             .for_each_mut(&mut self.runs, |run| {
-                run.front();
+                run.front(tier);
             });
         if self.runs.len() > 1 {
             for (i, run) in self.runs.iter_mut().enumerate() {
-                let c = run.front().expect("empty runs are dropped at refill");
+                let c = run.front(tier).expect("empty runs are dropped at refill");
                 self.heap.push(RunFront { c, run: i });
             }
         }
@@ -266,14 +290,14 @@ impl EmissionList {
     pub fn remove_first(&mut self) -> Option<Comparison> {
         let next = if let [run] = self.runs.as_mut_slice() {
             // A single run: drain by cursor.
-            let c = run.front();
+            let c = run.front(self.tier);
             run.cursor += usize::from(c.is_some());
             c
         } else if let Some(front) = self.heap.pop() {
             // Several runs: the tournament winner, then that run's next front.
             let run = &mut self.runs[front.run];
             run.cursor += 1;
-            if let Some(c) = run.front() {
+            if let Some(c) = run.front(self.tier) {
                 self.heap.push(RunFront { c, run: front.run });
             }
             Some(front.c)
@@ -486,14 +510,14 @@ mod tests {
         assert_eq!(drain(&mut list), expected);
     }
 
-    /// Drains `run` tier by tier, returning the drained sequence and the
-    /// most partition steps one tier took.
-    fn drain_counting_steps(mut run: Run) -> (Vec<Comparison>, usize) {
+    /// Drains `run` `tier` by `tier`, returning the drained sequence and
+    /// the most partition steps one tier took.
+    fn drain_counting_steps(mut run: Run, tier: usize) -> (Vec<Comparison>, usize) {
         let mut out = Vec::with_capacity(run.items.len());
         let mut most = 0;
         loop {
             let stacked = run.splits.len();
-            let Some(c) = run.front() else { break };
+            let Some(c) = run.front(tier) else { break };
             // A tier pops one stacked end (none from the fresh run's empty
             // stack) and pushes one per step.
             most = most.max(run.splits.len() + usize::from(stacked > 0) - stacked);
@@ -506,7 +530,8 @@ mod tests {
     /// Runs of 64 tiers in orders that defeat a sampled pivot or test its
     /// extremes: already in emission order, reversed, all weights equal
     /// (pair tie-break only), and a sawtooth whose period is the sample's
-    /// stride, so every sampled comparison carries the same weight. Each
+    /// stride, so every sampled comparison carries the same weight. At a
+    /// single run's tier and at the tier of a refill of sixteen runs, each
     /// step of the first tier keeps the guard's bounds, no tier takes more
     /// steps than the guard allows, and every run drains in full-sort
     /// order.
@@ -527,29 +552,67 @@ mod tests {
                 (0..n).map(|i| at(i, f64::from(i % stride))).collect(),
             ),
         ];
-        // Steps above eight tiers keep at most a quarter of their segment,
-        // the others at most three quarters.
-        let max_steps = (n as usize / TIER).ilog2() as usize / 2 + 8;
-        for (name, batch) in orders {
-            let expected = sorted(batch.clone());
-            let mut run = Run::new(batch);
-            run.front();
-            let mut ends = run.splits.clone();
-            ends.push(run.sorted);
-            for step in ends.windows(2) {
-                let (seg, front) = (step[0], step[1]);
-                let target = if seg > 8 * TIER { seg / 8 } else { seg / 2 };
+        for tier in [tier_of(1), tier_of(16)] {
+            // Steps above eight tiers keep at most a quarter of their
+            // segment, the others at most three quarters.
+            let max_steps = (n as usize / tier).ilog2() as usize / 2 + 8;
+            for (name, batch) in &orders {
+                let expected = sorted(batch.clone());
+                let mut run = Run::new(batch.clone());
+                run.front(tier);
+                let mut ends = run.splits.clone();
+                ends.push(run.sorted);
+                for step in ends.windows(2) {
+                    let (seg, front) = (step[0], step[1]);
+                    let target = if seg > 8 * tier { seg / 8 } else { seg / 2 };
+                    assert!(
+                        target / 4 <= front && front <= (2 * target).min(seg - seg / 4),
+                        "{name}, tier {tier}: a step kept {front} of {seg}"
+                    );
+                }
+                assert!(run.sorted <= tier, "{name}: {} sorted", run.sorted);
+                let (drained, later) = drain_counting_steps(run, tier);
+                let most = later.max(ends.len() - 1);
                 assert!(
-                    target / 4 <= front && front <= (2 * target).min(seg - seg / 4),
-                    "{name}: a step kept {front} of {seg}"
+                    most <= max_steps,
+                    "{name}, tier {tier}: a tier took {most} steps"
                 );
+                assert_eq!(drained, expected, "{name}, tier {tier}");
             }
-            assert!(run.sorted <= TIER, "{name}: {} sorted", run.sorted);
-            let (drained, later) = drain_counting_steps(run);
-            let most = later.max(ends.len() - 1);
-            assert!(most <= max_steps, "{name}: a tier took {most} steps");
-            assert_eq!(drained, expected, "{name}");
         }
+    }
+
+    /// Sixteen runs of 2,500 comparisons each — LS-PSN's window-1 list at
+    /// two workers, whose steal chunks are each shorter than a single
+    /// run's tier — sort about one tier in total before the first
+    /// emission, not every comparison, and drain in full-sort order.
+    #[test]
+    fn many_runs_share_one_tier() {
+        let batch = tie_heavy_batch(16 * 2_500, 1 << 10, 5);
+        let expected = sorted(batch.clone());
+        let mut list = EmissionList::new(Parallelism::SEQUENTIAL);
+        list.refill(batch.chunks(2_500).map(<[_]>::to_vec));
+        assert_eq!(list.runs.len(), 16);
+        assert_eq!(list.tier, TIER / 16);
+        let sorted_fronts: usize = list.runs.iter().map(|run| run.sorted).sum();
+        assert!(
+            list.runs
+                .iter()
+                .all(|run| 0 < run.sorted && run.sorted <= list.tier),
+            "{:?}",
+            list.runs.iter().map(|run| run.sorted).collect::<Vec<_>>()
+        );
+        assert!(sorted_fronts <= TIER, "{sorted_fronts} sorted");
+        assert_eq!(drain(&mut list), expected);
+    }
+
+    #[test]
+    fn tier_is_shared_by_the_runs_of_a_refill() {
+        assert_eq!(tier_of(0), TIER);
+        assert_eq!(tier_of(1), TIER);
+        assert_eq!(tier_of(2), TIER / 2);
+        assert_eq!(tier_of(16), TIER / 16);
+        assert_eq!(tier_of(1_000), MIN_TIER);
     }
 
     proptest! {

@@ -136,11 +136,13 @@ impl<'a> LsPsn<'a> {
 
     /// One weighting pass over the current window (Algorithm 1 lines 5–20),
     /// fanned out over the configured workers behind the spawn break-even
-    /// guard.
+    /// guard, then the refill that sorts the list's first tier. Each has
+    /// its own span: `core.ls_psn.window_pass` and `core.ls_psn.first_tier`.
     fn fill_window(&mut self) {
         let w = self.window as isize;
         let iterated = crate::iterated_profile_range(self.profiles);
         let par = self.list.parallelism().break_even(iterated.len());
+        let mut span = sper_obs::span!("core.ls_psn.window_pass", window = self.window);
         let (profiles, nl, weighting) = (self.profiles, &self.nl, self.weighting);
         // Work-stealing chunks with a per-worker scratch; each chunk's
         // batch is a pure function of its profile range and becomes one run
@@ -155,6 +157,11 @@ impl<'a> LsPsn<'a> {
                 weight_window_range(profiles, nl, weighting, w, range, scratch)
             },
         );
+        span.record("comparisons", chunks.iter().map(Vec::len).sum::<usize>());
+        span.record("runs", chunks.len());
+        drop(span);
+
+        let _span = sper_obs::span!("core.ls_psn.first_tier", window = self.window);
         self.list.refill(chunks);
     }
 }

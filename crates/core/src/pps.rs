@@ -27,11 +27,41 @@ use sper_blocking::{
     WeightingScheme,
 };
 use sper_model::{Pair, ProfileCollection, ProfileId};
-use std::collections::HashMap;
 
 /// One initialization shard's output: `(profile, duplication likelihood)`
-/// entries in profile order plus the per-profile top comparisons.
+/// entries in profile order plus the per-profile top comparisons, in
+/// parallel (the `k`-th top is the `k`-th profile's).
 type InitShard = (Vec<(ProfileId, f64)>, Vec<Comparison>);
+
+/// The per-profile top comparisons without repeats. `tops[k]` is the top
+/// comparison of `likelihood[k]`'s profile, both in profile order. A pair
+/// that tops both its endpoints — a mutual top, found through one partner
+/// array — keeps the entry of the higher endpoint's sweep: the later one,
+/// which a map keyed by pair keeps on its last insert. Under ECBS the two
+/// entries can carry different weights, so the choice keeps weights
+/// bit-identical.
+fn dedup_tops(likelihood: &[(ProfileId, f64)], tops: Vec<Comparison>, n: usize) -> Vec<Comparison> {
+    let partner_of = |i: ProfileId, top: &Comparison| {
+        if top.pair.first == i {
+            top.pair.second
+        } else {
+            top.pair.first
+        }
+    };
+    let mut partner = vec![u32::MAX; n];
+    for (&(i, _), top) in likelihood.iter().zip(&tops) {
+        partner[i.index()] = partner_of(i, top).0;
+    }
+    likelihood
+        .iter()
+        .zip(tops)
+        .filter(|(&(i, _), top)| {
+            let j = partner_of(i, top);
+            j < i || partner[j.index()] != i.0
+        })
+        .map(|(_, top)| top)
+        .collect()
+}
 
 /// Algorithm 5 over one contiguous profile range — the unit of work of
 /// both the sequential and the sharded initialization, running the shared
@@ -210,18 +240,11 @@ impl Pps {
             likelihood.extend(l);
             tops.extend(t);
         }
+        let batch = dedup_tops(&likelihood, tops, n);
 
-        likelihood.sort_by(weight_desc);
+        // Profile ids break every tie, so an unstable sort is exact.
+        likelihood.sort_unstable_by(weight_desc);
         self.sorted_profiles = likelihood.into_iter().map(|(p, _)| p).collect();
-
-        // Deduplicate the per-profile top comparisons (a pair can be the
-        // top of both endpoints, with the same symmetric weight).
-        let top_comparisons: HashMap<Pair, f64> =
-            tops.into_iter().map(|c| (c.pair, c.weight)).collect();
-        let batch: Vec<Comparison> = top_comparisons
-            .into_iter()
-            .map(|(pair, w)| Comparison::new(pair, w))
-            .collect();
         self.list.refill([batch]);
     }
 
@@ -423,6 +446,66 @@ mod tests {
     #[should_panic(expected = "kmax")]
     fn zero_kmax_panics() {
         fig3_pps(0);
+    }
+
+    proptest::proptest! {
+        /// The partner-array dedup keeps exactly the entries a map keyed
+        /// by pair keeps when the tops are inserted in profile order: for
+        /// a mutual top, the later entry, whose weight may differ from the
+        /// earlier one's.
+        #[test]
+        fn dedup_tops_keeps_what_a_pair_map_keeps(
+            picks in proptest::collection::vec((0usize..2, 0u32..40, 0u32..4, 0u32..4), 0..40),
+        ) {
+            use std::collections::HashMap;
+            // Profile `i` (when drawn) tops with `i ^ 1` (a mutual top when
+            // both are drawn) or with the drawn other partner, weighted
+            // from its own sweep.
+            let n = 40;
+            let mut drawn: Vec<(ProfileId, f64)> = Vec::new();
+            let mut tops: Vec<Comparison> = Vec::new();
+            let mut by_profile: Vec<Option<(u32, f64)>> = vec![None; n];
+            for (mutual, i, other, w) in picks {
+                let j = if mutual == 1 { i ^ 1 } else { (i + 1 + other) % n as u32 };
+                by_profile[i as usize] = Some((j, f64::from(w) + f64::from(i) / 64.0));
+            }
+            for (i, top) in by_profile.into_iter().enumerate() {
+                let Some((j, w)) = top else { continue };
+                drawn.push((pid(i as u32), w));
+                tops.push(Comparison::new(Pair::new(pid(i as u32), pid(j)), w));
+            }
+            let reference: HashMap<Pair, f64> =
+                tops.iter().map(|c| (c.pair, c.weight)).collect();
+            let mut want: Vec<(Pair, u64)> =
+                reference.into_iter().map(|(p, w)| (p, w.to_bits())).collect();
+            let mut got: Vec<(Pair, u64)> = dedup_tops(&drawn, tops, n)
+                .into_iter()
+                .map(|c| (c.pair, c.weight.to_bits()))
+                .collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn dedup_tops_keeps_the_higher_endpoints_weight() {
+        // p0 and p1 top each other with different weights (as ECBS can
+        // weigh a pair from its two ends); p2 tops p1 alone.
+        let likelihood = [(pid(0), 1.0), (pid(1), 1.0), (pid(2), 1.0)];
+        let tops = vec![
+            Comparison::new(Pair::new(pid(0), pid(1)), 0.5),
+            Comparison::new(Pair::new(pid(1), pid(0)), 0.25),
+            Comparison::new(Pair::new(pid(2), pid(1)), 0.75),
+        ];
+        let kept = dedup_tops(&likelihood, tops, 3);
+        assert_eq!(
+            kept.iter().map(|c| (c.pair, c.weight)).collect::<Vec<_>>(),
+            vec![
+                (Pair::new(pid(0), pid(1)), 0.25),
+                (Pair::new(pid(1), pid(2)), 0.75)
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,6 @@ use sper_core::sa_psn::SaPsn;
 use sper_core::{build_method, Comparison, MethodConfig, Parallelism, ProgressiveMethod};
 use sper_model::{ErKind, Pair, ProfileCollection, ProfileCollectionBuilder};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 fn dirty_collection() -> impl Strategy<Value = ProfileCollection> {
     proptest::collection::vec("[a-e ]{1,10}", 2..18).prop_map(|values| {
@@ -96,18 +95,14 @@ fn reference_pair_set(coll: &ProfileCollection) -> HashSet<Pair> {
     pairs
 }
 
-/// Rebuilds a [`NeighborList`] from the string-keyed seed build by
-/// interning its placements — the "seed semantics" list the similarity
-/// methods are compared against.
+/// Rebuilds a [`NeighborList`] from the string-keyed seed build, its keys
+/// interned — the "seed semantics" list the similarity methods are
+/// compared against.
 fn neighbor_list_from_seed_build(coll: &ProfileCollection, seed: u64) -> NeighborList {
     let (nl, keys) = string_neighbor_list(coll, seed);
     let interner = TokenInterner::shared();
-    let placements: Vec<_> = keys
-        .iter()
-        .zip(&nl)
-        .map(|(k, &p)| (interner.intern(k), p))
-        .collect();
-    NeighborList::from_sorted_placements(placements, Arc::clone(&interner), coll.len(), false)
+    let keys = keys.iter().map(|k| interner.intern(k)).collect();
+    NeighborList::from_raw_parts(nl, Some(keys), interner, coll.len())
 }
 
 fn pairs_of(emissions: &[Comparison]) -> Vec<Pair> {

@@ -313,14 +313,48 @@ fn filter_block(block: &Block, retracted: &[bool]) -> Option<Block> {
 }
 
 /// One equal-key run of the incremental Neighbor List.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Run {
     /// Members in ascending id order (insertion order under streaming).
     members: Vec<ProfileId>,
-    /// Cached coincidental-proximity permutation of `members`.
+    /// Cached coincidental-proximity permutation of the live members.
     order: Vec<ProfileId>,
-    /// Whether `order` is stale.
+    /// Whether the run gained members since `order` was drawn.
     dirty: bool,
+    /// Retracted members among `members` when `order` was drawn.
+    dead: usize,
+}
+
+impl Run {
+    /// Redraws `order` over the members not marked in `retracted` (all of
+    /// them for `None`), with the run's seed `seed ^ fnv1a(key)` — the one
+    /// shuffle site of the list. A run of fewer than two live members has
+    /// nothing to permute and skips the key lookup.
+    fn redraw(
+        &mut self,
+        key: TokenId,
+        seed: u64,
+        interner: &TokenInterner,
+        retracted: Option<&[bool]>,
+        dead: usize,
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        self.order.clear();
+        match retracted {
+            Some(r) if dead > 0 => self
+                .order
+                .extend(self.members.iter().filter(|p| !r[p.index()])),
+            _ => self.order.extend_from_slice(&self.members),
+        }
+        if self.order.len() > 1 {
+            let key_str = interner.resolve(key);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a(key_str.as_bytes()));
+            self.order.shuffle(&mut rng);
+        }
+        self.dirty = false;
+        self.dead = dead;
+    }
 }
 
 /// Updatable schema-agnostic Neighbor List (§3.2): the alphabetically
@@ -334,9 +368,14 @@ struct Run {
 /// instead; both are valid coincidental orders, and every set-level
 /// guarantee of the similarity-based methods is order-independent.)
 ///
-/// Runs are keyed by [`TokenId`] in a flat hash map; the alphabetical
-/// order the Neighbor List requires is recovered at
-/// [`snapshot`](Self::snapshot) time from one interner rank table.
+/// Runs are keyed by [`TokenId`] in a flat hash map. Their alphabetical
+/// order is kept across epochs in a key list: the keys created since the
+/// last [`snapshot`](Self::snapshot) are ordered by the interner's rank
+/// table and merged in there, and [`compact`](Self::compact) drops the
+/// keys of the runs it empties. The key list, the fresh keys and each
+/// run's cached permutation are derived state:
+/// [`from_parts`](Self::from_parts) rebuilds them, so they never enter a
+/// checkpoint.
 #[derive(Debug, Clone)]
 pub struct IncrementalNeighborList {
     seed: u64,
@@ -344,6 +383,10 @@ pub struct IncrementalNeighborList {
     interner: Arc<TokenInterner>,
     n_profiles: usize,
     runs: FxHashMap<TokenId, Run>,
+    /// The keys of `runs` as of the last snapshot, alphabetically.
+    keys: Vec<TokenId>,
+    /// The keys of `runs` created since the last snapshot.
+    fresh: Vec<TokenId>,
     total_placements: usize,
 }
 
@@ -351,14 +394,7 @@ impl IncrementalNeighborList {
     /// An empty list with the given tie-shuffling seed and its own
     /// interner.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            tokenizer: Tokenizer,
-            interner: TokenInterner::shared(),
-            n_profiles: 0,
-            runs: FxHashMap::default(),
-            total_placements: 0,
-        }
+        Self::from_parts(seed, 0, TokenInterner::shared(), [])
     }
 
     /// Bootstraps from an existing collection (ingests every profile).
@@ -372,12 +408,13 @@ impl IncrementalNeighborList {
 
     /// Reassembles a list from its per-token runs — the inverse of
     /// [`runs`](Self::runs), used by the persistence layer (`sper-store`)
-    /// to restore checkpoints. Every run starts stale: its coincidental-
-    /// proximity permutation is recomputed at the next
-    /// [`snapshot`](Self::snapshot) — a pure function of the member set
-    /// and `seed`, so restored snapshots are bit-identical to the
-    /// uninterrupted session's. Callers must validate untrusted input
-    /// first; invariants are only debug-asserted here.
+    /// to restore checkpoints. Every key starts fresh and every run stale:
+    /// the next [`snapshot`](Self::snapshot) orders the keys and draws
+    /// each run's coincidental-proximity permutation — a pure function of
+    /// the member set and `seed`, so restored snapshots are bit-identical
+    /// to the uninterrupted session's. Callers must validate untrusted
+    /// input first (one run per token); invariants are only
+    /// debug-asserted here.
     pub fn from_parts(
         seed: u64,
         n_profiles: usize,
@@ -385,27 +422,30 @@ impl IncrementalNeighborList {
         runs: impl IntoIterator<Item = (TokenId, Vec<ProfileId>)>,
     ) -> Self {
         let mut total_placements = 0;
+        let mut fresh = Vec::new();
         let runs: FxHashMap<TokenId, Run> = runs
             .into_iter()
             .map(|(token, members)| {
                 debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
                 total_placements += members.len();
-                (
-                    token,
-                    Run {
-                        members,
-                        order: Vec::new(),
-                        dirty: true,
-                    },
-                )
+                fresh.push(token);
+                let run = Run {
+                    members,
+                    dirty: true,
+                    ..Run::default()
+                };
+                (token, run)
             })
             .collect();
+        debug_assert_eq!(runs.len(), fresh.len(), "one run per token");
         Self {
             seed,
             tokenizer: Tokenizer,
             interner,
             n_profiles,
             runs,
+            keys: Vec::new(),
+            fresh,
             total_placements,
         }
     }
@@ -446,12 +486,14 @@ impl IncrementalNeighborList {
 
     /// Ingests one profile: one placement per distinct token, appended to
     /// that token's run. `O(|tokens|)` amortized; the run's cached
-    /// permutation is invalidated lazily.
+    /// permutation is invalidated lazily, and a new token's key waits
+    /// among the fresh ones for the next snapshot.
     ///
     /// # Panics
     ///
     /// Panics when `profile.id` is not the next dense id.
     pub fn add_profile(&mut self, profile: &Profile) {
+        use std::collections::hash_map::Entry;
         assert_eq!(
             profile.id.index(),
             self.n_profiles,
@@ -466,11 +508,13 @@ impl IncrementalNeighborList {
         tokens.sort_unstable();
         tokens.dedup();
         for tok in tokens {
-            let run = self.runs.entry(tok).or_insert_with(|| Run {
-                members: Vec::new(),
-                order: Vec::new(),
-                dirty: false,
-            });
+            let run = match self.runs.entry(tok) {
+                Entry::Occupied(run) => run.into_mut(),
+                Entry::Vacant(slot) => {
+                    self.fresh.push(tok);
+                    slot.insert(Run::default())
+                }
+            };
             run.members.push(profile.id);
             run.dirty = true;
             self.total_placements += 1;
@@ -486,78 +530,74 @@ impl IncrementalNeighborList {
 
     /// Physically drops every placement of a profile marked in
     /// `retracted` (indexed by profile id): filters each run's member set,
-    /// drops runs left empty, and marks the changed runs dirty so the next
-    /// [`Self::snapshot`] reshuffles them over the surviving members — the
-    /// same permutation a list that never saw the retracted profiles would
-    /// draw, because run shuffles are a pure function of `(seed, key,
-    /// member set)`.
+    /// drops the runs left empty together with their keys, and marks a
+    /// changed run stale unless its cached permutation already left out
+    /// exactly the members dropped. Marks only go from live to retracted
+    /// until compaction drops the rows, so a run whose last draw counted as
+    /// many retracted members as compaction drops was drawn over the very
+    /// survivors. Run shuffles are a pure function of `(seed, key, member
+    /// set)`, so every permutation is the one a list that never saw the
+    /// retracted profiles would draw.
     pub fn compact(&mut self, retracted: &[bool]) {
         self.runs.retain(|_, run| {
-            if run.members.iter().any(|p| retracted[p.index()]) {
-                run.members.retain(|p| !retracted[p.index()]);
-                run.dirty = true;
-                run.order = Vec::new();
-            }
+            let before = run.members.len();
+            run.members.retain(|p| !retracted[p.index()]);
+            run.dirty |= before - run.members.len() != run.dead;
+            run.dead = 0;
             !run.members.is_empty()
         });
+        let runs = &self.runs;
+        self.keys.retain(|k| runs.contains_key(k));
+        self.fresh.retain(|k| runs.contains_key(k));
         self.total_placements = self.runs.values().map(|r| r.members.len()).sum();
     }
 
-    /// Materializes the current placements as a [`NeighborList`]. Stale
-    /// runs recompute their canonical permutation (amortized: a run is
-    /// reshuffled only after it changed); assembling the flat list is
-    /// `O(placements)` plus merging the epoch's new tokens into the
-    /// interner's rank table — no re-tokenization and no placement-level
-    /// sort.
+    /// Materializes the current placements as a [`NeighborList`]: the
+    /// fresh keys are ordered by the interner's rank table and merged into
+    /// the key list in one pass, and the list is written straight from the
+    /// runs in key order. A run redraws its permutation only when it
+    /// gained members or its count of retracted members changed since the
+    /// last draw; the others copy their cached one. No re-tokenization and
+    /// no placement-level sort.
     ///
     /// Members marked in `retracted` (indexed by profile id) are filtered
-    /// lazily: a run still carrying dead placements is shuffled over its
-    /// *surviving* member set into scratch (its cache is left untouched
-    /// until [`Self::compact`]), so the snapshot is bit-identical whether
-    /// compaction already ran or not. `None` — nothing left to drop —
-    /// skips the per-member lookups.
+    /// lazily: a run is drawn over its *surviving* members, so the
+    /// snapshot is bit-identical whether compaction already ran or not.
+    /// `None` — nothing left to drop — skips the per-member lookups.
     pub fn snapshot(&mut self, retracted: Option<&[bool]>) -> NeighborList {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
         let _span = sper_obs::span!("blocking.nl_snapshot", runs = self.runs.len());
-        let seed = self.seed;
-        let rank = self.interner.rank();
-        let mut keys: Vec<TokenId> = self.runs.keys().copied().collect();
-        keys.sort_unstable_by_key(|t| rank[t.index()]);
-        let mut placements: Vec<(TokenId, ProfileId)> = Vec::with_capacity(self.total_placements);
-        let mut scratch: Vec<ProfileId> = Vec::new();
-        for key in keys {
-            let run = self.runs.get_mut(&key).expect("run exists");
-            if let Some(dead) = retracted.filter(|r| run.members.iter().any(|p| r[p.index()])) {
-                // Lazy filtering: shuffle the survivors without touching
-                // the run's cache — compact() will make this permanent.
-                scratch.clear();
-                scratch.extend(run.members.iter().copied().filter(|p| !dead[p.index()]));
-                if scratch.is_empty() {
-                    continue;
-                }
-                let key_str = self.interner.resolve(key);
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a(key_str.as_bytes()));
-                scratch.shuffle(&mut rng);
-                placements.extend(scratch.iter().map(|&p| (key, p)));
-                continue;
-            }
-            if run.dirty {
-                // Only stale runs pay the key resolution for their seed.
-                let key_str = self.interner.resolve(key);
-                run.order = run.members.clone();
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a(key_str.as_bytes()));
-                run.order.shuffle(&mut rng);
-                run.dirty = false;
-            }
-            placements.extend(run.order.iter().map(|&p| (key, p)));
+        if !self.fresh.is_empty() {
+            let rank = self.interner.rank();
+            self.fresh.sort_unstable_by_key(|t| rank[t.index()]);
+            merge_by_rank(&mut self.keys, &self.fresh, &rank);
+            self.fresh.clear();
         }
-        NeighborList::from_sorted_placements(
-            placements,
-            Arc::clone(&self.interner),
-            self.n_profiles,
-            false,
-        )
+        let mut nl: Vec<ProfileId> = Vec::with_capacity(self.total_placements);
+        for &key in &self.keys {
+            let run = self.runs.get_mut(&key).expect("every key has a run");
+            let dead = retracted.map_or(0, |r| run.members.iter().filter(|p| r[p.index()]).count());
+            if run.dirty || dead != run.dead {
+                run.redraw(key, self.seed, &self.interner, retracted, dead);
+            }
+            nl.extend_from_slice(&run.order);
+        }
+        NeighborList::from_raw_parts(nl, None, Arc::clone(&self.interner), self.n_profiles)
+    }
+}
+
+/// Merges `fresh` into `keys`, both ascending by `rank`, in place and in
+/// one pass from the back. Keys are distinct tokens, so their ranks are
+/// too: no ties.
+fn merge_by_rank(keys: &mut Vec<TokenId>, fresh: &[TokenId], rank: &[u32]) {
+    let mut old = keys.len();
+    keys.extend_from_slice(fresh);
+    for (at, &key) in fresh.iter().enumerate().rev() {
+        let r = rank[key.index()];
+        while old > 0 && rank[keys[old - 1].index()] > r {
+            keys[old + at] = keys[old - 1];
+            old -= 1;
+        }
+        keys[old + at] = key;
     }
 }
 
@@ -757,6 +797,33 @@ mod tests {
     }
 
     #[test]
+    fn compaction_emptied_key_is_recreated_by_later_ingest() {
+        // "zed" belongs to p1 alone: compaction empties its run and drops
+        // its key; p3 re-creates it as a fresh key after a snapshot that
+        // ordered the others.
+        let mut b = ProfileCollectionBuilder::dirty();
+        for text in ["ash elm", "elm zed", "ash oak", "oak zed", "ash"] {
+            b.add_profile([("t", text)]);
+        }
+        let coll = b.build();
+        let mut nl = IncrementalNeighborList::new(5);
+        nl.add_batch(&coll.profiles()[..3]);
+        let dead = marks(5, &[1]);
+        nl.snapshot(Some(&dead[..3]));
+        nl.compact(&dead[..3]);
+        let zed = nl.interner().intern("zed");
+        assert!(nl.runs().all(|(t, _)| t != zed), "the zed run is gone");
+        nl.snapshot(None);
+        nl.add_batch(&coll.profiles()[3..]);
+        let mut husked = coll.clone();
+        husked.retract_profile(ProfileId(1));
+        let want = IncrementalNeighborList::from_collection(&husked, 5).snapshot(None);
+        let got = nl.snapshot(Some(&dead));
+        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(got.len(), 7);
+    }
+
+    #[test]
     #[should_panic(expected = "dense id order")]
     fn non_dense_ingest_panics() {
         let coll = collection(4);
@@ -887,6 +954,121 @@ mod proptests {
             prop_assert_eq!(compacted.as_slice(), want.as_slice(), "NL after compaction");
             let unmarked = nl.snapshot(None);
             prop_assert_eq!(unmarked.as_slice(), want.as_slice(), "NL after compaction, unmarked");
+        }
+
+        /// A session's sequence of ingest chunks, retractions,
+        /// compactions and one checkpoint round trip (`from_parts` over
+        /// `runs()`): the snapshot equals a fresh list over the husked
+        /// prefix after two steps in three and after the last, so some
+        /// snapshots follow several changes, as an epoch's follows a
+        /// batch's ingest and mutations. The collection is drawn twice
+        /// over, so a key that compaction emptied is re-created by the
+        /// later copy.
+        #[test]
+        fn snapshots_follow_every_step_of_a_session(
+            values in proptest::collection::vec("[a-e ]{1,8}", 1..12),
+            clean_clean in 0usize..2,
+            split in 0usize..24,
+            ops in proptest::collection::vec((0u8..4, 0u32..64), 1..32),
+            seed in 0u64..u64::MAX,
+        ) {
+            let all: Vec<&String> = values.iter().chain(&values).collect();
+            let split = (clean_clean == 1).then_some(split.min(all.len()));
+            let prefix = |k: usize, dead: &[bool]| {
+                let mut b = if split.is_some() {
+                    ProfileCollectionBuilder::clean_clean()
+                } else {
+                    ProfileCollectionBuilder::dirty()
+                };
+                for (i, v) in all[..k].iter().enumerate() {
+                    if split == Some(i) {
+                        b.start_second_source();
+                    }
+                    let text = if dead[i] { String::new() } else { v.to_string() };
+                    b.add_profile([("t", text)]);
+                }
+                if split.is_some_and(|s| s >= k) {
+                    b.start_second_source();
+                }
+                b.build()
+            };
+            let full = prefix(all.len(), &vec![false; all.len()]);
+            let mut nl = IncrementalNeighborList::new(seed);
+            let (mut dead, mut pending, mut restored) = (Vec::new(), false, false);
+            let last = ops.len() - 1;
+            for (step, (op, arg)) in ops.into_iter().enumerate() {
+                let k = dead.len();
+                match op {
+                    0 => {
+                        let end = (k + 1 + arg as usize % 4).min(all.len());
+                        nl.add_batch(&full.profiles()[k..end]);
+                        dead.resize(end, false);
+                    }
+                    1 if k > 0 && !dead[arg as usize % k] => {
+                        dead[arg as usize % k] = true;
+                        pending = true;
+                    }
+                    2 => {
+                        nl.compact(&dead);
+                        pending = false;
+                    }
+                    3 if !restored => {
+                        let runs: Vec<(TokenId, Vec<ProfileId>)> =
+                            nl.runs().map(|(t, m)| (t, m.to_vec())).collect();
+                        nl = IncrementalNeighborList::from_parts(
+                            nl.seed(),
+                            nl.n_profiles(),
+                            Arc::clone(nl.interner()),
+                            runs,
+                        );
+                        restored = true;
+                    }
+                    _ => {}
+                }
+                if arg % 3 == 0 && step < last {
+                    continue;
+                }
+                // Marks are required while a retracted row is present, and
+                // harmless once compaction dropped it.
+                let marks = (pending || arg % 2 == 1).then_some(dead.as_slice());
+                let got = nl.snapshot(marks);
+                let want =
+                    IncrementalNeighborList::from_collection(&prefix(dead.len(), &dead), seed)
+                        .snapshot(None);
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "after op {} ({})", op, arg);
+            }
+        }
+
+        /// The snapshot is the canonical list spelled out from the
+        /// collection: the token strings in order, each run the live
+        /// members in id order shuffled by `seed ^ fnv1a(token)`, runs of
+        /// every length included.
+        #[test]
+        fn snapshot_is_the_canonical_list(
+            coll in arbitrary_dirty_or_clean_clean(),
+            retract in proptest::collection::vec(0u32..20, 0..8),
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::SeedableRng;
+            let mut dead = vec![false; coll.len()];
+            for id in retract.into_iter().filter(|&id| (id as usize) < coll.len()) {
+                dead[id as usize] = true;
+            }
+            let mut runs: std::collections::BTreeMap<String, Vec<ProfileId>> = Default::default();
+            for p in coll.iter().filter(|p| !dead[p.id.index()]) {
+                for token in p.token_set(&Tokenizer) {
+                    runs.entry(token).or_default().push(p.id);
+                }
+            }
+            let mut want: Vec<ProfileId> = Vec::new();
+            for (token, mut members) in runs {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ fnv1a(token.as_bytes()));
+                members.shuffle(&mut rng);
+                want.extend(members);
+            }
+            let got = IncrementalNeighborList::from_collection(&coll, seed).snapshot(Some(&dead));
+            prop_assert_eq!(got.as_slice(), want.as_slice());
         }
 
         /// The incremental Neighbor List is a pure function of the final

@@ -98,13 +98,17 @@ fn tracing_is_a_pure_observer() {
         "tracing changed streamed epoch emissions"
     );
 
-    // GS-PSN's builds again, under a capture of their own: the profile
-    // of `core.build_method` then holds GS-PSN's initialization alone.
-    let gs_capture = Arc::new(obs::CaptureSink::new());
-    obs::trace::install_sink(gs_capture.clone(), obs::Level::Debug);
-    for threads in [1, 2] {
-        drain(ProgressiveMethod::GsPsn, profiles, schema_keys, threads);
-    }
+    // GS-PSN's and LS-PSN's builds again, each under a capture of its
+    // own: the profile of `core.build_method` then holds that method's
+    // initialization alone.
+    let build_captures = [ProgressiveMethod::GsPsn, ProgressiveMethod::LsPsn].map(|method| {
+        let capture = Arc::new(obs::CaptureSink::new());
+        obs::trace::install_sink(capture.clone(), obs::Level::Debug);
+        for threads in [1, 2] {
+            drain(method, profiles, schema_keys, threads);
+        }
+        (method, capture)
+    });
 
     obs::metrics::set_enabled(false);
     obs::trace::clear_sink();
@@ -150,30 +154,36 @@ fn tracing_is_a_pure_observer() {
         parent.total_ns
     );
 
-    // GS-PSN's build is the Neighbor List build, the window pass and the
-    // first tier of each run, each under its own span, and together they
-    // cover it within the same tolerance.
-    let records: Vec<obs::ProfileRecord> = gs_capture.records().iter().map(Into::into).collect();
-    let profile = obs::SpanProfile::from_records(&records);
-    let build = "core.build_method";
-    for step in [
-        "blocking.nl_build",
-        "core.gs_psn.window_pass",
-        "core.gs_psn.first_tier",
-    ] {
+    // GS-PSN's and LS-PSN's builds are the Neighbor List build, the
+    // window pass and the first tier of its runs, each under its own span,
+    // and together they cover the build within the same tolerance.
+    for (method, capture) in build_captures {
+        let records: Vec<obs::ProfileRecord> = capture.records().iter().map(Into::into).collect();
+        let profile = obs::SpanProfile::from_records(&records);
+        let build = "core.build_method";
+        let prefix = match method {
+            ProgressiveMethod::GsPsn => "core.gs_psn",
+            _ => "core.ls_psn",
+        };
+        for step in [
+            "blocking.nl_build".to_string(),
+            format!("{prefix}.window_pass"),
+            format!("{prefix}.first_tier"),
+        ] {
+            assert!(
+                profile.stacks().contains_key(&format!("{build};{step}")),
+                "no {step:?} span inside {method:?}'s build"
+            );
+        }
+        let parent = profile.stacks()[build];
+        let tolerance = (parent.total_ns / 50).max(2_000_000);
         assert!(
-            profile.stacks().contains_key(&format!("{build};{step}")),
-            "no {step:?} span inside GS-PSN's build"
+            parent.self_ns <= tolerance,
+            "child spans leave {} of {} ns of {method:?}'s build uncovered",
+            parent.self_ns,
+            parent.total_ns
         );
     }
-    let parent = profile.stacks()[build];
-    let tolerance = (parent.total_ns / 50).max(2_000_000);
-    assert!(
-        parent.self_ns <= tolerance,
-        "child spans leave {} of {} ns of GS-PSN's build uncovered",
-        parent.self_ns,
-        parent.total_ns
-    );
 
     // Phase 4: trace records render as parseable JSON lines with the
     // documented required keys, and the metrics registry exports cleanly.
