@@ -47,7 +47,7 @@ fn main() {
                 jaccard = JaccardMatcher::new(&text, 0.5);
                 &jaccard
             } else {
-                edit = EditDistanceMatcher::new(&text, 0.8);
+                edit = EditDistanceMatcher::new(&data.profiles, 0.8);
                 &edit
             };
             println!(

@@ -158,7 +158,10 @@ pub fn string_neighbor_list(
     let tokenizer = Tokenizer;
     let mut placements: Vec<(String, ProfileId)> = Vec::new();
     for p in profiles.iter() {
-        let mut toks = p.tokens(&tokenizer);
+        let mut toks = Vec::new();
+        for attr in &p.attributes {
+            tokenizer.tokenize_into(&attr.value, &mut toks);
+        }
         toks.sort_unstable();
         toks.dedup();
         for t in toks {

@@ -204,14 +204,12 @@ mod tests {
 
     #[test]
     fn duplicates_overlap_in_title_tokens() {
-        use sper_text::Tokenizer;
         let d = twin();
-        let t = Tokenizer;
+        let text = sper_model::ProfileText::extract(&d.profiles);
         let mut overlapping = 0usize;
         let mut total = 0usize;
         for p in d.truth.pairs().take(500) {
-            let a = d.profiles.get(p.first).token_set(&t);
-            let b = d.profiles.get(p.second).token_set(&t);
+            let (a, b) = (text.tokens(p.first), text.tokens(p.second));
             let inter = a.iter().filter(|x| b.binary_search(x).is_ok()).count();
             total += 1;
             if inter >= 3 {

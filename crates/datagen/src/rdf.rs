@@ -350,14 +350,12 @@ mod tests {
 
     #[test]
     fn freebase_matching_profiles_share_name_tokens() {
-        use sper_text::Tokenizer;
         let d = fb();
-        let t = Tokenizer;
+        let text = sper_model::ProfileText::extract(&d.profiles);
         let mut share = 0;
         let mut total = 0;
         for p in d.truth.pairs().take(200) {
-            let a = d.profiles.get(p.first).token_set(&t);
-            let b = d.profiles.get(p.second).token_set(&t);
+            let (a, b) = (text.tokens(p.first), text.tokens(p.second));
             let inter = a.iter().filter(|x| b.binary_search(x).is_ok()).count();
             total += 1;
             // Shared: name tokens + URI prefixes (http, org...).

@@ -8,31 +8,54 @@
 
 use crate::ground_truth::GroundTruth;
 use crate::profile::{Profile, ProfileCollection, ProfileId};
-use sper_text::{jaccard_similarity_sorted, levenshtein, Tokenizer};
+use sper_text::{jaccard_similarity_sorted, levenshtein, TokenId, TokenInterner, Tokenizer};
 
-/// Pre-extracted textual representations of every profile, shared by the
-/// string-based matchers so the `O(s·t)` / `O(s+t)` costs measured in the
-/// timing experiments are pure comparison costs (as in the paper, where
-/// profile strings exist up front).
+/// Every profile's token set, extracted up front so the `O(s+t)` cost the
+/// timing experiments measure is a pure comparison cost (as in the paper,
+/// where profile strings exist up front).
+///
+/// One CSR: profile `p`'s distinct tokens are
+/// `tokens[offsets[p]..offsets[p + 1]]`, in ascending [`TokenId`] order.
+/// The ids come from an interner local to [`Self::extract`] that is
+/// dropped before it returns, so only the equality and order of ids inside
+/// one `ProfileText` mean anything. Id ↔ string is a bijection, so every
+/// intersection count, union count and similarity equals the one over the
+/// token strings.
 #[derive(Debug, Clone)]
 pub struct ProfileText {
-    /// Concatenated attribute values per profile.
-    pub concat: Vec<String>,
-    /// Sorted, deduplicated token set per profile.
-    pub token_sets: Vec<Vec<String>>,
+    offsets: Vec<u32>,
+    tokens: Vec<TokenId>,
 }
 
 impl ProfileText {
-    /// Extracts texts for all profiles of `collection`.
+    /// Extracts the token sets of all profiles of `collection`.
     pub fn extract(collection: &ProfileCollection) -> Self {
-        let tokenizer = Tokenizer;
-        let mut concat = Vec::with_capacity(collection.len());
-        let mut token_sets = Vec::with_capacity(collection.len());
+        let interner = TokenInterner::new();
+        let mut offsets = Vec::with_capacity(collection.len() + 1);
+        offsets.push(0);
+        let mut tokens = Vec::new();
+        let mut set = Vec::new();
         for p in collection.iter() {
-            concat.push(p.concat_values());
-            token_sets.push(p.token_set(&tokenizer));
+            set.clear();
+            for attr in &p.attributes {
+                Tokenizer.tokenize_ids_into(&attr.value, &interner, &mut set);
+            }
+            set.sort_unstable();
+            set.dedup();
+            tokens.extend_from_slice(&set);
+            offsets.push(u32::try_from(tokens.len()).expect("fewer than 2^32 profile tokens"));
         }
-        Self { concat, token_sets }
+        Self { offsets, tokens }
+    }
+
+    /// The distinct tokens of profile `id`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the id is out of range.
+    pub fn tokens(&self, id: ProfileId) -> &[TokenId] {
+        let i = id.index();
+        &self.tokens[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -71,25 +94,28 @@ impl MatchFunction for OracleMatcher<'_> {
     }
 }
 
-/// The expensive match function: normalized edit distance over concatenated
-/// values, `O(s·t)` per comparison.
+/// The expensive match function: normalized edit distance over each
+/// profile's values joined by spaces, `O(s·t)` per comparison.
 #[derive(Debug)]
-pub struct EditDistanceMatcher<'a> {
-    text: &'a ProfileText,
+pub struct EditDistanceMatcher {
+    /// Concatenated attribute values per profile.
+    concat: Vec<String>,
     /// Similarity threshold in `\[0, 1\]`; `≥ threshold` is a match.
     pub threshold: f64,
 }
 
-impl<'a> EditDistanceMatcher<'a> {
-    /// Creates the matcher with the given similarity threshold.
-    pub fn new(text: &'a ProfileText, threshold: f64) -> Self {
-        Self { text, threshold }
+impl EditDistanceMatcher {
+    /// Creates the matcher over `collection`'s profiles with the given
+    /// similarity threshold.
+    pub fn new(collection: &ProfileCollection, threshold: f64) -> Self {
+        let concat = collection.iter().map(Profile::concat_values).collect();
+        Self { concat, threshold }
     }
 
     /// Raw similarity in `\[0, 1\]` between two profiles.
     pub fn similarity(&self, a: ProfileId, b: ProfileId) -> f64 {
-        let sa = &self.text.concat[a.index()];
-        let sb = &self.text.concat[b.index()];
+        let sa = &self.concat[a.index()];
+        let sb = &self.concat[b.index()];
         let max = sa.chars().count().max(sb.chars().count());
         if max == 0 {
             return 1.0;
@@ -98,7 +124,7 @@ impl<'a> EditDistanceMatcher<'a> {
     }
 }
 
-impl MatchFunction for EditDistanceMatcher<'_> {
+impl MatchFunction for EditDistanceMatcher {
     fn matches(&self, a: ProfileId, b: ProfileId) -> bool {
         self.similarity(a, b) >= self.threshold
     }
@@ -109,7 +135,7 @@ impl MatchFunction for EditDistanceMatcher<'_> {
 }
 
 /// The cheap match function: Jaccard similarity of token sets, `O(s+t)` per
-/// comparison thanks to pre-sorted token sets.
+/// comparison as one merge of two sorted id lists.
 #[derive(Debug)]
 pub struct JaccardMatcher<'a> {
     text: &'a ProfileText,
@@ -125,10 +151,7 @@ impl<'a> JaccardMatcher<'a> {
 
     /// Raw similarity in `\[0, 1\]` between two profiles.
     pub fn similarity(&self, a: ProfileId, b: ProfileId) -> f64 {
-        jaccard_similarity_sorted(
-            &self.text.token_sets[a.index()],
-            &self.text.token_sets[b.index()],
-        )
+        jaccard_similarity_sorted(self.text.tokens(a), self.text.tokens(b))
     }
 }
 
@@ -140,13 +163,6 @@ impl MatchFunction for JaccardMatcher<'_> {
     fn name(&self) -> &'static str {
         "jaccard"
     }
-}
-
-/// Convenience: extract text and apply a matcher to two loose profiles,
-/// bypassing collections (used in doctests and examples).
-pub fn profile_jaccard(a: &Profile, b: &Profile) -> f64 {
-    let tokenizer = Tokenizer;
-    jaccard_similarity_sorted(&a.token_set(&tokenizer), &b.token_set(&tokenizer))
 }
 
 #[cfg(test)]
@@ -178,8 +194,9 @@ mod tests {
     #[test]
     fn edit_distance_close_pair() {
         let (coll, _) = fixture();
-        let text = ProfileText::extract(&coll);
-        let m = EditDistanceMatcher::new(&text, 0.7);
+        let m = EditDistanceMatcher::new(&coll, 0.7);
+        // "Carl White tailor" vs "Karl White tailor": one edit in 17 chars.
+        assert_eq!(m.similarity(ProfileId(0), ProfileId(1)), 1.0 - 1.0 / 17.0);
         assert!(m.matches(ProfileId(0), ProfileId(1)));
         assert!(!m.matches(ProfileId(0), ProfileId(2)));
         assert!(m.similarity(ProfileId(0), ProfileId(0)) >= 1.0 - 1e-12);
@@ -191,6 +208,7 @@ mod tests {
         let text = ProfileText::extract(&coll);
         let m = JaccardMatcher::new(&text, 0.4);
         // {carl, white, tailor} vs {karl, white, tailor}: 2/4 = 0.5.
+        assert_eq!(m.similarity(ProfileId(0), ProfileId(1)), 0.5);
         assert!(m.matches(ProfileId(0), ProfileId(1)));
         assert!(!m.matches(ProfileId(0), ProfileId(2)));
     }
@@ -204,11 +222,78 @@ mod tests {
         let strict = JaccardMatcher::new(&text, 0.5 + 1e-9);
         assert!(!strict.matches(ProfileId(0), ProfileId(1)));
     }
+}
 
-    #[test]
-    fn profile_jaccard_helper() {
-        let (coll, _) = fixture();
-        let j = profile_jaccard(coll.get(ProfileId(0)), coll.get(ProfileId(1)));
-        assert!((j - 0.5).abs() < 1e-12);
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::profile::ProfileCollectionBuilder;
+    use proptest::prelude::*;
+    use sper_text::jaccard_similarity;
+
+    /// A cell: words, punctuation only, empty, or multi-byte text.
+    fn cell() -> impl Strategy<Value = String> {
+        (
+            0u8..4,
+            "[a-dA-D0-2 ]{1,12}",
+            "[ ,.;:/_-]{1,4}",
+            "[a-cé東ß ]{1,6}",
+        )
+            .prop_map(|(kind, words, punctuation, multi_byte)| match kind {
+                0 => words,
+                1 => punctuation,
+                2 => String::new(),
+                _ => multi_byte,
+            })
+    }
+
+    /// A Dirty or Clean-clean collection of up to 8 + 8 profiles.
+    fn collection() -> impl Strategy<Value = ProfileCollection> {
+        let rows = || collection::vec(collection::vec(cell(), 0..4), 0..8);
+        (0u8..2, rows(), rows()).prop_map(|(clean, first, second)| {
+            let add = |b: &mut ProfileCollectionBuilder, rows: Vec<Vec<String>>| {
+                for row in rows {
+                    b.add_profile(
+                        row.into_iter()
+                            .enumerate()
+                            .map(|(i, v)| (format!("a{i}"), v)),
+                    );
+                }
+            };
+            if clean == 0 {
+                let mut b = ProfileCollectionBuilder::dirty();
+                add(&mut b, first);
+                return b.build();
+            }
+            let mut b = ProfileCollectionBuilder::clean_clean();
+            add(&mut b, first);
+            b.start_second_source();
+            add(&mut b, second);
+            b.build()
+        })
+    }
+
+    proptest! {
+        /// Jaccard over interned ids is the hash-set reference over the
+        /// token strings, bit for bit, and every id list is strictly
+        /// ascending.
+        #[test]
+        fn id_jaccard_equals_the_string_reference(coll in collection()) {
+            let text = ProfileText::extract(&coll);
+            let m = JaccardMatcher::new(&text, 0.5);
+            let strings: Vec<Vec<String>> = coll
+                .iter()
+                .map(|p| p.attributes.iter().flat_map(|a| Tokenizer.tokenize(&a.value)).collect())
+                .collect();
+            for p in coll.iter() {
+                prop_assert!(text.tokens(p.id).windows(2).all(|w| w[0] < w[1]));
+            }
+            for a in coll.iter() {
+                for b in coll.iter() {
+                    let want = jaccard_similarity(&strings[a.id.index()], &strings[b.id.index()]);
+                    prop_assert_eq!(m.similarity(a.id, b.id).to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 }

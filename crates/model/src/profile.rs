@@ -1,7 +1,6 @@
 //! Entity profiles and profile collections.
 
 use serde::{Deserialize, Serialize};
-use sper_text::Tokenizer;
 
 /// Identifier of a profile inside a [`ProfileCollection`].
 ///
@@ -91,25 +90,6 @@ impl Profile {
     /// this across a collection).
     pub fn num_pairs(&self) -> usize {
         self.attributes.len()
-    }
-
-    /// All attribute-value tokens of the profile, in attribute order, using
-    /// `tokenizer`. These are the schema-agnostic blocking keys.
-    pub fn tokens(&self, tokenizer: &Tokenizer) -> Vec<String> {
-        let mut out = Vec::new();
-        for attr in &self.attributes {
-            tokenizer.tokenize_into(&attr.value, &mut out);
-        }
-        out
-    }
-
-    /// Distinct, sorted attribute-value tokens — the token *set* used by the
-    /// Jaccard match function.
-    pub fn token_set(&self, tokenizer: &Tokenizer) -> Vec<String> {
-        let mut toks = self.tokens(tokenizer);
-        toks.sort_unstable();
-        toks.dedup();
-        toks
     }
 
     /// Concatenation of all attribute values separated by single spaces —
@@ -448,7 +428,6 @@ impl ProfileCollectionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sper_text::Tokenizer;
 
     fn sample_dirty() -> ProfileCollection {
         let mut b = ProfileCollectionBuilder::dirty();
@@ -504,15 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn profile_tokens_and_concat() {
+    fn concat_values_joins_with_spaces() {
         let coll = sample_dirty();
-        let t = Tokenizer;
-        assert_eq!(coll.get(ProfileId(0)).tokens(&t), vec!["carl", "white"]);
         assert_eq!(coll.get(ProfileId(0)).concat_values(), "Carl White");
-        assert_eq!(
-            coll.get(ProfileId(2)).token_set(&t),
-            vec!["emma", "tailor", "white", "wi"]
-        );
     }
 
     #[test]
@@ -562,7 +535,6 @@ mod tests {
         assert_eq!(coll.len(), 3);
         assert_eq!(coll.len_first(), 3);
         assert_eq!(coll.get(ProfileId(1)).id, ProfileId(1));
-        assert!(coll.get(ProfileId(1)).tokens(&Tokenizer).is_empty());
         // Re-ingest lands on a fresh id, never the husk's.
         let re = coll.append_profile(vec![Attribute::new("name", "Karl White")]);
         assert_eq!(re, ProfileId(3));

@@ -19,7 +19,7 @@
 //!   trusted header there is no layout to walk, and salvage returns the
 //!   same typed error the strict reader would.
 
-use crate::container::{tag_name, Store, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
+use crate::container::{tag_name, Store, Tag, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
 use crate::crc32::crc32;
 use crate::error::StoreError;
 use crate::snapshot::Snapshot;
@@ -192,71 +192,70 @@ impl Snapshot {
     /// Header defects only, exactly as [`Store::salvage`].
     pub fn salvage(bytes: &[u8]) -> Result<(Snapshot, SalvageReport), StoreError> {
         let (store, mut report) = Store::salvage(bytes)?;
-        // Demote a recovered-but-undecodable section to lost.
-        let demote = |report: &mut SalvageReport, name: &str, err: &StoreError| {
-            report.recovered.retain(|r| r != name);
+        // Move a recovered section to lost, under its tag.
+        let lose = |report: &mut SalvageReport, tag: Tag, reason: String| {
+            let name = tag_name(tag);
+            report.recovered.retain(|r| *r != name);
             report.lost.push(LostSection {
-                section: name.to_string(),
-                reason: format!("decoded to garbage: {err}"),
+                section: name,
+                reason,
             });
+        };
+        // Demote a recovered-but-undecodable section to lost.
+        let demote = |report: &mut SalvageReport, tag: Tag, err: &StoreError| {
+            lose(report, tag, format!("decoded to garbage: {err}"));
         };
         let interner = match store.get(TAG_INTERNER) {
             None => None,
             Some(payload) => match decode_interner(payload) {
                 Ok(interner) => Some(Arc::new(interner)),
                 Err(e) => {
-                    demote(&mut report, "INTR", &e);
+                    demote(&mut report, TAG_INTERNER, &e);
                     None
                 }
             },
         };
-        let keyed = |report: &mut SalvageReport,
-                     tag: crate::container::Tag,
-                     name: &str|
-         -> Option<Vec<u8>> {
+        let keyed = |report: &mut SalvageReport, tag: Tag| -> Option<Vec<u8>> {
             let payload = store.get(tag)?.to_vec();
             if interner.is_none() {
-                report.recovered.retain(|r| r != name);
-                report.lost.push(LostSection {
-                    section: name.to_string(),
-                    reason: "requires the lost interner to resolve its keys".into(),
-                });
+                let reason = "requires the lost interner to resolve its keys".into();
+                lose(report, tag, reason);
                 return None;
             }
             Some(payload)
         };
-        let blocks_payload = keyed(&mut report, TAG_BLOCKS, "BLKS");
-        let nl_payload = keyed(&mut report, TAG_NEIGHBOR_LIST, "NBRL");
+        let blocks_payload = keyed(&mut report, TAG_BLOCKS);
+        let nl_payload = keyed(&mut report, TAG_NEIGHBOR_LIST);
         let interner_arc = interner.clone().unwrap_or_else(TokenInterner::shared);
         let mut snapshot = Snapshot::new(Arc::clone(&interner_arc));
         if let Some(payload) = store.get(TAG_PROFILES) {
             match decode_profiles(payload) {
                 Ok(p) => snapshot.profiles = Some(p),
-                Err(e) => demote(&mut report, "PROF", &e),
+                Err(e) => demote(&mut report, TAG_PROFILES, &e),
             }
         }
         if let Some(payload) = blocks_payload {
             match decode_blocks(&payload, Arc::clone(&interner_arc)) {
                 Ok(b) => snapshot.blocks = Some(b),
-                Err(e) => demote(&mut report, "BLKS", &e),
+                Err(e) => demote(&mut report, TAG_BLOCKS, &e),
             }
         }
         if let Some(payload) = store.get(TAG_PROFILE_INDEX) {
             match decode_profile_index(payload) {
                 Ok(i) => snapshot.profile_index = Some(i),
-                Err(e) => demote(&mut report, "PIDX", &e),
+                Err(e) => demote(&mut report, TAG_PROFILE_INDEX, &e),
             }
         }
         if let Some(payload) = store.get(TAG_GRAPH) {
             match decode_graph(payload) {
                 Ok(g) => snapshot.graph = Some(g),
-                Err(e) => demote(&mut report, "GRPH", &e),
+                Err(e) => demote(&mut report, TAG_GRAPH, &e),
             }
         }
         if let Some(payload) = nl_payload {
             match decode_neighbor_list(&payload, Arc::clone(&interner_arc)) {
                 Ok(nl) => snapshot.neighbor_list = Some(nl),
-                Err(e) => demote(&mut report, "NBRL", &e),
+                Err(e) => demote(&mut report, TAG_NEIGHBOR_LIST, &e),
             }
         }
         Ok((snapshot, report))
@@ -348,5 +347,74 @@ mod tests {
         let (_, report) = Store::salvage(&bytes).unwrap();
         assert_eq!(report.trailing_bytes, 8);
         assert_eq!(report.recovered.len(), 3);
+    }
+
+    /// A snapshot store holding the interner, profiles, blocks and a
+    /// neighbor list.
+    fn keyed_snapshot_store() -> Store {
+        let mut b = sper_model::ProfileCollectionBuilder::dirty();
+        for v in ["carl white", "karl white", "emma white tailor"] {
+            b.add_profile([("text", v)]);
+        }
+        let coll = b.build();
+        let blocks = sper_blocking::TokenBlocking.build(&coll);
+        let mut snapshot = Snapshot::new(Arc::clone(blocks.interner()));
+        snapshot.neighbor_list = Some(sper_blocking::NeighborList::build(&coll, 7));
+        snapshot.profiles = Some(coll);
+        snapshot.blocks = Some(blocks);
+        snapshot.to_store().unwrap()
+    }
+
+    /// Every name the report gives is a tag `store` holds, each once, and
+    /// the report accounts for every declared section.
+    fn assert_names_real_tags(report: &SalvageReport, store: &Store) {
+        let mut names: Vec<&str> = report.recovered.iter().map(String::as_str).collect();
+        names.extend(report.lost.iter().map(|l| l.section.as_str()));
+        names.sort_unstable();
+        let mut tags: Vec<String> = store.tags().map(tag_name).collect();
+        tags.sort_unstable();
+        assert_eq!(names, tags, "{}", report.summary());
+        assert_eq!(report.recovered.len() + report.lost.len(), report.declared);
+    }
+
+    #[test]
+    fn lost_interner_demotes_the_keyed_sections_under_their_tags() {
+        let store = keyed_snapshot_store();
+        let mut bytes = store.to_bytes();
+        // INTR is the first section: its payload starts after the 12-byte
+        // header and its 16-byte prologue.
+        bytes[28] ^= 0xFF;
+        let (snapshot, report) = Snapshot::salvage(&bytes).unwrap();
+        assert_names_real_tags(&report, &store);
+        assert_eq!(report.recovered, vec![tag_name(TAG_PROFILES)]);
+        let lost: Vec<&str> = report.lost.iter().map(|l| l.section.as_str()).collect();
+        assert_eq!(lost, ["INTR", "BLKC", "NLST"], "{}", report.summary());
+        assert!(snapshot.profiles.is_some());
+        assert!(snapshot.blocks.is_none() && snapshot.neighbor_list.is_none());
+    }
+
+    #[test]
+    fn undecodable_keyed_sections_are_lost_under_their_tags() {
+        let clean = keyed_snapshot_store();
+        let mut store = Store::new();
+        for tag in clean.tags() {
+            // CRC-valid payloads that no decoder accepts.
+            let payload = if tag == TAG_BLOCKS || tag == TAG_NEIGHBOR_LIST {
+                vec![1, 2, 3]
+            } else {
+                clean.get(tag).unwrap().to_vec()
+            };
+            store.push(tag, payload);
+        }
+        let (snapshot, report) = Snapshot::salvage(&store.to_bytes()).unwrap();
+        assert_names_real_tags(&report, &store);
+        assert_eq!(report.recovered, vec!["INTR", "PROF"]);
+        let lost: Vec<&str> = report.lost.iter().map(|l| l.section.as_str()).collect();
+        assert_eq!(lost, ["BLKC", "NLST"], "{}", report.summary());
+        assert!(report
+            .lost
+            .iter()
+            .all(|l| l.reason.starts_with("decoded to garbage")));
+        assert!(snapshot.blocks.is_none() && snapshot.neighbor_list.is_none());
     }
 }

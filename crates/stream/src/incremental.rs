@@ -1057,7 +1057,9 @@ mod proptests {
             }
             let mut runs: std::collections::BTreeMap<String, Vec<ProfileId>> = Default::default();
             for p in coll.iter().filter(|p| !dead[p.id.index()]) {
-                for token in p.token_set(&Tokenizer) {
+                let tokens: std::collections::BTreeSet<String> =
+                    p.attributes.iter().flat_map(|a| Tokenizer.tokenize(&a.value)).collect();
+                for token in tokens {
                     runs.entry(token).or_default().push(p.id);
                 }
             }

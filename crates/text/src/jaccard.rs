@@ -32,14 +32,15 @@ pub fn jaccard_similarity<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
     }
 }
 
-/// Jaccard similarity over **sorted, deduplicated** token slices, computed by
-/// a single linear merge — the `O(s + t)` fast path used by the harness when
-/// profiles carry pre-sorted token sets.
+/// Jaccard similarity over **sorted, deduplicated** slices, computed by a
+/// single linear merge — the `O(s + t)` fast path of the match function,
+/// over token strings or over interned token ids alike: only equality and
+/// order of the elements matter.
 ///
 /// # Panics
 ///
 /// Debug-asserts that inputs are sorted and deduplicated.
-pub fn jaccard_similarity_sorted<S: AsRef<str> + Ord>(a: &[S], b: &[S]) -> f64 {
+pub fn jaccard_similarity_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
     debug_assert!(
         a.windows(2).all(|w| w[0] < w[1]),
         "input `a` must be sorted+dedup"
@@ -55,7 +56,7 @@ pub fn jaccard_similarity_sorted<S: AsRef<str> + Ord>(a: &[S], b: &[S]) -> f64 {
     let mut j = 0;
     let mut inter = 0usize;
     while i < a.len() && j < b.len() {
-        match a[i].as_ref().cmp(b[j].as_ref()) {
+        match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
@@ -102,6 +103,8 @@ mod tests {
             jaccard_similarity(&a, &b),
             jaccard_similarity_sorted(&a, &b)
         );
+        // Any ordered element type: the same sets as ids.
+        assert_eq!(jaccard_similarity_sorted(&[0u32, 1, 2], &[1, 2, 3]), 0.5);
     }
 }
 

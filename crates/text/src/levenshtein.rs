@@ -54,9 +54,10 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// assert_eq!(levenshtein_bounded("kitten", "sitting", 2), None);
 /// ```
 pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    // Ordered by char count: a byte-longer string can hold fewer chars.
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let short: Vec<char> = short.chars().collect();
-    let long: Vec<char> = long.chars().collect();
     if long.len() - short.len() > bound {
         return None;
     }
@@ -177,6 +178,14 @@ mod tests {
     }
 
     #[test]
+    fn bounded_orders_by_chars_not_bytes() {
+        // 6 bytes but 3 chars against 5 bytes and 5 chars.
+        assert_eq!(levenshtein_bounded("ééé", "abcde", 10), Some(5));
+        assert_eq!(levenshtein_bounded("abcde", "ééé", 10), Some(5));
+        assert_eq!(levenshtein_bounded("ééé", "abcde", 4), None);
+    }
+
+    #[test]
     fn bounded_length_prefilter() {
         // Length difference alone exceeds the bound — must bail immediately.
         assert_eq!(levenshtein_bounded("ab", "abcdefgh", 3), None);
@@ -246,9 +255,14 @@ mod proptests {
         }
 
         /// The bounded variant agrees with the exact distance whenever the
-        /// bound is large enough, and returns None otherwise.
+        /// bound is large enough, and returns None otherwise — also when
+        /// multi-byte chars make byte and char lengths disagree.
         #[test]
-        fn bounded_consistency(a in "[a-z]{0,10}", b in "[a-z]{0,10}", bound in 0usize..12) {
+        fn bounded_consistency(
+            a in "[a-zéß東😀]{0,10}",
+            b in "[a-zéß東😀]{0,10}",
+            bound in 0usize..12,
+        ) {
             let d = levenshtein(&a, &b);
             match levenshtein_bounded(&a, &b, bound) {
                 Some(got) => {
