@@ -502,21 +502,6 @@ impl BlockCollection {
         self.permute(&order);
     }
 
-    /// Sorts blocks lexicographically by resolved key string — the
-    /// deterministic output order of Token Blocking. Each key is resolved
-    /// once; only this collection's keys are compared (the interner's full
-    /// vocabulary may be much larger).
-    pub fn sort_by_key_str(&mut self) {
-        let strings: Vec<Arc<str>> = self
-            .keys
-            .iter()
-            .map(|&k| self.interner.resolve(k))
-            .collect();
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| strings[a as usize].cmp(&strings[b as usize]));
-        self.permute(&order);
-    }
-
     /// Keeps only the blocks satisfying `pred`, preserving order — an
     /// in-place CSR compaction.
     pub fn retain(&mut self, mut pred: impl FnMut(BlockRef<'_>) -> bool) {
@@ -692,20 +677,6 @@ mod tests {
         coll.sort_by_cardinality();
         assert_eq!(&*coll.key_str(BlockId(0)), "small");
         assert_eq!(&*coll.key_str(BlockId(1)), "big");
-    }
-
-    #[test]
-    fn key_sort_orders_by_string_not_id() {
-        let it = TokenInterner::shared();
-        // Intern in reverse-alphabetical order: ids disagree with strings.
-        let blocks = vec![
-            Block::new_dirty(it.intern("zeta"), vec![pid(0), pid(1)]),
-            Block::new_dirty(it.intern("alpha"), vec![pid(0), pid(1)]),
-        ];
-        let mut coll = coll(ErKind::Dirty, 2, &it, blocks);
-        coll.sort_by_key_str();
-        assert_eq!(&*coll.key_str(BlockId(0)), "alpha");
-        assert_eq!(&*coll.key_str(BlockId(1)), "zeta");
     }
 
     #[test]

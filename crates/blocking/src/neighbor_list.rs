@@ -17,82 +17,36 @@
 //! It is one offsets array plus one positions array (CSR), filled by a
 //! count, a prefix sum and one pass in list order.
 //!
-//! Construction is interned: placements are `(TokenId, ProfileId)` pairs,
-//! and the global alphabetical sort compares one precomputed `u32`
-//! lexicographic rank per token instead of strings — the dominant
-//! `O(‖NL‖ log ‖NL‖)` sort runs on 8-byte records. The resulting list is
-//! bit-identical to the historical string-sorted build (the rank order *is*
-//! the string order, and the run shuffles consume the RNG identically).
+//! Construction is interned, in phases, each under its own span:
 //!
-//! With several workers, each tokenizes one contiguous profile range into
-//! its own placement run and stable-sorts it; a deterministic tournament
-//! merge keyed on `(rank, run index)` then yields the very sequence the
-//! single-run sort produces, so the shuffle and the final list match
-//! position for position at every worker count.
+//! 1. **Tokenize and intern** (`blocking.tokenize`, plus
+//!    `blocking.publish` on several workers): every profile's distinct
+//!    token ids, in profile order — the placements.
+//! 2. **Rank** (`blocking.rank`): the interner's lexicographic rank table,
+//!    a pure function of the token strings.
+//! 3. **Sort** (`blocking.nl_sort`): a counting sort of the placements by
+//!    key rank — one counting pass, a prefix sum, and one scatter in
+//!    profile order. Scattering in input order makes it the stable sort
+//!    by rank, which is the historical stable sort by key string (the rank
+//!    order *is* the string order), with no comparison at all.
+//! 4. **Shuffle and Position Index** (`blocking.nl_shuffle`,
+//!    `blocking.position_index`): each equal-key run is one rank's
+//!    bucket, shuffled in rank order with one seeded RNG, as the
+//!    string-sorted build shuffled its runs.
+//!
+//! Only the first phase fans out; its ids, and so every later array, are
+//! the same at every worker count, and the list is bit-identical to the
+//! historical string-sorted build.
 
+use crate::block::prefix_offsets;
 use crate::parallel::{Parallelism, ZeroThreads};
-use crate::token_blocking::ProfileTokenizer;
+use crate::token_blocking::tokenize_profiles;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sper_model::{ProfileCollection, ProfileId};
-use sper_text::{TokenId, TokenInterner, Tokenizer};
+use sper_text::{TokenId, TokenInterner};
 use std::sync::Arc;
-
-/// Shuffles every equal-key run of rank-sorted placements with a seeded
-/// RNG — the *coincidental proximity* of §4.1.
-fn shuffle_equal_runs(placements: &mut [(TokenId, ProfileId)], seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut start = 0;
-    while start < placements.len() {
-        let mut end = start + 1;
-        while end < placements.len() && placements[end].0 == placements[start].0 {
-            end += 1;
-        }
-        if end - start > 1 {
-            placements[start..end].shuffle(&mut rng);
-        }
-        start = end;
-    }
-}
-
-/// Deterministic k-way tournament merge of rank-sorted placement runs.
-///
-/// The tournament key is `(rank, run index)`: distinct token strings have
-/// distinct ranks, and equal-rank ties resolve in run order — which is
-/// global profile order, because runs hold contiguous profile ranges. The
-/// output therefore equals a single stable sort of the concatenated runs.
-/// A single run passes through untouched.
-fn merge_ranked_runs(
-    mut runs: Vec<Vec<(TokenId, ProfileId)>>,
-    rank: &[u32],
-) -> Vec<(TokenId, ProfileId)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    if runs.len() == 1 {
-        return runs.pop().expect("one run");
-    }
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out: Vec<(TokenId, ProfileId)> = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; runs.len()];
-    // Min-heap over run fronts: the tournament of the k candidates.
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = runs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(i, r)| Reverse((rank[r[0].0.index()], i)))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let run = &runs[i];
-        let at = cursors[i];
-        out.push(run[at]);
-        cursors[i] = at + 1;
-        if at + 1 < run.len() {
-            heap.push(Reverse((rank[run[at + 1].0.index()], i)));
-        }
-    }
-    out
-}
 
 /// Inverted index: profile id → ascending Neighbor List positions, in
 /// CSR form: the positions of profile `p` are
@@ -178,9 +132,10 @@ impl NeighborList {
     /// The requested count passes through the spawn break-even guard
     /// ([`Parallelism::break_even`]): collections smaller than
     /// [`crate::MIN_PARALLEL_BATCH`] profiles and hosts whose available
-    /// parallelism is exhausted run one worker — the per-run sort and the
-    /// tournament merge only pay for themselves when there are both enough
-    /// placements and enough real cores.
+    /// parallelism is exhausted run one worker — the worker vocabularies
+    /// and their publish only pay for themselves when there are both
+    /// enough profiles and enough real cores. Only tokenizing fans out;
+    /// rank, sort, shuffle and Position Index run on the calling thread.
     ///
     /// # Errors
     ///
@@ -212,40 +167,57 @@ impl NeighborList {
             threads = par.get(),
         );
         let interner = TokenInterner::shared();
-        let tokenizer = Tokenizer;
-        // Map: one contiguous profile range per worker, tokenized into its
-        // own run of (token, profile) placements — one per *distinct*
-        // token per profile, in profile order.
-        let per_worker = all.len().div_ceil(par.capped(all.len()).get());
-        let mut runs: Vec<Vec<(TokenId, ProfileId)>> = par.steal_chunks(
-            all.len(),
-            per_worker,
-            || ProfileTokenizer::new(&tokenizer, &interner, par),
-            |tokens, range| {
-                let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
-                let mut ids: Vec<TokenId> = Vec::new();
-                for p in &all[range] {
-                    ids.clear();
-                    tokens.tokenize(p, &mut ids);
-                    ids.sort_unstable();
-                    ids.dedup();
-                    placements.extend(ids.iter().map(|&t| (t, p.id)));
-                }
-                placements
-            },
-        );
-        // Alphabetical order via the lexicographic rank, computed once over
-        // the complete vocabulary: ranks are a pure function of the token
-        // *strings*, not of the concurrent id assignment order. Each run
-        // stable-sorts on its own worker, so equal-key placements keep
-        // their profile-id order — exactly what the string sort produced.
-        let rank = interner.rank();
-        par.for_each_mut(&mut runs, |run| run.sort_by_key(|&(t, _)| rank[t.index()]));
-        let mut placements = merge_ranked_runs(runs, &rank);
-        shuffle_equal_runs(&mut placements, seed);
-        span.record("placements", placements.len());
-        let nl = placements.iter().map(|&(_, p)| p).collect();
-        let keys = keep_keys.then(|| placements.into_iter().map(|(k, _)| k).collect());
+        let tokens = tokenize_profiles(all, &interner, par);
+        let rank = {
+            let _span = sper_obs::span!("blocking.rank");
+            interner.rank()
+        };
+
+        let sort_span = sper_obs::span!("blocking.nl_sort");
+        // `starts[r]..starts[r + 1]`: the positions of the rank-`r` key.
+        let mut counts = vec![0u32; rank.len()];
+        for (_, ids) in tokens.iter() {
+            for id in ids {
+                counts[rank[id.index()] as usize] += 1;
+            }
+        }
+        let starts = prefix_offsets(&counts);
+        let mut cursor = counts;
+        cursor.copy_from_slice(&starts[..rank.len()]);
+        let mut nl = vec![ProfileId(0); *starts.last().expect("offsets start at 0") as usize];
+        for (p, ids) in tokens.iter() {
+            for id in ids {
+                let at = &mut cursor[rank[id.index()] as usize];
+                nl[*at as usize] = p;
+                *at += 1;
+            }
+        }
+        drop(tokens);
+        drop(sort_span);
+
+        let shuffle_span = sper_obs::span!("blocking.nl_shuffle");
+        // Every equal-key run is one rank's bucket: shuffled in rank order
+        // with one RNG — the *coincidental proximity* of §4.1.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for run in starts.windows(2) {
+            if run[1] - run[0] > 1 {
+                nl[run[0] as usize..run[1] as usize].shuffle(&mut rng);
+            }
+        }
+        let keys = keep_keys.then(|| {
+            let mut by_rank = vec![TokenId(0); rank.len()];
+            for (id, &r) in rank.iter().enumerate() {
+                by_rank[r as usize] = TokenId(id as u32);
+            }
+            let mut keys = Vec::with_capacity(nl.len());
+            for (key, run) in by_rank.iter().zip(starts.windows(2)) {
+                keys.resize(run[1] as usize, *key);
+            }
+            keys
+        });
+        drop(shuffle_span);
+        span.record("placements", nl.len());
+        let _span = sper_obs::span!("blocking.position_index");
         Self::from_raw_parts(nl, keys, interner, all.len())
     }
 
@@ -457,43 +429,6 @@ mod tests {
         let nl = NeighborList::build(&profiles, 0);
         assert_eq!(nl.key_at(0), None);
         assert_eq!(nl.key_id_at(0), None);
-    }
-
-    #[test]
-    fn tournament_merge_equals_one_stable_sort() {
-        // Equal-key runs span run boundaries: the merge must tie-break by
-        // run index (= profile order), as the single stable sort does.
-        let mut b = sper_model::ProfileCollectionBuilder::dirty();
-        for i in 0..97u32 {
-            let base = i % 31;
-            b.add_profile([("t", format!("tok{} shared{} common", base, base % 5))]);
-        }
-        let profiles = b.build();
-        let interner = TokenInterner::shared();
-        let tokenizer = Tokenizer;
-        let mut placements: Vec<(TokenId, ProfileId)> = Vec::new();
-        for p in profiles.iter() {
-            let mut ids = Vec::new();
-            for attr in &p.attributes {
-                tokenizer.tokenize_ids_into(&attr.value, &interner, &mut ids);
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            placements.extend(ids.iter().map(|&t| (t, p.id)));
-        }
-        let rank = interner.rank();
-        let mut sorted = placements.clone();
-        sorted.sort_by_key(|&(t, _)| rank[t.index()]);
-        for runs in [2usize, 3, 5, 8] {
-            let mut split: Vec<Vec<(TokenId, ProfileId)>> = placements
-                .chunks(placements.len().div_ceil(runs))
-                .map(<[_]>::to_vec)
-                .collect();
-            for run in &mut split {
-                run.sort_by_key(|&(t, _)| rank[t.index()]);
-            }
-            assert_eq!(merge_ranked_runs(split, &rank), sorted, "runs = {runs}");
-        }
     }
 
     #[test]

@@ -16,14 +16,17 @@
 //! 1. **Deterministic shard layout.** Work is split into contiguous ranges
 //!    of the profile/placement arrays — a pure function of the input and
 //!    the worker count.
-//! 2. **Order-restoring merges.** Shard outputs are concatenated in shard
-//!    order (ranges) or merged by `(key rank, shard)` (Neighbor List), so
-//!    the merged result reproduces the sequential iteration order exactly.
+//! 2. **Order-restoring merges.** Shard outputs are read in shard order,
+//!    so the merged result reproduces the sequential iteration order
+//!    exactly. Token Blocking and the Neighbor List tokenize on the
+//!    workers into worker-local vocabularies and publish them into the
+//!    shared interner in shard order, which gives every token its
+//!    one-worker id (see `token_blocking.rs`).
 //!
 //! Worker threads are spawned only here: [`Parallelism::steal_chunks`]
 //! (work-stealing fan-out over index ranges) and
 //! [`Parallelism::for_each_mut`] (in-place work on a few large items, such
-//! as sorting runs). Thread counts are validated at the API boundary:
+//! as sorting runs or remapping chunks). Thread counts are validated at the API boundary:
 //! [`Parallelism::new`] returns [`ZeroThreads`] instead of panicking when
 //! the count is zero.
 //!
@@ -135,9 +138,9 @@ impl Parallelism {
     /// the calling thread, no spawn.
     ///
     /// This is the fan-out for a few large independent items, where
-    /// stealing has nothing to balance: the Neighbor List sorts its
-    /// per-worker placement runs with it, and the emission list prepares
-    /// the first sorted tier of each run of a refill.
+    /// stealing has nothing to balance: the blocking builds remap their
+    /// tokenize chunks to published ids with it, and the emission list
+    /// prepares the first sorted tier of each run of a refill.
     pub fn for_each_mut<T, F>(self, items: &mut [T], f: F)
     where
         T: Send,

@@ -53,36 +53,38 @@ impl SuffixForest {
         lmin: usize,
         interner: Arc<TokenInterner>,
     ) -> Self {
-        let tokenizer = Tokenizer;
-        // suffix id → members, flat-indexed.
+        // suffix id → members, flat-indexed; every suffix is interned under
+        // one write lock for the whole build.
         let mut index: Vec<Vec<(ProfileId, SourceId)>> = Vec::new();
         let mut tokens: Vec<String> = Vec::new();
         let mut suffix_ids: Vec<TokenId> = Vec::new();
-        for p in profiles.iter() {
-            tokens.clear();
-            for attr in &p.attributes {
-                tokenizer.tokenize_into(&attr.value, &mut tokens);
-            }
-            tokens.sort_unstable();
-            tokens.dedup();
-            // Every (profile, suffix) membership is recorded once.
-            suffix_ids.clear();
-            for t in &tokens {
-                for s in SuffixIter::new(t, lmin) {
-                    suffix_ids.push(interner.intern(s));
+        interner.with_vocabulary(|vocab| {
+            for p in profiles.iter() {
+                tokens.clear();
+                for attr in &p.attributes {
+                    Tokenizer.tokenize_into(&attr.value, &mut tokens);
+                }
+                tokens.sort_unstable();
+                tokens.dedup();
+                // Every (profile, suffix) membership is recorded once.
+                suffix_ids.clear();
+                for t in &tokens {
+                    for s in SuffixIter::new(t, lmin) {
+                        suffix_ids.push(vocab.intern(s));
+                    }
+                }
+                suffix_ids.sort_unstable();
+                suffix_ids.dedup();
+                if let Some(&max) = suffix_ids.last() {
+                    if max.index() >= index.len() {
+                        index.resize_with(max.index() + 1, Vec::new);
+                    }
+                }
+                for &s in &suffix_ids {
+                    index[s.index()].push((p.id, p.source));
                 }
             }
-            suffix_ids.sort_unstable();
-            suffix_ids.dedup();
-            if let Some(&max) = suffix_ids.last() {
-                if max.index() >= index.len() {
-                    index.resize_with(max.index() + 1, Vec::new);
-                }
-            }
-            for &s in &suffix_ids {
-                index[s.index()].push((p.id, p.source));
-            }
-        }
+        });
 
         let kind = profiles.kind();
         let mut nodes: Vec<SuffixNode> = index

@@ -5,76 +5,142 @@
 //! disregarding attribute names entirely, which is what makes the approach
 //! schema-agnostic.
 //!
-//! The build is fully interned: tokens go straight from the normalization
-//! buffer into [`TokenId`]s (no per-token `String`), per-profile dedup is a
-//! `u32` sort, and the token → members index is a flat `Vec` indexed by id
-//! instead of a string-keyed hash map. Output order (lexicographic by key)
-//! and contents are identical to the historical string-keyed build.
+//! The build is fully interned and packs its CSR arrays directly:
 //!
-//! With several workers, each indexes one contiguous profile range and the
-//! per-range indexes are concatenated bucket by bucket in range order —
-//! which is profile order, so every merged bucket is exactly the one the
-//! single-range loop builds.
+//! 1. **Tokenize and intern** (`blocking.tokenize`, plus
+//!    `blocking.publish` on several workers): every profile's distinct
+//!    token ids (`tokenize_profiles`).
+//! 2. **Sort** (`blocking.token_sort`): one counting pass gives each token
+//!    its member count and `P1` member count; the tokens that yield a
+//!    comparison are the blocks, sorted by key string (an 8-byte prefix
+//!    first: [`TokenInterner::sort_by_str`]).
+//! 3. **Pack** (`blocking.token_pack`): a prefix sum over the kept tokens
+//!    gives the block offsets, and one pass in profile order scatters each
+//!    profile into its blocks — so every block is born deduplicated,
+//!    ascending and source-partitioned (profiles are visited in id order
+//!    with all `P1` profiles before `P2`, the `ProfileCollection`
+//!    invariant).
+//!
+//! Output order (lexicographic by key) and contents are identical to the
+//! historical string-keyed build, at every worker count.
 
-use crate::block::{Block, BlockCollection};
-use crate::parallel::Parallelism;
+use crate::block::{cardinality_of, prefix_offsets, BlockCollection};
+use crate::parallel::{Parallelism, STEAL_MIN_CHUNK};
 use sper_model::{Profile, ProfileCollection, ProfileId};
-use sper_text::{FxHashMap, TokenId, TokenInterner, Tokenizer};
+use sper_text::{TokenId, TokenInterner, Tokenizer, Vocabulary};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Tokenizes profiles into interned ids for one worker of a blocking
-/// fan-out (Token Blocking, the Neighbor List).
-///
-/// A lone worker interns every token directly — one interner lookup per
-/// token. Concurrent workers would contend on the shared interner's lock
-/// for every occurrence of Zipfian token traffic, so each keeps a local
-/// token → id cache and touches the interner once per distinct token.
-/// Ids are the same either way; only their assignment order differs, and
-/// no output depends on it.
-pub(crate) struct ProfileTokenizer<'a> {
-    tokenizer: &'a Tokenizer,
-    interner: &'a TokenInterner,
-    cache: Option<FxHashMap<Box<str>, TokenId>>,
+/// Every profile's distinct token ids, in profile order, as one CSR per
+/// contiguous profile range (a tokenize chunk).
+pub(crate) struct ProfileTokens {
+    chunks: Vec<TokenChunk>,
 }
 
-impl<'a> ProfileTokenizer<'a> {
-    /// A tokenizer for one of `par` concurrent workers.
-    pub(crate) fn new(
-        tokenizer: &'a Tokenizer,
-        interner: &'a TokenInterner,
-        par: Parallelism,
-    ) -> Self {
-        Self {
-            tokenizer,
-            interner,
-            cache: (!par.is_sequential()).then(FxHashMap::default),
-        }
-    }
+/// The distinct token ids of profiles `start..start + offsets.len() - 1`:
+/// profile `start + i` has `ids[offsets[i]..offsets[i + 1]]`.
+struct TokenChunk {
+    start: usize,
+    offsets: Vec<u32>,
+    ids: Vec<TokenId>,
+}
 
-    /// Appends the ids of every token of `p` to `ids` (not cleared, not
-    /// deduplicated).
-    pub(crate) fn tokenize(&mut self, p: &Profile, ids: &mut Vec<TokenId>) {
-        let Self {
-            tokenizer,
-            interner,
-            cache,
-        } = self;
+impl ProfileTokens {
+    /// `(profile, its distinct token ids)` in profile order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ProfileId, &[TokenId])> + '_ {
+        self.chunks.iter().flat_map(|c| {
+            c.offsets.windows(2).enumerate().map(move |(i, w)| {
+                (
+                    ProfileId((c.start + i) as u32),
+                    &c.ids[w[0] as usize..w[1] as usize],
+                )
+            })
+        })
+    }
+}
+
+/// Tokenizes `profiles` into `vocab`, one distinct-id list per profile.
+fn tokenize_range(profiles: &[Profile], start: usize, vocab: &mut Vocabulary) -> TokenChunk {
+    let mut offsets = Vec::with_capacity(profiles.len() + 1);
+    offsets.push(0u32);
+    let mut ids = Vec::new();
+    let mut own = Vec::new();
+    for (i, p) in profiles.iter().enumerate() {
+        debug_assert_eq!(p.id.index(), start + i, "profile ids are dense");
+        own.clear();
         for attr in &p.attributes {
-            match cache {
-                None => tokenizer.tokenize_ids_into(&attr.value, interner, ids),
-                Some(cache) => tokenizer.for_each_token(&attr.value, |tok| {
-                    let id = match cache.get(tok) {
-                        Some(&id) => id,
-                        None => {
-                            let id = interner.intern(tok);
-                            cache.insert(Box::from(tok), id);
-                            id
-                        }
-                    };
-                    ids.push(id);
-                }),
-            }
+            Tokenizer.tokenize_ids_with(&attr.value, vocab, &mut own);
         }
+        // A profile enters each token's block once, however many of its
+        // attributes repeat the token.
+        own.sort_unstable();
+        own.dedup();
+        ids.extend_from_slice(&own);
+        offsets.push(u32::try_from(ids.len()).expect("fewer than 2^32 placements"));
+    }
+    TokenChunk {
+        start,
+        offsets,
+        ids,
+    }
+}
+
+/// Tokenizes every profile into ids of `interner` on up to `par` workers
+/// — the first phase of Token Blocking and of the Neighbor List.
+///
+/// A lone worker interns straight into the shared vocabulary under one
+/// write lock. Several workers steal profile chunks, and each interns
+/// into a vocabulary of its own, lock-free; then the chunks' new tokens
+/// are published into the shared vocabulary in chunk order and every
+/// chunk's ids are remapped. A worker claims chunks in increasing order,
+/// so a token new to its vocabulary in chunk `c` occurs in no earlier
+/// chunk it ran, and every token appears in the published lists no later
+/// than the chunk holding its first occurrence, in occurrence order: the
+/// ids are the one-worker ids at every worker count. Each worker's
+/// vocabulary is dropped when its steal loop ends; the strings it
+/// allocated move into the shared vocabulary.
+pub(crate) fn tokenize_profiles(
+    profiles: &[Profile],
+    interner: &TokenInterner,
+    par: Parallelism,
+) -> ProfileTokens {
+    let mut span = sper_obs::span!("blocking.tokenize", profiles = profiles.len());
+    if par.is_sequential() {
+        let chunk = interner.with_vocabulary(|vocab| tokenize_range(profiles, 0, vocab));
+        return ProfileTokens {
+            chunks: vec![chunk],
+        };
+    }
+    let workers = AtomicUsize::new(0);
+    let mut chunks = par.steal_chunks(
+        profiles.len(),
+        STEAL_MIN_CHUNK,
+        || (workers.fetch_add(1, Ordering::Relaxed), Vocabulary::new()),
+        |(worker, vocab), range| {
+            let known = vocab.len();
+            let chunk = tokenize_range(&profiles[range.clone()], range.start, vocab);
+            (*worker, vocab.strings()[known..].to_vec(), chunk)
+        },
+    );
+    span.record("chunks", chunks.len());
+    drop(span);
+
+    let _span = sper_obs::span!("blocking.publish", chunks = chunks.len());
+    // `remaps[w][local]`: the shared id of worker `w`'s local id.
+    let mut remaps: Vec<Vec<TokenId>> = vec![Vec::new(); workers.into_inner()];
+    interner.with_vocabulary(|shared| {
+        for (worker, fresh, _) in &mut chunks {
+            remaps[*worker].extend(fresh.drain(..).map(|s| shared.intern_shared(s)));
+        }
+    });
+    par.for_each_mut(&mut chunks, |(worker, _, chunk)| {
+        let remap = &remaps[*worker];
+        for id in &mut chunk.ids {
+            *id = remap[id.index()];
+        }
+    });
+    ProfileTokens {
+        chunks: chunks.into_iter().map(|(_, _, chunk)| chunk).collect(),
     }
 }
 
@@ -114,74 +180,62 @@ impl TokenBlocking {
             profiles = all.len(),
             threads = par.get(),
         );
-        // One contiguous profile range per worker, each indexed on its own:
-        // token id → member profile ids, flat-indexed and grown as the
-        // vocabulary grows. Profiles are visited in id order with all P1
-        // profiles before P2 (the ProfileCollection invariant), so every
-        // bucket is born deduplicated, ascending and source-partitioned.
-        let per_worker = all.len().div_ceil(par.capped(all.len()).get());
-        let indexes = par.steal_chunks(
-            all.len(),
-            per_worker,
-            || ProfileTokenizer::new(&Tokenizer, &interner, par),
-            |tokens, range| {
-                let mut index: Vec<Vec<ProfileId>> = Vec::new();
-                let mut ids: Vec<TokenId> = Vec::new();
-                for p in &all[range] {
-                    ids.clear();
-                    tokens.tokenize(p, &mut ids);
-                    // A profile enters each token block once, regardless of
-                    // how many attributes repeat the token. All of this
-                    // profile's pushes happen now, so a repeated token's
-                    // bucket already ends with this profile — no sort.
-                    if index.len() < interner.len() {
-                        index.resize_with(interner.len(), Vec::new);
-                    }
-                    for &tok in &ids {
-                        let bucket = &mut index[tok.index()];
-                        if bucket.last() != Some(&p.id) {
-                            bucket.push(p.id);
-                        }
-                    }
-                }
-                index
-            },
-        );
-        // Concatenate the range indexes bucket by bucket in range order
-        // (a single range passes through untouched).
-        let mut indexes = indexes.into_iter();
-        let mut index = indexes.next().unwrap_or_default();
-        for other in indexes {
-            if index.len() < other.len() {
-                index.resize_with(other.len(), Vec::new);
+        let tokens = tokenize_profiles(all, &interner, par);
+
+        let sort_span = sper_obs::span!("blocking.token_sort");
+        let kind = profiles.kind();
+        // Member counts per token: `P1` members, then all members.
+        let mut firsts = vec![0u32; interner.len()];
+        let mut profile_tokens = tokens.iter();
+        for (_, ids) in profile_tokens.by_ref().take(profiles.len_first()) {
+            for id in ids {
+                firsts[id.index()] += 1;
             }
-            for (bucket, members) in index.iter_mut().zip(other) {
-                if bucket.is_empty() {
-                    *bucket = members;
-                } else {
-                    bucket.extend(members);
+        }
+        let mut sizes = firsts.clone();
+        for (_, ids) in profile_tokens {
+            for id in ids {
+                sizes[id.index()] += 1;
+            }
+        }
+        let mut keys: Vec<TokenId> = (0..sizes.len() as u32)
+            .map(TokenId)
+            .filter(|t| cardinality_of(kind, sizes[t.index()] as usize, firsts[t.index()]) > 0)
+            .collect();
+        // Deterministic lexicographic order, independent of interning order.
+        interner.sort_by_str(&mut keys, |k| k);
+        drop(sort_span);
+
+        let _pack_span = sper_obs::span!("blocking.token_pack", blocks = keys.len());
+        let offsets = prefix_offsets(&keys.iter().map(|k| sizes[k.index()]).collect::<Vec<_>>());
+        let n_firsts: Vec<u32> = keys.iter().map(|k| firsts[k.index()]).collect();
+        // `cursor[token]`: the next free member slot of the token's block
+        // (`u32::MAX` for a token without one).
+        let mut cursor = sizes;
+        cursor.fill(u32::MAX);
+        for (k, &start) in keys.iter().zip(&offsets) {
+            cursor[k.index()] = start;
+        }
+        let mut members = vec![ProfileId(0); *offsets.last().expect("offsets start at 0") as usize];
+        for (p, ids) in tokens.iter() {
+            for id in ids {
+                let at = &mut cursor[id.index()];
+                if *at != u32::MAX {
+                    members[*at as usize] = p;
+                    *at += 1;
                 }
             }
         }
-
-        let kind = profiles.kind();
-        // First id of `P2`; every member below it belongs to `P1`.
-        let boundary = ProfileId(profiles.len_first() as u32);
-        let blocks: Vec<Block> = index
-            .into_iter()
-            .enumerate()
-            .filter(|(_, members)| !members.is_empty())
-            .map(|(id, members)| {
-                let n_first = members.partition_point(|&p| p < boundary) as u32;
-                Block::from_partitioned(TokenId(id as u32), members, n_first)
-            })
-            .filter(|b| b.cardinality(kind) > 0)
-            .collect();
-        let mut coll = BlockCollection::new(kind, profiles.len(), interner, blocks);
-        // Deterministic lexicographic order, independent of interning order.
-        coll.sort_by_key_str();
-        span.record("blocks", coll.len());
-        coll
+        span.record("blocks", keys.len());
+        BlockCollection::from_raw_parts(
+            kind,
+            profiles.len(),
+            interner,
+            keys,
+            offsets,
+            members,
+            n_firsts,
+        )
     }
 }
 
@@ -253,6 +307,22 @@ pub(crate) mod tests {
         let mut sorted = keys1.clone();
         sorted.sort_unstable();
         assert_eq!(keys1, sorted);
+    }
+
+    #[test]
+    fn key_order_is_string_order_not_id_order() {
+        // Intern in reverse-alphabetical order: ids disagree with strings.
+        let interner = TokenInterner::shared();
+        for key in ["zeta", "white", "alpha"] {
+            interner.intern(key);
+        }
+        let mut b = ProfileCollectionBuilder::dirty();
+        b.add_profile([("n", "alpha white zeta")]);
+        b.add_profile([("n", "zeta white alpha")]);
+        let blocks =
+            TokenBlocking.build_with_interner(&b.build(), interner, Parallelism::SEQUENTIAL);
+        let keys: Vec<String> = blocks.iter().map(|b| b.key_str().to_string()).collect();
+        assert_eq!(keys, ["alpha", "white", "zeta"]);
     }
 
     #[test]

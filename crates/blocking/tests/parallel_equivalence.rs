@@ -82,8 +82,11 @@ proptest! {
 const WALL_PROFILES: u32 = 2_700;
 
 /// The wall's deterministic collection: entity triples (`ent`), mid-sized
-/// groups (`grp`, `sec`) that overlap across entities, and one singleton
-/// token per profile. The clean-clean variant puts the first 1,400
+/// groups (`grp`, `sec`) that overlap across entities, one singleton token
+/// per profile, and tokens longer than 8 bytes that share their first 8
+/// (`longprefix…`, `longprefixed…`: the dictionary keys these by text,
+/// and the rank sorts them on the tie path of its 8-byte prefix), split
+/// by a non-ASCII character. The clean-clean variant puts the first 1,400
 /// profiles in `P1`.
 fn wall_collection(clean_clean: bool) -> ProfileCollection {
     let mut b = if clean_clean {
@@ -98,6 +101,10 @@ fn wall_collection(clean_clean: bool) -> ProfileCollection {
         b.add_profile([
             ("name", format!("ent{} grp{}", i / 3, i % 97)),
             ("misc", format!("sec{} uniq{}", (i * 7) % 211, i)),
+            (
+                "uri",
+                format!("longprefix{}東longprefixed{}", i % 13, i / 40),
+            ),
         ]);
     }
     b.build()
@@ -180,7 +187,17 @@ fn run_wall(clean_clean: bool) {
             .collect();
         assert_eq!(keys, legacy_keys, "{}", label("neighbor list keys"));
 
-        let result = (blocks, nl.as_slice().to_vec());
+        // Publishing worker vocabularies in chunk order keeps every id the
+        // one-worker id.
+        let ids = (
+            TokenBlocking
+                .par_build(&coll, par)
+                .iter()
+                .map(|b| b.key)
+                .collect::<Vec<_>>(),
+            nl.interner().strings(),
+        );
+        let result = (blocks, nl.as_slice().to_vec(), ids);
         match &one {
             None => one = Some(result),
             Some(one) => assert!(one == &result, "{}", label("differs from one worker")),

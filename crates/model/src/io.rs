@@ -172,7 +172,9 @@ pub fn write_csv<W: Write>(collection: &ProfileCollection, out: &mut W) -> io::R
 ///
 /// # Errors
 ///
-/// Returns an error on malformed lines or out-of-range ids.
+/// Returns an error on malformed lines — a missing or non-numeric id, or a
+/// field beyond the second (`0,1,junk` is not the pair `(0, 1)`) — or
+/// out-of-range ids.
 pub fn read_matches<R: BufRead>(reader: R, n_profiles: usize) -> io::Result<GroundTruth> {
     let mut pairs = Vec::new();
     for line in reader.lines() {
@@ -190,6 +192,12 @@ pub fn read_matches<R: BufRead>(reader: R, n_profiles: usize) -> io::Result<Grou
         };
         let a = parse(it.next())?;
         let b = parse(it.next())?;
+        if it.next().is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("more than two fields: {line}"),
+            ));
+        }
         if a as usize >= n_profiles || b as usize >= n_profiles {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -279,6 +287,11 @@ mod tests {
         assert!(read_matches("0,9".as_bytes(), 5).is_err());
         assert!(read_matches("zero,1".as_bytes(), 5).is_err());
         assert!(read_matches("3".as_bytes(), 5).is_err());
+        // A third field is an error, not ignored.
+        for line in ["0,1,junk", "0,1,", "0,1,2", "0, 1 ,3"] {
+            let err = read_matches(line.as_bytes(), 5).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{line}");
+        }
         // Self-pairs are silently dropped, blank lines skipped.
         let t = read_matches("2,2\n\n0,1\n".as_bytes(), 5).unwrap();
         assert_eq!(t.num_matches(), 1);
@@ -366,6 +379,31 @@ mod proptests {
             write_csv(&coll, &mut buf).unwrap();
             let again = read_csv(std::str::from_utf8(&buf).unwrap()).unwrap();
             prop_assert_eq!(&again.get(ProfileId(0)).attributes, &attrs);
+        }
+
+        /// Arbitrary text never panics the CSV reader: it returns a
+        /// collection or an error.
+        #[test]
+        fn read_csv_never_panics(text in "\\PC{0,200}", hostile in FIELD) {
+            let _ = read_csv(&text);
+            let _ = read_csv(&format!("{hostile},{text}\n{text}"));
+        }
+
+        /// Arbitrary bytes never panic the match-file reader, and whatever
+        /// it accepts names only in-range ids.
+        #[test]
+        fn read_matches_never_panics(
+            bytes in collection::vec(0u8..=255, 0..200),
+            text in "[0-9, \n-]{0,60}",
+            n in 0usize..12,
+        ) {
+            for input in [&bytes[..], text.as_bytes()] {
+                if let Ok(truth) = read_matches(input, n) {
+                    for p in truth.pairs() {
+                        prop_assert!(p.first.index() < n && p.second.index() < n);
+                    }
+                }
+            }
         }
 
         /// Match files round-trip: the closure enumerated by the written

@@ -8,7 +8,7 @@
 
 use crate::ground_truth::GroundTruth;
 use crate::profile::{Profile, ProfileCollection, ProfileId};
-use sper_text::{jaccard_similarity_sorted, levenshtein, TokenId, TokenInterner, Tokenizer};
+use sper_text::{jaccard_similarity_sorted, levenshtein, TokenId, Tokenizer, Vocabulary};
 
 /// Every profile's token set, extracted up front so the `O(s+t)` cost the
 /// timing experiments measure is a pure comparison cost (as in the paper,
@@ -16,7 +16,7 @@ use sper_text::{jaccard_similarity_sorted, levenshtein, TokenId, TokenInterner, 
 ///
 /// One CSR: profile `p`'s distinct tokens are
 /// `tokens[offsets[p]..offsets[p + 1]]`, in ascending [`TokenId`] order.
-/// The ids come from an interner local to [`Self::extract`] that is
+/// The ids come from a [`Vocabulary`] local to [`Self::extract`] that is
 /// dropped before it returns, so only the equality and order of ids inside
 /// one `ProfileText` mean anything. Id ↔ string is a bijection, so every
 /// intersection count, union count and similarity equals the one over the
@@ -30,7 +30,7 @@ pub struct ProfileText {
 impl ProfileText {
     /// Extracts the token sets of all profiles of `collection`.
     pub fn extract(collection: &ProfileCollection) -> Self {
-        let interner = TokenInterner::new();
+        let mut vocab = Vocabulary::new();
         let mut offsets = Vec::with_capacity(collection.len() + 1);
         offsets.push(0);
         let mut tokens = Vec::new();
@@ -38,7 +38,7 @@ impl ProfileText {
         for p in collection.iter() {
             set.clear();
             for attr in &p.attributes {
-                Tokenizer.tokenize_ids_into(&attr.value, &interner, &mut set);
+                Tokenizer.tokenize_ids_with(&attr.value, &mut vocab, &mut set);
             }
             set.sort_unstable();
             set.dedup();

@@ -70,7 +70,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct IncrementalTokenBlocking {
     kind: ErKind,
     n_profiles: usize,
-    tokenizer: Tokenizer,
     interner: Arc<TokenInterner>,
     /// token id → insertion-order block position in `blocks` (`NO_BLOCK`
     /// when the token has none yet); flat-indexed, grown with the
@@ -87,7 +86,6 @@ impl IncrementalTokenBlocking {
         Self {
             kind,
             n_profiles: 0,
-            tokenizer: Tokenizer,
             interner: TokenInterner::shared(),
             block_of_token: Vec::new(),
             blocks: Vec::new(),
@@ -144,10 +142,11 @@ impl IncrementalTokenBlocking {
         self.n_profiles += 1;
 
         let mut tokens: Vec<TokenId> = Vec::new();
-        for attr in &profile.attributes {
-            self.tokenizer
-                .tokenize_ids_into(&attr.value, &self.interner, &mut tokens);
-        }
+        self.interner.with_vocabulary(|vocab| {
+            for attr in &profile.attributes {
+                Tokenizer.tokenize_ids_with(&attr.value, vocab, &mut tokens);
+            }
+        });
         tokens.sort_unstable();
         tokens.dedup();
         if let Some(&max) = tokens.last() {
@@ -201,7 +200,6 @@ impl IncrementalTokenBlocking {
         Self {
             kind,
             n_profiles,
-            tokenizer: Tokenizer,
             interner,
             block_of_token,
             blocks,
@@ -379,7 +377,6 @@ impl Run {
 #[derive(Debug, Clone)]
 pub struct IncrementalNeighborList {
     seed: u64,
-    tokenizer: Tokenizer,
     interner: Arc<TokenInterner>,
     n_profiles: usize,
     runs: FxHashMap<TokenId, Run>,
@@ -440,7 +437,6 @@ impl IncrementalNeighborList {
         debug_assert_eq!(runs.len(), fresh.len(), "one run per token");
         Self {
             seed,
-            tokenizer: Tokenizer,
             interner,
             n_profiles,
             runs,
@@ -501,10 +497,11 @@ impl IncrementalNeighborList {
         );
         self.n_profiles += 1;
         let mut tokens: Vec<TokenId> = Vec::new();
-        for attr in &profile.attributes {
-            self.tokenizer
-                .tokenize_ids_into(&attr.value, &self.interner, &mut tokens);
-        }
+        self.interner.with_vocabulary(|vocab| {
+            for attr in &profile.attributes {
+                Tokenizer.tokenize_ids_with(&attr.value, vocab, &mut tokens);
+            }
+        });
         tokens.sort_unstable();
         tokens.dedup();
         for tok in tokens {

@@ -1,10 +1,19 @@
 //! A minimal Fx-style hasher (the multiply-rotate scheme popularized by
-//! Firefox and rustc) for the interner's hot map.
+//! Firefox and rustc) for the token dictionary's hot maps.
 //!
 //! `std`'s default SipHash is DoS-resistant but costs ~1 ns/byte; the
-//! interner hashes every token of every profile exactly once per intern
-//! call, on trusted in-process data, so a fast non-cryptographic hash is
-//! the right trade. Not suitable for maps keyed by untrusted input.
+//! dictionary hashes every token of every profile once, on trusted
+//! in-process data, so a fast non-cryptographic hash is the right trade.
+//! Not suitable for maps keyed by untrusted input.
+//!
+//! The finish rotates the state left by 26 bits, the fix rustc-hash 2
+//! made: a product's low bits depend only on the multiplicand's low bits,
+//! and `std`'s `HashMap` picks the bucket from the hash's low bits. A key
+//! whose low bits vary little — a short token packed into a `u64` has
+//! zero high bytes, and tokens sharing their first bytes share their low
+//! ones — would otherwise crowd a few buckets; the rotation moves the
+//! product's high bits, which every input bit reaches, into the bucket
+//! index.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -63,7 +72,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -97,6 +106,27 @@ mod tests {
     #[test]
     fn hash_is_deterministic() {
         assert_eq!(hash_of("tailor"), hash_of("tailor"));
+    }
+
+    #[test]
+    fn packed_short_keys_spread_over_the_bucket_bits() {
+        // 4,096 four-byte tokens packed little-endian, as the dictionary
+        // keys them: their low bytes come from the shared first characters.
+        // Without the rotated finish the low 12 bits of `w · SEED` depend
+        // only on the low 12 bits of `w`, which take 16 values here.
+        let mut buckets = std::collections::HashSet::new();
+        for i in 0..4_096u32 {
+            let token = format!("a{:03x}", i);
+            let word = u64::from(u32::from_le_bytes(token.as_bytes().try_into().unwrap()));
+            let mut h = FxHasher::default();
+            h.write_u64(word);
+            buckets.insert(h.finish() & 0xfff);
+        }
+        assert!(
+            buckets.len() > 2_048,
+            "{} of 4,096 buckets hit",
+            buckets.len()
+        );
     }
 
     #[test]

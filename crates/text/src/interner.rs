@@ -7,14 +7,22 @@
 //! index be a flat `Vec` indexed by id — the same compact-integer idiom the
 //! paper prescribes for profile ids (§5.1.1, §5.2.1), applied to tokens.
 //!
+//! One dictionary, [`Vocabulary`], maps tokens to ids everywhere: behind
+//! the shared [`TokenInterner`], as a parallel build's worker-local
+//! vocabulary, and as the matcher's private one. It keys a token of at
+//! most 8 bytes by those bytes packed into a `u64` (99.5 % of freebase's
+//! distinct tokens, 99.8 % of its occurrences), so a lookup hashes one
+//! word and compares one word, with no pointer to follow; a longer token
+//! is keyed by its text.
+//!
 //! The interner is **append-only** and **concurrent**: ids are never
-//! reassigned or removed, so readers can cache ids across calls, the
-//! parallel blocking workers (`sper-blocking::parallel`) can intern from
-//! many threads, and the streaming substrates (`sper-stream`) can share one
-//! interner across ingest epochs. Id assignment order is an implementation
-//! detail (first-come); nothing observable may depend on it — ordered
-//! outputs sort by the *resolved string*, for which [`TokenInterner::rank`]
-//! provides a dense lexicographic rank table.
+//! reassigned or removed, so readers can cache ids across calls, and the
+//! streaming substrates (`sper-stream`) can share one interner across
+//! ingest epochs. Ids are assigned first-come; the blocking builds keep
+//! them equal to one sequential pass at every worker count, but nothing
+//! observable may depend on them — ordered outputs sort by the *resolved
+//! string*, for which [`TokenInterner::rank`] provides a dense
+//! lexicographic rank table.
 
 use crate::fxhash::FxHashMap;
 use std::sync::{Arc, RwLock};
@@ -39,19 +47,204 @@ impl std::fmt::Display for TokenId {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    /// Fx-hashed: tokens are trusted in-process data, hashed once per
-    /// intern call — the fast hash is the point of the exercise.
-    map: FxHashMap<Arc<str>, TokenId>,
+/// Up to 8 bytes, little-endian, zero-padded: byte `i` in bits `8i..8i+8`.
+#[inline]
+fn load_le(b: &[u8]) -> u64 {
+    debug_assert!(b.len() <= 8);
+    let n = b.len();
+    if n >= 4 {
+        // Two overlapping 4-byte loads: bytes 0..4, and n-4..n shifted into
+        // place; the overlap ORs equal bytes.
+        let lo = u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        let hi = u64::from(u32::from_le_bytes([b[n - 4], b[n - 3], b[n - 2], b[n - 1]]));
+        lo | hi << (8 * (n - 4))
+    } else if n > 0 {
+        u64::from(b[0])
+            | u64::from(b[n / 2]) << (8 * (n / 2))
+            | u64::from(b[n - 1]) << (8 * (n - 1))
+    } else {
+        0
+    }
+}
+
+/// The packed key of a token of at most 8 bytes whose last byte is not
+/// NUL: zero padding then marks where it ends, so distinct such tokens
+/// pack to distinct words. `None` sends a token to the text-keyed map.
+#[inline]
+fn short_key(token: &[u8]) -> Option<u64> {
+    (token.len() <= 8 && token.last() != Some(&0)).then(|| load_le(token))
+}
+
+/// The first 8 bytes of `s`, zero-padded, as a big-endian word: comparing
+/// two prefixes orders their strings unless the prefixes are equal (the
+/// padding sorts below every byte but NUL, and a NUL there only ties).
+#[inline]
+fn prefix(s: &str) -> u64 {
+    let b = s.as_bytes();
+    load_le(&b[..b.len().min(8)]).swap_bytes()
+}
+
+/// OR-ing `0x20` into each byte lowercases an ASCII alphanumeric token:
+/// it maps `A-Z` to `a-z` and leaves `a-z` and `0-9` (which have bit 5
+/// set) as they are.
+const LOWER: u64 = 0x2020_2020_2020_2020;
+
+/// A token → [`TokenId`] dictionary with id-ordered strings: the one map
+/// type behind every interning path.
+///
+/// A token of at most 8 bytes (not ending in NUL) is keyed by its bytes
+/// packed into a `u64`, a longer one by its text; both maps hash with the
+/// Fx hasher, whose rotated finish spreads packed keys over the buckets.
+/// Ids are first-come and dense.
+///
+/// It is the [`TokenInterner`]'s table (reached through
+/// [`TokenInterner::with_vocabulary`] for a batch of lookups under one
+/// lock), a parallel build's worker-local dictionary (published into the
+/// shared interner in a fixed order, see [`Self::intern_shared`]), and a
+/// lock-free dictionary of its own where no id leaves the caller.
+///
+/// ```
+/// use sper_text::{TokenId, Tokenizer, Vocabulary};
+///
+/// let mut vocab = Vocabulary::new();
+/// let mut ids = Vec::new();
+/// Tokenizer.tokenize_ids_with("Carl WHITE, carl", &mut vocab, &mut ids);
+/// assert_eq!(ids, [TokenId(0), TokenId(1), TokenId(0)]);
+/// assert_eq!(vocab.get("white"), Some(TokenId(1)));
+/// assert_eq!(vocab.resolve(TokenId(1)), "white");
+/// ```
+#[derive(Debug, Default, Clone)]
+pub struct Vocabulary {
+    /// Tokens of at most 8 bytes not ending in NUL, by packed bytes.
+    short: FxHashMap<u64, TokenId>,
+    /// Every other token, by its text (sharing the `strings` entry).
+    long: FxHashMap<Arc<str>, TokenId>,
+    /// Token text by id.
     strings: Vec<Arc<str>>,
 }
 
-/// Append-only concurrent string interner.
+impl Vocabulary {
+    /// An empty vocabulary.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of distinct tokens.
+    pub fn len(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// True when nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.strings.is_empty()
+    }
+
+    /// The token strings, indexed by id.
+    pub fn strings(&self) -> &[Arc<str>] {
+        &self.strings
+    }
+
+    /// The string of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` was not produced by this vocabulary.
+    pub fn resolve(&self, id: TokenId) -> &str {
+        &self.strings[id.index()]
+    }
+
+    /// The id of `token`, if interned.
+    pub fn get(&self, token: &str) -> Option<TokenId> {
+        match short_key(token.as_bytes()) {
+            Some(key) => self.short.get(&key),
+            None => self.long.get(token),
+        }
+        .copied()
+    }
+
+    /// Interns `token`, returning its id (a new one for a first sighting).
+    pub fn intern(&mut self, token: &str) -> TokenId {
+        match short_key(token.as_bytes()) {
+            Some(key) => self.intern_short(key, || Arc::from(token)),
+            None => self.intern_long(token, || Arc::from(token)),
+        }
+    }
+
+    /// Interns a string another vocabulary allocated, keeping its
+    /// allocation when the token is new here — how a worker-local
+    /// vocabulary publishes its tokens into the shared one.
+    pub fn intern_shared(&mut self, token: Arc<str>) -> TokenId {
+        match short_key(token.as_bytes()) {
+            Some(key) => self.intern_short(key, || token),
+            None => self.intern_long(&Arc::clone(&token), || token),
+        }
+    }
+
+    /// Interns a raw tokenizer token — a non-empty run of ASCII
+    /// alphanumerics, not yet lowercased — as its lowercase form. `buf`
+    /// receives the lowercased text of a token longer than 8 bytes.
+    #[inline]
+    pub(crate) fn intern_raw(&mut self, raw: &[u8], buf: &mut String) -> TokenId {
+        debug_assert!(!raw.is_empty() && raw.iter().all(u8::is_ascii_alphanumeric));
+        if raw.len() <= 8 {
+            let key = load_le(raw) | LOWER >> (8 * (8 - raw.len()));
+            return self.intern_short(key, || {
+                let bytes = key.to_le_bytes();
+                Arc::from(std::str::from_utf8(&bytes[..raw.len()]).expect("ASCII token"))
+            });
+        }
+        buf.clear();
+        buf.extend(raw.iter().map(|&b| char::from(b | 0x20)));
+        let token: &str = buf;
+        self.intern_long(token, || Arc::from(token))
+    }
+
+    #[inline]
+    fn intern_short(&mut self, key: u64, text: impl FnOnce() -> Arc<str>) -> TokenId {
+        let next = TokenId(self.strings.len() as u32);
+        let id = *self.short.entry(key).or_insert(next);
+        if id == next {
+            self.strings.push(text());
+        }
+        id
+    }
+
+    fn intern_long(&mut self, token: &str, text: impl FnOnce() -> Arc<str>) -> TokenId {
+        if let Some(&id) = self.long.get(token) {
+            return id;
+        }
+        let id = TokenId(self.strings.len() as u32);
+        let text = text();
+        self.long.insert(Arc::clone(&text), id);
+        self.strings.push(text);
+        id
+    }
+}
+
+/// Sorts `items` by the strings of their ids: by the big-endian 8-byte
+/// [`prefix`] first, comparing strings only where prefixes are equal, so
+/// most comparisons are one `u64` compare with no string to load.
+fn sort_by_text<T: Copy>(strings: &[Arc<str>], items: &mut [T], id: impl Fn(T) -> usize) {
+    let mut keyed: Vec<(u64, T)> = items
+        .iter()
+        .map(|&x| (prefix(&strings[id(x)]), x))
+        .collect();
+    keyed.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| strings[id(a.1)].cmp(&strings[id(b.1)]))
+    });
+    for (x, (_, sorted)) in items.iter_mut().zip(keyed) {
+        *x = sorted;
+    }
+}
+
+/// Append-only concurrent string interner: a [`Vocabulary`] behind a lock.
 ///
 /// * [`intern`](Self::intern) takes `&self` — a read-lock fast path for
-///   already-known tokens (the overwhelmingly common case after warm-up),
-///   a short write-lock only for genuinely new tokens.
+///   already-known tokens, a short write-lock only for new ones.
+/// * [`with_vocabulary`](Self::with_vocabulary) holds the write lock
+///   across a whole batch of lookups (a build's tokenize loop, a value's
+///   tokens), so each token costs a map probe and no lock.
 /// * [`resolve`](Self::resolve) returns the shared `Arc<str>`, so callers
 ///   keep zero-copy handles to token text.
 ///
@@ -72,7 +265,7 @@ struct Inner {
 /// ```
 #[derive(Debug, Default)]
 pub struct TokenInterner {
-    inner: RwLock<Inner>,
+    vocab: RwLock<Vocabulary>,
     /// Memoized lexicographic rank table, keyed by the vocabulary size it
     /// was computed for — append-only interning means equal size ⇒
     /// identical table, so steady-state `rank()` calls (e.g. one per
@@ -125,50 +318,42 @@ impl TokenInterner {
     pub fn from_strings<S: AsRef<str>>(
         strings: impl IntoIterator<Item = S>,
     ) -> Result<Self, DuplicateToken> {
-        let mut inner = Inner::default();
+        let mut vocab = Vocabulary::new();
         for (i, s) in strings.into_iter().enumerate() {
-            let s: Arc<str> = Arc::from(s.as_ref());
-            if inner.map.contains_key(&s) {
+            let s = s.as_ref();
+            if vocab.intern(s).index() != i {
                 return Err(DuplicateToken {
                     token: s.to_string(),
                     index: i,
                 });
             }
-            inner.map.insert(Arc::clone(&s), TokenId(i as u32));
-            inner.strings.push(s);
         }
         Ok(Self {
-            inner: RwLock::new(inner),
+            vocab: RwLock::new(vocab),
             rank_cache: RwLock::default(),
         })
+    }
+
+    /// Runs `f` with the vocabulary under the write lock — one lock for a
+    /// whole batch of lookups. Other callers wait until `f` returns.
+    pub fn with_vocabulary<R>(&self, f: impl FnOnce(&mut Vocabulary) -> R) -> R {
+        f(&mut self.vocab.write().expect("interner poisoned"))
     }
 
     /// Interns `token`, returning its dense id (allocating a new one for a
     /// first sighting).
     pub fn intern(&self, token: &str) -> TokenId {
-        if let Some(&id) = self.inner.read().expect("interner poisoned").map.get(token) {
+        if let Some(id) = self.get(token) {
             return id;
         }
-        let mut inner = self.inner.write().expect("interner poisoned");
-        // Re-check: another writer may have interned it between the locks.
-        if let Some(&id) = inner.map.get(token) {
-            return id;
-        }
-        let id = TokenId(inner.strings.len() as u32);
-        let s: Arc<str> = Arc::from(token);
-        inner.strings.push(Arc::clone(&s));
-        inner.map.insert(s, id);
-        id
+        // `intern` re-checks: another writer may have interned it between
+        // the locks.
+        self.with_vocabulary(|vocab| vocab.intern(token))
     }
 
     /// The id of `token` if it has been interned.
     pub fn get(&self, token: &str) -> Option<TokenId> {
-        self.inner
-            .read()
-            .expect("interner poisoned")
-            .map
-            .get(token)
-            .copied()
+        self.vocab.read().expect("interner poisoned").get(token)
     }
 
     /// The string of an interned id (zero-copy shared handle).
@@ -177,12 +362,12 @@ impl TokenInterner {
     ///
     /// Panics when `id` was not produced by this interner.
     pub fn resolve(&self, id: TokenId) -> Arc<str> {
-        Arc::clone(&self.inner.read().expect("interner poisoned").strings[id.index()])
+        Arc::clone(&self.vocab.read().expect("interner poisoned").strings[id.index()])
     }
 
     /// Number of distinct tokens interned so far.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("interner poisoned").strings.len()
+        self.vocab.read().expect("interner poisoned").len()
     }
 
     /// True when nothing has been interned.
@@ -192,11 +377,19 @@ impl TokenInterner {
 
     /// Snapshot of all interned strings, indexed by id.
     pub fn strings(&self) -> Vec<Arc<str>> {
-        self.inner
+        self.vocab
             .read()
             .expect("interner poisoned")
             .strings
-            .clone()
+            .to_vec()
+    }
+
+    /// Sorts `items` by the strings of their token ids, `key(item)`: by
+    /// an 8-byte prefix, then by text where prefixes tie. Items with
+    /// distinct ids get one order, whatever order the ids were assigned in.
+    pub fn sort_by_str<T: Copy>(&self, items: &mut [T], key: impl Fn(T) -> TokenId) {
+        let vocab = self.vocab.read().expect("interner poisoned");
+        sort_by_text(&vocab.strings, items, |x| key(x).index());
     }
 
     /// Lexicographic rank table: `rank[id] = r` iff the id's string is the
@@ -205,18 +398,19 @@ impl TokenInterner {
     ///
     /// Memoized per vocabulary size and grown incrementally. Interning only
     /// appends, so the memoized table still orders its `n` ids; a call after
-    /// `m` new tokens sorts only those and merges them into the memoized
-    /// order — `O(m log m + m log n)` string comparisons plus `O(n)` integer
-    /// work, instead of re-sorting the vocabulary. Strings are distinct, so
-    /// the merge has no ties and the table does not depend on the order in
-    /// which ids were assigned.
+    /// `m` new tokens sorts only those — by their big-endian 8-byte prefix,
+    /// comparing strings only on equal prefixes — and merges them into the
+    /// memoized order: `O(m log m + m log n)` comparisons plus `O(n)`
+    /// integer work, instead of re-sorting the vocabulary. Strings are
+    /// distinct, so the merge has no ties and the table does not depend on
+    /// the order in which ids were assigned.
     pub fn rank(&self) -> Arc<Vec<u32>> {
         let (known, memo) = {
             let cache = self.rank_cache.read().expect("interner poisoned");
             (cache.0, Arc::clone(&cache.1))
         };
-        let inner = self.inner.read().expect("interner poisoned");
-        let strings = &inner.strings;
+        let vocab = self.vocab.read().expect("interner poisoned");
+        let strings = &vocab.strings;
         let len = strings.len();
         if known == len {
             return memo;
@@ -227,17 +421,21 @@ impl TokenInterner {
             order[r as usize] = id as u32;
         }
         let mut fresh: Vec<u32> = (known as u32..len as u32).collect();
-        fresh.sort_unstable_by(|&a, &b| strings[a as usize].cmp(&strings[b as usize]));
+        sort_by_text(strings, &mut fresh, |id| id as usize);
         // `below[j]`: memoized strings sorting before `fresh[j]`. It never
         // decreases with `j`, so each search starts where the last ended.
+        let key = |id: u32| {
+            let s = &*strings[id as usize];
+            (prefix(s), s)
+        };
         let mut below = Vec::with_capacity(fresh.len());
         let mut lo = 0;
         for &id in &fresh {
-            let s = &strings[id as usize];
-            lo += order[lo..].partition_point(|&o| strings[o as usize] < *s);
+            let k = key(id);
+            lo += order[lo..].partition_point(|&o| key(o) < k);
             below.push(lo);
         }
-        drop(inner);
+        drop(vocab);
         // An old string moves up by the fresh strings sorting before it; a
         // fresh one sits after its `below` old strings and `j` fresh ones.
         let mut rank = vec![0u32; len];
@@ -263,8 +461,8 @@ impl TokenInterner {
     /// Compares two ids by their resolved strings (for deterministic,
     /// text-ordered output without materializing a rank table).
     pub fn cmp_str(&self, a: TokenId, b: TokenId) -> std::cmp::Ordering {
-        let inner = self.inner.read().expect("interner poisoned");
-        inner.strings[a.index()].cmp(&inner.strings[b.index()])
+        let vocab = self.vocab.read().expect("interner poisoned");
+        vocab.strings[a.index()].cmp(&vocab.strings[b.index()])
     }
 }
 
@@ -407,16 +605,26 @@ mod proptests {
     use super::tests::full_sort_rank;
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Tokens of 0–20 bytes that often share their first 8 bytes, around
+    /// the packed-key boundary: exactly 8 bytes, 7, ending in NUL, with an
+    /// inner NUL, and multi-byte — `intern` takes any `&str`.
+    fn token() -> impl Strategy<Value = String> {
+        const HEADS: [&str; 6] = ["abcdefgh", "abcdefg", "abc\0", "a\0b", "é東", ""];
+        (0..HEADS.len(), "[a-e\0é]{0,6}").prop_map(|(i, tail)| format!("{}{tail}", HEADS[i]))
+    }
 
     proptest! {
         /// Interleaved intern batches and `rank()` calls: every table
         /// equals a full sort of the vocabulary so far — whether
-        /// the new tokens sort before, between or after the old ones, and
-        /// when a call follows no growth at all.
+        /// the new tokens sort before, between or after the old ones, share
+        /// an 8-byte prefix with them (the tie path of the prefix-keyed
+        /// sort and merge), and when a call follows no growth at all.
         #[test]
         fn merged_rank_equals_a_full_sort(
             batches in proptest::collection::vec(
-                proptest::collection::vec("[a-e]{0,4}", 0..8),
+                proptest::collection::vec(token(), 0..12),
                 1..10,
             ),
         ) {
@@ -428,6 +636,51 @@ mod proptests {
                 let table = it.rank();
                 prop_assert_eq!(&table, &full_sort_rank(&it.strings()));
                 prop_assert_eq!(&it.rank(), &table, "no growth, same table");
+            }
+            let mut by_rank = it.strings();
+            by_rank.sort();
+            let mut ids: Vec<TokenId> = (0..it.len() as u32).map(TokenId).collect();
+            it.sort_by_str(&mut ids, |id| id);
+            let sorted: Vec<Arc<str>> = ids.iter().map(|&id| it.resolve(id)).collect();
+            prop_assert_eq!(sorted, by_rank);
+        }
+
+        /// Ids, `get`, `resolve`, `from_strings` and publishing through
+        /// `intern_shared` agree with a first-come `HashMap` across several
+        /// rounds of table growth.
+        #[test]
+        fn ids_agree_with_a_first_come_map(
+            tokens in proptest::collection::vec(token(), 0..400),
+        ) {
+            let it = TokenInterner::new();
+            let mut reference: HashMap<String, u32> = HashMap::new();
+            for t in &tokens {
+                let next = reference.len() as u32;
+                let want = *reference.entry(t.clone()).or_insert(next);
+                prop_assert_eq!(it.intern(t), TokenId(want), "{:?}", t);
+            }
+            prop_assert_eq!(it.len(), reference.len());
+            for (s, &id) in &reference {
+                prop_assert_eq!(it.get(s), Some(TokenId(id)));
+                prop_assert_eq!(&*it.resolve(TokenId(id)), s.as_str());
+                // One byte longer or shorter: the same packed word would
+                // alias these without the trailing-NUL rule.
+                for probe in [format!("{s}\0"), s.chars().skip(1).collect()] {
+                    prop_assert_eq!(
+                        it.get(&probe),
+                        reference.get(&probe).map(|&id| TokenId(id)),
+                        "{:?}", probe
+                    );
+                }
+            }
+            let strings = it.strings();
+            let restored = TokenInterner::from_strings(strings.iter().map(|s| &**s))
+                .expect("distinct strings");
+            let mut published = Vocabulary::new();
+            for (i, s) in strings.iter().enumerate() {
+                prop_assert_eq!(restored.get(s), Some(TokenId(i as u32)));
+                prop_assert_eq!(published.intern_shared(Arc::clone(s)), TokenId(i as u32));
+                prop_assert_eq!(published.intern_shared(Arc::from(&**s)), TokenId(i as u32));
             }
         }
     }

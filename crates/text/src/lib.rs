@@ -10,7 +10,9 @@
 //!
 //! Everything here is allocation-conscious: hot functions take `&str`/slices
 //! and reusable buffers where it matters, following the Rust Performance Book
-//! guidance on heap allocations.
+//! guidance on heap allocations. Tokens reach ids through one dictionary,
+//! [`Vocabulary`], which keys a token of at most 8 bytes by its packed
+//! bytes; the shared [`TokenInterner`] is a `Vocabulary` behind a lock.
 
 pub mod fxhash;
 pub mod interner;
@@ -22,7 +24,7 @@ pub mod suffixes;
 pub mod tokenize;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use interner::{DuplicateToken, TokenId, TokenInterner};
+pub use interner::{DuplicateToken, TokenId, TokenInterner, Vocabulary};
 pub use jaccard::{jaccard_similarity, jaccard_similarity_sorted};
 pub use levenshtein::{
     damerau_levenshtein, levenshtein, levenshtein_bounded, normalized_levenshtein,

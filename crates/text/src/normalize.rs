@@ -4,6 +4,14 @@
 //! key (§3, Token Blocking). To make key equality meaningful across sources
 //! with different casing/punctuation conventions, tokens are lowercased and
 //! stripped of non-alphanumeric edges before being used as keys.
+//!
+//! The tokenizer (`tokenize.rs`) never calls this: it splits on every
+//! character that is not an ASCII letter or digit — non-ASCII ones
+//! included — so its pieces have no edges to strip, and it lowercases the
+//! bytes itself. [`normalize_token`] is the char-level definition the
+//! tokenizer is property-tested against: splitting a value on those
+//! characters and normalizing each piece yields exactly its tokens, each
+//! `[a-z0-9]+`.
 
 /// Normalizes a raw token into a canonical blocking-key form.
 ///
@@ -28,23 +36,6 @@ pub fn normalize_token(raw: &str) -> Option<String> {
         return None;
     }
     Some(trimmed.to_ascii_lowercase())
-}
-
-/// In-place variant of [`normalize_token`] that reuses the output buffer,
-/// avoiding one allocation per token on the hot tokenization path.
-///
-/// Returns `true` when a non-empty normalized token was written into `out`.
-pub fn normalize_token_into(raw: &str, out: &mut String) -> bool {
-    out.clear();
-    let trimmed = raw.trim_matches(|c: char| !c.is_ascii_alphanumeric());
-    if trimmed.is_empty() {
-        return false;
-    }
-    out.reserve(trimmed.len());
-    for b in trimmed.chars() {
-        out.push(b.to_ascii_lowercase());
-    }
-    true
 }
 
 #[cfg(test)]
@@ -74,22 +65,6 @@ mod tests {
         assert_eq!(normalize_token("---"), None);
         assert_eq!(normalize_token(""), None);
         assert_eq!(normalize_token("!!"), None);
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_variant() {
-        let mut buf = String::new();
-        for raw in ["Carl", "(tailor)", "--", "", "Karl_White", "A1-b2"] {
-            let expected = normalize_token(raw);
-            let ok = normalize_token_into(raw, &mut buf);
-            match expected {
-                Some(s) => {
-                    assert!(ok);
-                    assert_eq!(buf, s);
-                }
-                None => assert!(!ok),
-            }
-        }
     }
 
     #[test]

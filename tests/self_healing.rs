@@ -412,6 +412,47 @@ fn misspelled_flag_is_a_usage_error_that_leaves_the_trace_alone() {
     let _ = std::fs::remove_dir_all(&d);
 }
 
+/// A match file line with more than two fields is a runtime error, exit
+/// code 1, as a non-numeric id is: `0,1,junk` must not be scored as the
+/// pair (0, 1).
+#[test]
+fn match_line_with_extra_fields_exits_one() {
+    let d = tmp_dir("match-fields");
+    let out = sper()
+        .current_dir(&d)
+        .args(["generate", "census", "--scale", "0.05"])
+        .args(["--out", "g.csv", "--truth", "m.csv"])
+        .output()
+        .expect("spawn sper generate");
+    assert!(out.status.success(), "generate: {}", stderr_of(&out));
+    let truth = std::fs::read_to_string(d.join("m.csv")).expect("read truth");
+    let evaluate = || {
+        sper()
+            .current_dir(&d)
+            .args(["evaluate", "g.csv", "m.csv", "--method", "pps"])
+            .output()
+            .expect("spawn sper evaluate")
+    };
+    let out = evaluate();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "clean truth: {}",
+        stderr_of(&out)
+    );
+    for bad in ["x,1", "0,1,junk"] {
+        std::fs::write(d.join("m.csv"), format!("{truth}{bad}\n")).expect("write truth");
+        let out = evaluate();
+        assert_eq!(out.status.code(), Some(1), "{bad:?}: {}", stderr_of(&out));
+        assert!(stdout_of(&out).is_empty(), "{bad:?} printed a score");
+    }
+    assert!(
+        stderr_of(&evaluate()).contains("more than two fields"),
+        "the error names the cause"
+    );
+    let _ = std::fs::remove_dir_all(&d);
+}
+
 /// A stderr whose reader is gone changes no exit code: a usage error
 /// still exits 2, a runtime error 1 and a successful run 0 — the lost
 /// messages must not turn into a panic (exit 101).

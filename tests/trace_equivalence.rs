@@ -110,6 +110,20 @@ fn tracing_is_a_pure_observer() {
         (method, capture)
     });
 
+    // Token Blocking's and the Neighbor List's builds on their own, at one
+    // worker and at two, over a collection above the spawn break-even, so
+    // a multi-core host also runs the publish of the worker vocabularies.
+    let movies = DatasetSpec::paper(DatasetKind::Movies)
+        .with_scale(0.05)
+        .generate();
+    let phase_capture = Arc::new(obs::CaptureSink::new());
+    obs::trace::install_sink(phase_capture.clone(), obs::Level::Debug);
+    for threads in [1, 2] {
+        let par = Parallelism::new(threads).expect("threads > 0");
+        TokenBlocking.par_build(&movies.profiles, par);
+        NeighborList::par_build(&movies.profiles, 7, threads).expect("threads > 0");
+    }
+
     obs::metrics::set_enabled(false);
     obs::trace::clear_sink();
 
@@ -180,6 +194,50 @@ fn tracing_is_a_pure_observer() {
         assert!(
             parent.self_ns <= tolerance,
             "child spans leave {} of {} ns of {method:?}'s build uncovered",
+            parent.self_ns,
+            parent.total_ns
+        );
+    }
+
+    // Each build is its phases — tokenize and intern, publish (on several
+    // workers), then rank, sort, shuffle and Position Index (Neighbor
+    // List) or sort and pack (Token Blocking) — and the phases cover the
+    // build within max(2 %, 2 ms).
+    let records: Vec<obs::ProfileRecord> = phase_capture.records().iter().map(Into::into).collect();
+    let profile = obs::SpanProfile::from_records(&records);
+    let fanned_out = !Parallelism::available().is_sequential();
+    for (build, phases) in [
+        (
+            "blocking.token_build",
+            &[
+                "blocking.tokenize",
+                "blocking.token_sort",
+                "blocking.token_pack",
+            ][..],
+        ),
+        (
+            "blocking.nl_build",
+            &[
+                "blocking.tokenize",
+                "blocking.rank",
+                "blocking.nl_sort",
+                "blocking.nl_shuffle",
+                "blocking.position_index",
+            ][..],
+        ),
+    ] {
+        let publish = fanned_out.then_some("blocking.publish");
+        for phase in phases.iter().copied().chain(publish) {
+            assert!(
+                profile.stacks().contains_key(&format!("{build};{phase}")),
+                "no {phase:?} span inside {build:?}"
+            );
+        }
+        let parent = profile.stacks()[build];
+        let tolerance = (parent.total_ns / 50).max(2_000_000);
+        assert!(
+            parent.self_ns <= tolerance,
+            "phase spans leave {} of {} ns of {build:?} uncovered",
             parent.self_ns,
             parent.total_ns
         );
